@@ -11,9 +11,7 @@ centered framing of dsp, so every kind produces 1 + len//hop frames.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -475,33 +473,3 @@ def extract_acoustic_set(audio, grid: dsp.FrameGrid | None = None) -> AcousticSe
         kind: FeatureSequence(kind, seqs[kind].values[:n], grid) for kind in FEATURE_ORDER
     }
     return AcousticSet(truncated)
-
-
-def dump_acoustic_set(aset: AcousticSet, out_dir: str | Path, trial_id: str) -> dict:
-    """One CSV per kind plus a JSON index entry with dims, hop, effective rate."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entry = {"trial": trial_id, "n_frames": aset.n_frames, "kinds": {}}
-    for kind in FEATURE_ORDER:
-        seq = aset.features[kind]
-        path = out_dir / f"{trial_id}_{kind}.csv"
-        np.savetxt(path, seq.values, fmt="%.9g", delimiter=",")
-        entry["kinds"][kind] = {
-            "label": label_for_kind(kind),
-            "dim": FEATURE_DIMS[kind],
-            "path": path.name,
-            "hop": seq.grid.hop,
-            "effective_rate_hz": seq.grid.effective_rate_hz,
-        }
-    return entry
-
-
-def load_feature_csv(path: str | Path, kind: str, grid: dsp.FrameGrid | None = None) -> FeatureSequence:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    return FeatureSequence(kind, values, grid or default_grid())
-
-
-def write_feature_index(entries: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic, dataio, dsp, eeg, nn, pipeline
-from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed
+from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import spectrogram_export
 
@@ -24,7 +24,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Per command: count flag -> the config field it overrides.
+_COUNT_FLAGS = {
+    "gen-data": {"n_trials": "n_trials", "duration": "duration_s"},
+    "train-synth": {"epochs": "synth_epochs"},
+    "train-regress": {"epochs": "regress_epochs"},
+}
+
+
 def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides applied, validated again."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -32,6 +41,11 @@ def _load_config(args) -> RunConfig:
         cfg.out_dir = args.out
     if getattr(args, "data_root", None):
         cfg.data_root = args.data_root
+    for flag, field_name in _COUNT_FLAGS.get(args.command, {}).items():
+        value = getattr(args, flag)
+        if value is not None:
+            setattr(cfg, field_name, value)
+    validate_config(cfg)
     return cfg
 
 
@@ -115,8 +129,8 @@ def _summary(command: str, **payload) -> None:
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
     manifest = dataio.generate_synthetic_dataset(
-        n_trials=args.n_trials or cfg.n_trials,
-        duration_s=args.duration or cfg.duration_s,
+        n_trials=cfg.n_trials,
+        duration_s=cfg.duration_s,
         seed=stage_seed(cfg.seed, "gen-data"),
         out_dir=cfg.data_root,
         eeg_format=cfg.eeg_format,
@@ -189,21 +203,6 @@ def cmd_fit_kpca(cfg: RunConfig, args) -> None:
     _summary("fit-kpca", scopes=sorted(models), out_dim=cfg.kpca_out_dim, out=str(kdir))
 
 
-def cmd_extract_acoustic(cfg: RunConfig, args) -> None:
-    manifest = _manifest(cfg)
-    grid = pipeline.audio_grid(cfg)
-    out_dir = Path(cfg.out_dir) / "feats_audio"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    ids = _filter_ids(manifest, manifest.ids(), args)
-    for trial_id in ids:
-        trial = manifest.load_trial(trial_id)
-        aset = acoustic.extract_acoustic_set(pipeline.audio_at_rate(trial, cfg), grid)
-        entries.append(acoustic.dump_acoustic_set(aset, out_dir, trial_id))
-    acoustic.write_feature_index(entries, out_dir / "index.json")
-    _summary("extract-acoustic", n_trials=len(ids), total_dim=acoustic.TOTAL_DIM, out=str(out_dir))
-
-
 def cmd_train_synth(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
     split = _split(cfg)
@@ -212,17 +211,16 @@ def cmd_train_synth(cfg: RunConfig, args) -> None:
     cleans = {tid: _load_clean(cfg, tid) for tid in train_ids + val_ids}
     train_ex = pipeline.build_synthesis_dataset(manifest, train_ids, cfg, cleans)
     val_ex = pipeline.build_synthesis_dataset(manifest, val_ids, cfg, cleans) if val_ids else None
-    epochs = args.epochs or cfg.synth_epochs
-    model, history = pipeline.train_synthesis(train_ex, cfg, val_ex, epochs=epochs)
+    model, history = pipeline.train_synthesis(train_ex, cfg, val_ex)
     models_dir = Path(cfg.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     ckpt = models_dir / "synthesis.ckpt"
     model.save(ckpt)
     history.to_csv(
         models_dir / "synthesis_history.csv",
-        meta={"epochs": epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
+        meta={"epochs": cfg.synth_epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
     )
-    _summary("train-synth", epochs=epochs, final_train_loss=history.final_train_loss(),
+    _summary("train-synth", epochs=cfg.synth_epochs, final_train_loss=history.final_train_loss(),
              checkpoint=str(ckpt))
 
 
@@ -235,17 +233,16 @@ def cmd_train_regress(cfg: RunConfig, args) -> None:
         raise DataError("no training trials after filtering")
     models_dir = Path(cfg.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    epochs = args.epochs or cfg.regress_epochs
     losses = {}
     for kind in kinds:
-        bundle, history = pipeline.train_regression_kind(kind, examples, cfg, epochs=epochs)
+        bundle, history = pipeline.train_regression_kind(kind, examples, cfg)
         bundle.save(models_dir / f"regress_{kind}.ckpt")
         history.to_csv(
             models_dir / f"regress_{kind}_history.csv",
-            meta={"epochs": epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
+            meta={"epochs": cfg.regress_epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
         )
         losses[acoustic.label_for_kind(kind)] = history.final_train_loss()
-    _summary("train-regress", epochs=epochs, kinds=sorted(losses), final_train_loss=losses)
+    _summary("train-regress", epochs=cfg.regress_epochs, kinds=sorted(losses), final_train_loss=losses)
 
 
 def cmd_eval_synth(cfg: RunConfig, args) -> None:
@@ -357,7 +354,7 @@ def build_parser() -> _Parser:
 
     add("split", help="deterministic train/val/test assignment")
 
-    for name in ("preprocess", "extract-eeg-feats", "extract-acoustic", "fit-kpca"):
+    for name in ("preprocess", "extract-eeg-feats", "fit-kpca"):
         p = add(name)
         p.add_argument("--subject", type=int, default=None)
         p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)
@@ -394,7 +391,6 @@ _HANDLERS = {
     "preprocess": cmd_preprocess,
     "extract-eeg-feats": cmd_extract_eeg_feats,
     "fit-kpca": cmd_fit_kpca,
-    "extract-acoustic": cmd_extract_acoustic,
     "train-synth": cmd_train_synth,
     "train-regress": cmd_train_regress,
     "eval-synth": cmd_eval_synth,

@@ -55,7 +55,6 @@ class RunConfig:
     synth_filters2: int = 32
     synth_kernel: int = 3
     synth_epochs: int = 5000
-    dense_before_final_upsample: bool = False
     # regression model
     gru_hidden: int = 128
     regress_epochs: int = 500
@@ -96,7 +95,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
     ("synthesis", "filters2"): ("synth_filters2", "int"),
     ("synthesis", "kernel_size"): ("synth_kernel", "int"),
     ("synthesis", "epochs"): ("synth_epochs", "int"),
-    ("synthesis", "dense_before_final_upsample"): ("dense_before_final_upsample", "bool"),
     ("regression", "hidden"): ("gru_hidden", "int"),
     ("regression", "epochs"): ("regress_epochs", "int"),
     ("training", "batch_size"): ("batch_size", "int"),

@@ -81,7 +81,6 @@ class TrialRecord:
     condition: str
     eeg: EegRecording
     audio: AudioClip
-    transcript: str | None = None
 
     def __post_init__(self):
         if not (1 <= self.subject <= 4):
@@ -279,8 +278,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     root = path.parent
     trials = []
     seen = set()
-    for item in items:
-        ref = TrialRef(item["id"], int(item["subject"]), item["condition"], item["eeg_path"], item["wav_path"])
+    for n, item in enumerate(items):
+        try:
+            ref = TrialRef(item["id"], int(item["subject"]), item["condition"], item["eeg_path"], item["wav_path"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: manifest entry {n} is not a complete trial object ({exc!r})") from exc
         if ref.id in seen:
             raise DataError(f"{path}: duplicate trial id {ref.id!r}")
         seen.add(ref.id)

@@ -48,14 +48,6 @@ class IirFilter:
     def is_stable(self) -> bool:
         return bool(np.all(self.pole_magnitudes() < 1.0))
 
-    def response(self, freqs_hz, fs_hz: float) -> np.ndarray:
-        """Complex frequency response H(e^{j2*pi*f/fs}) at the given frequencies."""
-        z = np.exp(-2j * np.pi * np.asarray(freqs_hz, dtype=np.float64) / fs_hz)
-        h = np.ones_like(z)
-        for b0, b1, b2, _, a1, a2 in self.sos:
-            h = h * (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
-        return h
-
 
 def design_butterworth_bandpass(
     order: int = 4, lo_hz: float = 0.1, hi_hz: float = 70.0, fs_hz: float = 1000.0
@@ -168,7 +160,7 @@ def frame_signal_valid(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     return x[..., idx]
 
 
-def frame_signal_centered(x: np.ndarray, window: int, hop: int, pad_mode: str = "reflect") -> np.ndarray:
+def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Centered framing: frame k covers samples around k*hop, count 1 + n//hop.
 
     Reflection padding needs n >= window//2 + 1.
@@ -176,9 +168,9 @@ def frame_signal_centered(x: np.ndarray, window: int, hop: int, pad_mode: str = 
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     pad = window // 2
-    if pad_mode == "reflect" and n < pad + 1:
+    if n < pad + 1:
         raise ValueError(f"signal shorter than one window ({n} samples, window {window})")
-    xp = np.pad(x, pad, mode=pad_mode)
+    xp = np.pad(x, pad, mode="reflect")
     n_frames = frame_count(n, hop)
     idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
     return xp[idx]
@@ -230,7 +222,7 @@ def stft_power(
         win = np.ones(fft_size)
     else:
         raise ValueError(f"unsupported window {window!r}")
-    frames = frame_signal_centered(x, fft_size, hop, pad_mode="reflect")
+    frames = frame_signal_centered(x, fft_size, hop)
     spec = np.fft.rfft(frames * win[None, :], axis=1)
     power = np.abs(spec) ** 2
     return PowerSpectrogram(power, fft_size, hop, int(fs_hz))

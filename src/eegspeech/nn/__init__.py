@@ -15,6 +15,7 @@ from .models import (
     build_regression_model,
     build_synthesis_model,
     load_model,
+    restore_model,
     synthesis_param_count,
 )
 from .training import TrainConfig, TrainHistory, finite_diff_grad_check, train
@@ -22,7 +23,7 @@ from .training import TrainConfig, TrainHistory, finite_diff_grad_check, train
 __all__ = [
     "Adam", "Dropout", "GruLayer", "Layer", "TcnBlock", "TimeDistributedDense",
     "UpsampleRepeat", "mse_loss", "Model", "RegressionModel", "SynthesisModel",
-    "build_regression_model", "build_synthesis_model", "load_model",
+    "build_regression_model", "build_synthesis_model", "load_model", "restore_model",
     "synthesis_param_count", "TrainConfig", "TrainHistory",
     "finite_diff_grad_check", "train",
 ]

@@ -2,8 +2,10 @@
 
 Synthesis: TCN(31->f1) -> upsample x5 -> dropout -> TCN(f1->f2) -> upsample x3
 -> time-distributed dense(f2->1), mapping T EEG samples at 1000 Hz to 15*T
-audio samples at 15 kHz. Regression: GRU(30->hidden) -> dropout -> dense to the
-target feature dimension, frame for frame.
+audio samples at 15 kHz. The dense map acts on each step alone, so it commutes
+with the repeat: the stack applies it before the x3 upsample, on a third of the
+steps, with the same output up to float32 rounding. Regression: GRU(30->hidden)
+-> dropout -> dense to the target feature dimension, frame for frame.
 """
 
 from __future__ import annotations
@@ -71,17 +73,24 @@ class Model:
     def out_dim(self) -> int:
         return self.config["out_dim"]
 
+    def named_params(self) -> dict[str, np.ndarray]:
+        """Parameters under their checkpoint names, layerNN_pJ."""
+        return {
+            f"layer{i:02d}_p{j}": p
+            for i, layer in enumerate(self.layers)
+            for j, p in enumerate(layer.params)
+        }
+
     def save(self, path: str | Path) -> None:
-        arrays = {}
-        for i, layer in enumerate(self.layers):
-            for j, p in enumerate(layer.params):
-                arrays[f"layer{i:02d}_p{j}"] = p
-        save_container(path, self.kind, self.config, arrays)
+        save_container(path, self.kind, self.config, self.named_params())
 
     def load_params(self, arrays: dict) -> None:
         for i, layer in enumerate(self.layers):
             for j, p in enumerate(layer.params):
-                src = arrays[f"layer{i:02d}_p{j}"]
+                name = f"layer{i:02d}_p{j}"
+                if name not in arrays:
+                    raise DataError(f"checkpoint has no array {name!r} (written for another layer layout?)")
+                src = arrays[name]
                 if tuple(src.shape) != p.shape:
                     raise DataError(f"checkpoint shape mismatch at layer {i} param {j}")
                 p[...] = src.astype(p.dtype)
@@ -102,21 +111,21 @@ def build_synthesis_model(
     kernel_size: int = 3,
     dropout_rate: float = 0.2,
     in_dim: int = 31,
-    dense_before_final_upsample: bool = False,
     dtype=np.float32,
 ) -> SynthesisModel:
     """Figure-style waveform synthesizer: (T x in_dim) -> (15*T x 1)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f1, f2 = filters
+    # The head is drawn before the TCN blocks, which keeps each seed's initial parameters.
     head = TimeDistributedDense(f2, 1, rng=rng, dtype=dtype)
-    up3 = UpsampleRepeat(3)
     layers: list[Layer] = [
         TcnBlock(in_dim, f1, kernel_size, rng=rng, dtype=dtype),
         UpsampleRepeat(5),
         Dropout(dropout_rate, seed=seed + 1),
         TcnBlock(f1, f2, kernel_size, rng=rng, dtype=dtype),
+        head,
+        UpsampleRepeat(3),
     ]
-    layers += [head, up3] if dense_before_final_upsample else [up3, head]
     config = {
         "seed": seed,
         "filters": list(filters),
@@ -124,7 +133,6 @@ def build_synthesis_model(
         "dropout_rate": dropout_rate,
         "in_dim": in_dim,
         "out_dim": 1,
-        "dense_before_final_upsample": dense_before_final_upsample,
         "dtype": np.dtype(dtype).name,
     }
     return SynthesisModel(layers, config, in_dim)
@@ -167,30 +175,37 @@ def synthesis_param_count(in_dim: int, filters: tuple[int, int], kernel_size: in
     return tcn1 + tcn2 + dense
 
 
-def load_model(path: str | Path):
-    """Rebuild a model from a checkpoint container."""
-    kind, config, arrays = load_container(path)
-    dtype = np.dtype(config.get("dtype", "float32"))
-    if kind == "synthesis":
-        model = build_synthesis_model(
-            seed=config["seed"],
-            filters=tuple(config["filters"]),
-            kernel_size=config["kernel_size"],
-            dropout_rate=config["dropout_rate"],
-            in_dim=config["in_dim"],
-            dense_before_final_upsample=config.get("dense_before_final_upsample", False),
-            dtype=dtype,
-        )
-    elif kind == "regression":
-        model = build_regression_model(
-            out_dim=config["out_dim"],
-            seed=config["seed"],
-            hidden=config["hidden"],
-            in_dim=config["in_dim"],
-            dropout_rate=config["dropout_rate"],
-            dtype=dtype,
-        )
-    else:
-        raise DataError(f"{path}: unknown model kind {kind!r}")
+def restore_model(kind: str, config: dict, arrays: dict, source: str | Path = "checkpoint") -> Model:
+    """Rebuild a model from its kind and saved config, then load its parameters."""
+    try:
+        dtype = np.dtype(config.get("dtype", "float32"))
+        if kind == "synthesis":
+            model = build_synthesis_model(
+                seed=config["seed"],
+                filters=tuple(config["filters"]),
+                kernel_size=config["kernel_size"],
+                dropout_rate=config["dropout_rate"],
+                in_dim=config["in_dim"],
+                dtype=dtype,
+            )
+        elif kind == "regression":
+            model = build_regression_model(
+                out_dim=config["out_dim"],
+                seed=config["seed"],
+                hidden=config["hidden"],
+                in_dim=config["in_dim"],
+                dropout_rate=config["dropout_rate"],
+                dtype=dtype,
+            )
+        else:
+            raise DataError(f"{source}: unknown model kind {kind!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{source}: bad {kind} model config ({exc!r})") from exc
     model.load_params(arrays)
     return model
+
+
+def load_model(path: str | Path) -> Model:
+    """Rebuild a model from a checkpoint container."""
+    kind, config, arrays = load_container(path)
+    return restore_model(kind, config, arrays, path)

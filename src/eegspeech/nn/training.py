@@ -19,7 +19,6 @@ class TrainConfig:
     batch_size: int = 100
     learning_rate: float = 1e-3
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -99,10 +98,9 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(batches)) if config.shuffle else np.arange(len(batches))
         sq_sum = 0.0
         count_sum = 0.0
-        for bi in order:
+        for bi in rng.permutation(len(batches)):
             xb, yb, mask = _assemble(train_pairs, batches[bi], model, dtype)
             pred = model.forward(xb, training=True)
             loss, grad = mse_loss(pred, yb, mask)

@@ -91,10 +91,9 @@ def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dic
         filters=(cfg.synth_filters1, cfg.synth_filters2),
         kernel_size=cfg.synth_kernel,
         dropout_rate=cfg.dropout,
-        dense_before_final_upsample=cfg.dense_before_final_upsample,
     )
     train_cfg = nn.TrainConfig(
-        epochs=epochs or cfg.synth_epochs,
+        epochs=cfg.synth_epochs if epochs is None else epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         seed=stage_seed(cfg.seed, "synthesis-train"),
@@ -200,31 +199,26 @@ class RegressorBundle:
         return self.out_scaler.invert(pred)
 
     def save(self, path: str | Path) -> None:
-        arrays = {}
-        for i, layer in enumerate(self.model.layers):
-            for j, p in enumerate(layer.params):
-                arrays[f"layer{i:02d}_p{j}"] = p
-        arrays["in_mean"] = self.in_scaler.mean
-        arrays["in_std"] = self.in_scaler.std
-        arrays["out_mean"] = self.out_scaler.mean
-        arrays["out_std"] = self.out_scaler.std
+        arrays = {
+            **self.model.named_params(),
+            "in_mean": self.in_scaler.mean,
+            "in_std": self.in_scaler.std,
+            "out_mean": self.out_scaler.mean,
+            "out_std": self.out_scaler.std,
+        }
         save_container(path, "regressor-bundle", {"kind": self.kind, "model": self.model.config}, arrays)
 
     @staticmethod
     def load(path: str | Path) -> "RegressorBundle":
         _, meta, arrays = load_container(path, expect_kind="regressor-bundle")
-        mc = meta["model"]
-        model = nn.build_regression_model(
-            out_dim=mc["out_dim"], seed=mc["seed"], hidden=mc["hidden"],
-            in_dim=mc["in_dim"], dropout_rate=mc["dropout_rate"],
-            dtype=np.dtype(mc.get("dtype", "float32")),
-        )
-        model.load_params(arrays)
-        return RegressorBundle(
-            meta["kind"], model,
-            Scaler(arrays["in_mean"], arrays["in_std"]),
-            Scaler(arrays["out_mean"], arrays["out_std"]),
-        )
+        try:
+            return RegressorBundle(
+                meta["kind"], nn.restore_model("regression", meta["model"], arrays, path),
+                Scaler(arrays["in_mean"], arrays["in_std"]),
+                Scaler(arrays["out_mean"], arrays["out_std"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}: incomplete regressor bundle ({exc!r})") from exc
 
 
 def regression_example(trial_id: str, subject: int, condition: str,
@@ -256,7 +250,7 @@ def train_regression_kind(
         dropout_rate=cfg.dropout,
     )
     train_cfg = nn.TrainConfig(
-        epochs=epochs or cfg.regress_epochs,
+        epochs=cfg.regress_epochs if epochs is None else epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         seed=stage_seed(cfg.seed, f"regress-train-{kind}"),

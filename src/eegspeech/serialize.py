@@ -57,18 +57,23 @@ def load_container(path: str | Path, expect_kind: str | None = None):
         header = json.loads(raw[20 : 20 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt container header") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list) or "meta" not in header:
+        raise DataError(f"{path}: container header lacks its meta or array list")
     kind = header.get("kind")
     if expect_kind is not None and kind != expect_kind:
         raise DataError(f"{path}: expected {expect_kind!r} container, found {kind!r}")
     arrays = {}
     offset = 20 + hlen
     for entry in header["arrays"]:
-        dt = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = dt.itemsize * count
+        try:
+            name, dtype, shape = entry["name"], entry["dtype"], [int(n) for n in entry["shape"]]
+            dt = np.dtype(_DTYPES[dtype])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad array entry {entry!r}") from exc
+        nbytes = dt.itemsize * int(np.prod(shape))
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: truncated container")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(entry["dtype"]).copy()
+        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(shape)
+        arrays[name] = arr.astype(dtype).copy()
         offset += nbytes
     return kind, header["meta"], arrays

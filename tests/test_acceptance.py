@@ -95,7 +95,7 @@ def test_criterion_architecture_conformance():
         x = rng.standard_normal((1, t, 31)).astype(np.float32)
         assert synth.predict(x).shape == (1, 15 * t, 1)
 
-    tcn1, _, drop, tcn2, _, dense = synth.layers
+    tcn1, _, drop, tcn2, dense, _ = synth.layers
     assert tcn1.w.shape == (3 * 31, 256) and tcn1.proj.shape == (31, 256)
     assert tcn2.w.shape == (3 * 256, 32) and tcn2.proj.shape == (256, 32)
     assert dense.w.shape == (32, 1)

@@ -82,14 +82,6 @@ class TestPipelineCommands:
         assert curve[0] == "scope,component,cumulative_fraction"
         assert len(curve) == 1 + 30
 
-    def test_06_extract_acoustic(self, workspace):
-        root, config = workspace
-        code, out = run_cli("extract-acoustic", "--config", str(config))
-        assert code == 0
-        index = json.loads((root / "out" / "feats_audio" / "index.json").read_text())
-        assert len(index) == 12
-        assert summary_of(out)["total_dim"] == 571
-
     def test_07_train_synth(self, workspace):
         root, config = workspace
         code, out = run_cli("train-synth", "--config", str(config), "--epochs", "2")
@@ -193,6 +185,17 @@ class TestExitCodes:
         config = tmp_path / "bad.ini"
         config.write_text("[synthesis]\nepochs = -1\n")
         assert cli.main(["split", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train-synth", "--epochs", "0"], ["train-synth", "--epochs", "-1"],
+        ["train-regress", "--epochs", "0"],
+        ["gen-data", "--n-trials", "0"], ["gen-data", "--duration", "0"],
+    ])
+    def test_non_positive_count_override_is_usage_error(self, workspace, tmp_path, argv):
+        _, config = workspace
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
+        assert not out.exists() and not (tmp_path / "d").exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert cli.main(["split", "--data-root", str(tmp_path), "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,4 @@
+import json
 import wave
 
 import numpy as np
@@ -253,6 +254,18 @@ class TestSyntheticDataset:
         (manifest.root / manifest.trials[0].wav_path).unlink()
         with pytest.raises(DataError, match="missing"):
             dataio.load_manifest(manifest.root / "manifest.json")
+
+    @pytest.mark.parametrize("mangle", [
+        lambda items: [{k: v for k, v in items[0].items() if k != "id"}] + items[1:],
+        lambda items: ["trial_0001"] + items[1:],
+        lambda items: [{**items[0], "subject": "one"}] + items[1:],
+    ])
+    def test_malformed_manifest_entry_rejected(self, tmp_path, mangle):
+        manifest = dataio.generate_synthetic_dataset(2, duration_s=0.5, seed=0, out_dir=tmp_path / "d")
+        path = manifest.root / "manifest.json"
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="entry 0"):
+            dataio.load_manifest(path)
 
     def test_duration_mismatch_rejected(self):
         eeg = dataio.EegRecording(np.zeros((31, 1000)))

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from eegspeech import nn
-from eegspeech.errors import NumericError
+from eegspeech import nn, pipeline, serialize
+from eegspeech.errors import DataError, NumericError
 
 
 class TestSynthesisModel:
@@ -21,7 +23,7 @@ class TestSynthesisModel:
 
     def test_full_scale_parameter_shapes(self):
         model = nn.build_synthesis_model(seed=0)
-        tcn1, _, drop, tcn2, _, dense = model.layers
+        tcn1, _, drop, tcn2, dense, _ = model.layers
         assert tcn1.w.shape == (3 * 31, 256)
         assert tcn1.proj.shape == (31, 256)
         assert tcn2.w.shape == (3 * 256, 32)
@@ -45,10 +47,47 @@ class TestSynthesisModel:
         assert np.array_equal(bumped[0, : 15 * t_hit], base[0, : 15 * t_hit])
         assert not np.array_equal(bumped[0, 15 * t_hit :], base[0, 15 * t_hit :])
 
-    def test_alternate_head_order_keeps_shape(self, rng):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4), dense_before_final_upsample=True)
-        x = rng.standard_normal((1, 11, 31)).astype(np.float32)
-        assert model.predict(x).shape == (1, 165, 1)
+    @pytest.mark.parametrize("filters", [(8, 4), (256, 32)])
+    def test_dense_before_x3_matches_paper_order(self, rng, filters):
+        # The dense map acts per step, so it commutes with the x3 repeat. The
+        # paper's [..., up3, dense] order, built from the same layer objects,
+        # agrees to float32 rounding: BLAS may round a row differently by its
+        # position in the product, so the paper order itself can give the
+        # three copies of one step different last bits.
+        model = nn.build_synthesis_model(seed=5, filters=filters)
+        tcn1, up5, drop, tcn2, dense, up3 = model.layers
+        assert isinstance(dense, nn.TimeDistributedDense) and up3.k == 3
+        paper = nn.Model([tcn1, up5, drop, tcn2, up3, dense], model.config, 31)
+        for b, t in ((1, 1), (2, 7), (1, 40), (3, 101)):
+            x = rng.standard_normal((b, t, 31)).astype(np.float32)
+            ours, ref = model.predict(x), paper.predict(x)
+            assert np.array_equal(ours, np.repeat(ours[:, ::3], 3, axis=1))
+            assert np.abs(ours - ref).max() <= 1e-6 * np.abs(ref).max()
+
+        x = rng.standard_normal((2, 23, 31)).astype(np.float32)
+        grad_out = rng.standard_normal((2, 15 * 23, 1)).astype(np.float32)
+        grads = []
+        for stack in (model, paper):
+            stack.zero_grad()
+            stack.forward(x, training=False)
+            gx = stack.backward(grad_out)
+            grads.append([gx] + [g.copy() for g in stack.grads()])
+        for ours, ref in zip(*grads):
+            scale = np.abs(ref).max() or 1.0
+            assert np.abs(ours - ref).max() <= 1e-5 * scale
+
+    def test_init_draws_dense_head_first(self):
+        # A seed gives the same initial parameters as the stack has always had:
+        # the head is drawn before the two TCN blocks.
+        model = nn.build_synthesis_model(seed=11, filters=(8, 4))
+        rng = np.random.default_rng(np.random.SeedSequence(11))
+        head = nn.TimeDistributedDense(4, 1, rng=rng)
+        tcn1 = nn.TcnBlock(31, 8, 3, rng=rng)
+        tcn2 = nn.TcnBlock(8, 4, 3, rng=rng)
+        expected = tcn1.params + tcn2.params + head.params
+        assert len(model.params()) == len(expected)
+        for got, want in zip(model.params(), expected):
+            assert np.array_equal(got, want)
 
 
 class TestRegressionModel:
@@ -175,6 +214,62 @@ class TestCheckpoint:
         back = nn.load_model(path)
         x = rng.standard_normal((1, 5, 30)).astype(np.float32)
         assert np.array_equal(model.predict(x), back.predict(x))
+
+    def test_regressor_bundle_round_trip(self, tmp_path, rng):
+        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8)
+        nn.train(model, [(rng.standard_normal((9, 30)), rng.standard_normal((9, 6)))],
+                 nn.TrainConfig(epochs=2, batch_size=1, seed=0))
+        bundle = pipeline.RegressorBundle(
+            "tonnetz", model,
+            pipeline.Scaler.fit(rng.standard_normal((20, 30))),
+            pipeline.Scaler.fit(rng.standard_normal((20, 6))),
+        )
+        path = tmp_path / "regress_tonnetz.ckpt"
+        bundle.save(path)
+        back = pipeline.RegressorBundle.load(path)
+        assert back.kind == "tonnetz"
+        for a, b in ((bundle.in_scaler, back.in_scaler), (bundle.out_scaler, back.out_scaler)):
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+        x = rng.standard_normal((11, 30))
+        assert np.array_equal(bundle.predict(x), back.predict(x))
+
+    def test_missing_param_array_is_data_error(self, tmp_path):
+        # A checkpoint laid out for another layer order (the dense head at
+        # layer05) has no layer04 arrays.
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        arrays = model.named_params()
+        arrays["layer05_p0"] = arrays.pop("layer04_p0")
+        arrays["layer05_p1"] = arrays.pop("layer04_p1")
+        path = tmp_path / "old.ckpt"
+        serialize.save_container(path, model.kind, model.config, arrays)
+        with pytest.raises(DataError, match="layer04_p0"):
+            nn.load_model(path)
+
+    def test_incomplete_model_config_is_data_error(self, tmp_path):
+        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4)
+        config = {k: v for k, v in model.config.items() if k != "hidden"}
+        path = tmp_path / "m.ckpt"
+        serialize.save_container(path, model.kind, config, model.named_params())
+        with pytest.raises(DataError, match="model config"):
+            nn.load_model(path)
+
+    def test_bad_container_header_is_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
+        header = json.loads(raw[20 : 20 + hlen])
+
+        def rewrite(new_header) -> None:
+            text = json.dumps(new_header).encode()
+            path.write_bytes(raw[:12] + np.uint64(len(text)).tobytes() + text + raw[20 + hlen :])
+
+        rewrite({k: v for k, v in header.items() if k != "arrays"})
+        with pytest.raises(DataError, match="array list"):
+            serialize.load_container(path)
+        rewrite({**header, "arrays": [{**header["arrays"][0], "dtype": "float16"}] + header["arrays"][1:]})
+        with pytest.raises(DataError, match="bad array entry"):
+            nn.load_model(path)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
