@@ -14,7 +14,9 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dataio import EEG_SAMPLE_RATE_HZ
 from .errors import ConfigError
+from .nn.models import SynthesisModel
 
 
 @dataclass
@@ -135,10 +137,17 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("n_trials", "bandpass_order", "kpca_out_dim", "kpca_degree",
                  "kpca_max_train_frames", "synth_filters1", "synth_filters2",
                  "synth_kernel", "synth_epochs", "gru_hidden", "regress_epochs",
-                 "batch_size", "audio_rate_hz"):
+                 "batch_size"):
         positive(name, getattr(cfg, name))
     positive("learning_rate", cfg.learning_rate)
     positive("duration_s", cfg.duration_s)
+    synth_rate = SynthesisModel.upsample_factor * EEG_SAMPLE_RATE_HZ
+    if cfg.audio_rate_hz != synth_rate:
+        raise ConfigError(
+            f"audio_rate_hz must be {synth_rate}: the synthesis model emits "
+            f"{SynthesisModel.upsample_factor} audio samples per {EEG_SAMPLE_RATE_HZ} Hz EEG sample, "
+            f"got {cfg.audio_rate_hz}"
+        )
     if not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
     if not (0 < cfg.bandpass_lo_hz < cfg.bandpass_hi_hz):

@@ -187,12 +187,8 @@ class TimeDistributedDense(Layer):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as a tanh, which cannot overflow and needs no branch."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class GruLayer(Layer):
@@ -200,6 +196,12 @@ class GruLayer(Layer):
 
     Per step: z = sig(xWz + hUz + bz), r = sig(xWr + hUr + br),
     hc = tanh(xWh + (r*h)Uh + bh), h <- (1-z)*h + z*hc.
+
+    The input projections of all steps are one GEMM before the recurrence, and
+    z and r share one recurrent GEMM per step. Backward keeps only the
+    recurrence in its loop and forms every weight gradient and the input
+    gradient as one GEMM over all steps afterwards. Caches are time-major
+    (T, B, .) so each step's slice is contiguous.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
@@ -224,65 +226,61 @@ class GruLayer(Layer):
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"GRU expects feature dim {self.in_dim}, got {x.shape[-1]}")
         b, t, _ = x.shape
-        h = np.zeros((b, self.hidden), dtype=x.dtype)
-        zs = np.empty((b, t, self.hidden), dtype=x.dtype)
-        rs = np.empty_like(zs)
-        hcs = np.empty_like(zs)
-        h_prev = np.empty_like(zs)
-        out = np.empty_like(zs)
+        hd = self.hidden
+        w = np.concatenate([self.w_z, self.w_r, self.w_h], axis=1)
+        u_zr = np.concatenate([self.u_z, self.u_r], axis=1)
+        xs = np.ascontiguousarray(x.transpose(1, 0, 2))
+        a = xs.reshape(t * b, -1) @ w + np.concatenate([self.b_z, self.b_r, self.b_h])
+        a = a.reshape(t, b, 3 * hd)
+        zr = np.empty((t, b, 2 * hd), dtype=a.dtype)
+        hcs = np.empty((t, b, hd), dtype=a.dtype)
+        rh = np.empty_like(hcs)
+        hs = np.zeros((t + 1, b, hd), dtype=a.dtype)
         for step in range(t):
-            xt = x[:, step, :]
-            h_prev[:, step, :] = h
-            z = _sigmoid(xt @ self.w_z + h @ self.u_z + self.b_z)
-            r = _sigmoid(xt @ self.w_r + h @ self.u_r + self.b_r)
-            hc = np.tanh(xt @ self.w_h + (r * h) @ self.u_h + self.b_h)
-            h = (1.0 - z) * h + z * hc
-            zs[:, step, :], rs[:, step, :], hcs[:, step, :] = z, r, hc
-            out[:, step, :] = h
-        self._cache = (x, zs, rs, hcs, h_prev)
-        return out
+            h = hs[step]
+            zr[step] = _sigmoid(a[step, :, : 2 * hd] + h @ u_zr)
+            z, r = zr[step, :, :hd], zr[step, :, hd:]
+            np.multiply(r, h, out=rh[step])
+            hc = hcs[step] = np.tanh(a[step, :, 2 * hd :] + rh[step] @ self.u_h)
+            hs[step + 1] = (1.0 - z) * h + z * hc
+        self._cache = (xs, w, zr, hcs, hs, rh)
+        return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, zs, rs, hcs, h_prev = self._cache
-        b, t, _ = x.shape
+        xs, w, zr, hcs, hs, rh = self._cache
+        t, b, _ = xs.shape
+        hd = self.hidden
         (gw_z, gw_r, gw_h, gu_z, gu_r, gu_h, gb_z, gb_r, gb_h) = self.grads
-        gx = np.zeros_like(x)
-        dh_next = np.zeros((b, self.hidden), dtype=x.dtype)
+        u_zr_t = np.ascontiguousarray(np.concatenate([self.u_z, self.u_r], axis=1).T)
+        u_h_t = np.ascontiguousarray(self.u_h.T)
+        grad_t = grad_out.transpose(1, 0, 2)
+        da = np.empty((t, b, 3 * hd), dtype=zr.dtype)
+        dh_next = np.zeros((b, hd), dtype=zr.dtype)
         for step in range(t - 1, -1, -1):
-            xt = x[:, step, :]
-            z, r, hc, hp = zs[:, step, :], rs[:, step, :], hcs[:, step, :], h_prev[:, step, :]
-            dh = grad_out[:, step, :] + dh_next
-
-            dz = dh * (hc - hp)
-            dhc = dh * z
-            dhp = dh * (1.0 - z)
-
-            da_h = dhc * (1.0 - hc * hc)
-            gw_h += xt.T @ da_h
-            gu_h += (r * hp).T @ da_h
-            gb_h += da_h.sum(axis=0)
-            dxt = da_h @ self.w_h.T
-            drh = da_h @ self.u_h.T
-            dr = drh * hp
-            dhp = dhp + drh * r
-
-            da_r = dr * r * (1.0 - r)
-            gw_r += xt.T @ da_r
-            gu_r += hp.T @ da_r
-            gb_r += da_r.sum(axis=0)
-            dxt = dxt + da_r @ self.w_r.T
-            dhp = dhp + da_r @ self.u_r.T
-
-            da_z = dz * z * (1.0 - z)
-            gw_z += xt.T @ da_z
-            gu_z += hp.T @ da_z
-            gb_z += da_z.sum(axis=0)
-            dxt = dxt + da_z @ self.w_z.T
-            dhp = dhp + da_z @ self.u_z.T
-
-            gx[:, step, :] = dxt
-            dh_next = dhp
-        return gx
+            z, r, hc, hp = zr[step, :, :hd], zr[step, :, hd:], hcs[step], hs[step]
+            one_minus_z = 1.0 - z
+            dh = grad_t[step] + dh_next
+            da_h = da[step, :, 2 * hd :]
+            np.multiply(dh * z, 1.0 - hc * hc, out=da_h)
+            drh = da_h @ u_h_t
+            np.multiply(dh * (hc - hp), z * one_minus_z, out=da[step, :, :hd])
+            np.multiply(drh * hp, r * (1.0 - r), out=da[step, :, hd : 2 * hd])
+            dh_next = dh * one_minus_z + drh * r + da[step, :, : 2 * hd] @ u_zr_t
+        da_all = da.reshape(t * b, 3 * hd)
+        gw = xs.reshape(t * b, -1).T @ da_all
+        gu_zr = hs[:-1].reshape(t * b, hd).T @ da_all[:, : 2 * hd]
+        gb = da_all.sum(axis=0)
+        gw_z += gw[:, :hd]
+        gw_r += gw[:, hd : 2 * hd]
+        gw_h += gw[:, 2 * hd :]
+        gu_z += gu_zr[:, :hd]
+        gu_r += gu_zr[:, hd:]
+        gu_h += rh.reshape(t * b, hd).T @ da_all[:, 2 * hd :]
+        gb_z += gb[:hd]
+        gb_r += gb[hd : 2 * hd]
+        gb_h += gb[2 * hd :]
+        gx = (da_all @ w.T).reshape(t, b, -1)
+        return np.ascontiguousarray(gx.transpose(1, 0, 2))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None):

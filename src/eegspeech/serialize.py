@@ -3,12 +3,15 @@
 Layout: 8-byte magic, uint32 version, uint64 header length, UTF-8 JSON header,
 then the raw array blobs concatenated in header order. The header JSON is
 canonical (sorted keys) and the blobs are little-endian, so a container written
-twice from identical state is byte-identical.
+twice from identical state is byte-identical. A container is written to a
+temporary file beside its target and renamed over it, so an interrupted write
+never leaves a truncated file under the target's name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +37,20 @@ def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
     header = json.dumps(
         {"kind": kind, "meta": meta, "arrays": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint64(len(header)).tobytes())
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(np.uint32(VERSION).tobytes())
+            fh.write(np.uint64(len(header)).tobytes())
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_container(path: str | Path, expect_kind: str | None = None):

@@ -186,6 +186,16 @@ class TestExitCodes:
         config.write_text("[synthesis]\nepochs = -1\n")
         assert cli.main(["split", "--config", str(config)]) == 1
 
+    def test_audio_rate_not_matching_synthesis_is_usage_error(self, workspace, tmp_path):
+        _, base = workspace
+        config = tmp_path / "rate.ini"
+        config.write_text(base.read_text() + "[features]\naudio_rate_hz = 16000\n")
+        out = tmp_path / "o"
+        code = cli.main(["train-synth", "--config", str(config), "--out", str(out),
+                         "--data-root", str(tmp_path / "d")])
+        assert code == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train-synth", "--epochs", "0"], ["train-synth", "--epochs", "-1"],
         ["train-regress", "--epochs", "0"],

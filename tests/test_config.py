@@ -86,6 +86,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ratios"):
             parse_config(path)
 
+    @pytest.mark.parametrize("rate", ["16000", "14999", "30000", "0"])
+    def test_audio_rate_other_than_synthesis_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "a.ini"
+        path.write_text(f"[features]\naudio_rate_hz = {rate}\n")
+        with pytest.raises(ConfigError, match="audio_rate_hz must be 15000"):
+            parse_config(path)
+
 
 class TestStageSeed:
     def test_deterministic_and_distinct(self):

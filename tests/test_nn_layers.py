@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eegspeech import nn
+from eegspeech.nn.layers import _sigmoid
 
 
 def numeric_input_grad(layer, x, grad_out, eps=1e-6):
@@ -193,6 +194,25 @@ class TestGru:
         layer = nn.GruLayer(30, 128, rng=rng)
         x = rng.standard_normal((1, 4, 30)).astype(np.float32)
         assert layer.forward(x).shape == (1, 4, 128)
+
+    def test_sigmoid_saturates_without_numeric_faults(self):
+        x = np.array([-1e4, -100.0, -1.0, 0.0, 1.0, 100.0, 1e4], dtype=np.float32)
+        with np.errstate(all="raise"):
+            y = _sigmoid(x)
+        assert y.dtype == np.float32
+        assert np.all((y >= 0.0) & (y <= 1.0))
+        assert y[0] == 0.0 and y[3] == 0.5 and y[-1] == 1.0
+
+    def test_large_inputs_raise_no_numeric_faults(self, rng):
+        layer = nn.GruLayer(30, 16, rng=rng)
+        x = (1e3 * rng.standard_normal((3, 9, 30))).astype(np.float32)
+        grad_out = rng.standard_normal((3, 9, 16)).astype(np.float32)
+        with np.errstate(all="raise"):
+            out = layer.forward(x, training=True)
+            gx = layer.backward(grad_out)
+        assert np.all((out >= -1.0) & (out <= 1.0))
+        assert np.all(np.isfinite(gx))
+        assert all(np.all(np.isfinite(g)) for g in layer.grads)
 
 
 class TestMseLoss:

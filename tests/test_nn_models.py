@@ -277,6 +277,37 @@ class TestCheckpoint:
         nn.build_synthesis_model(seed=4, filters=(8, 4)).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(path)
+        before = path.read_bytes()
+        real_open = open
+
+        class FailingFile:
+            """Passes the header writes through, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 4:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(serialize, "open", lambda *a, **k: FailingFile(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            nn.build_regression_model(out_dim=1, seed=1, hidden=4).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
 
 class TestFiniteDiffCheck:
     def test_tiny_synthesis_model(self, rng):
