@@ -18,6 +18,7 @@ from . import acoustic, dataio, dsp, eeg, nn, pipeline
 from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import spectrogram_export
+from .serialize import atomic_open
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -164,9 +165,8 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
             "bandpassed": clean.bandpassed, "notched": clean.notched,
             "ica_cleaned": clean.ica_cleaned, "zscored": clean.zscored,
         }
-    (clean_dir / "preprocess.json").write_text(
-        json.dumps(flags, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_open(clean_dir / "preprocess.json") as fh:
+        fh.write(json.dumps(flags, indent=1, sort_keys=True) + "\n")
     _summary("preprocess", n_trials=len(ids), out=str(clean_dir))
 
 
@@ -195,7 +195,7 @@ def cmd_fit_kpca(cfg: RunConfig, args) -> None:
     for key, model in models.items():
         eeg.save_kpca(model, kdir / f"{key}.kpca")
         curves[key] = eeg.explained_variance_curve(model)
-    with open(kdir / "explained_variance.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(kdir / "explained_variance.csv") as fh:
         fh.write("scope,component,cumulative_fraction\n")
         for key in sorted(curves):
             for i, frac in enumerate(curves[key], start=1):

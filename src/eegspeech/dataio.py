@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .serialize import atomic_open
 
 EEG_SAMPLE_RATE_HZ = 1000
 EEG_CHANNELS = 31
@@ -261,7 +262,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         }
         for t in manifest.trials
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(items, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -327,7 +328,7 @@ def make_split(
 
 
 def save_split(split: SplitAssignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(
             {
                 "train_ids": list(split.train_ids),

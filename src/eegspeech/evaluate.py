@@ -12,6 +12,7 @@ import numpy as np
 from . import dsp
 from .acoustic import FEATURE_ORDER, label_for_kind
 from .errors import DataError
+from .serialize import atomic_open
 
 SYNTH_LENGTH_TOLERANCE = 15  # samples; one EEG step of slack before warning
 
@@ -47,12 +48,13 @@ class MetricsReport:
             indent=1,
         ) + "\n"
         if path is not None:
-            Path(path).write_text(doc, encoding="utf-8")
+            with atomic_open(path) as fh:
+                fh.write(doc)
         return doc
 
     def to_csv(self, path: str | Path) -> None:
         cols = ["subject", "condition"] + (["kind", "label"] if self.scope == "acoustic" else []) + ["rmse", "n_trials"]
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(",".join(cols) + "\n")
             for row in self.rows:
                 fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")

@@ -44,8 +44,15 @@ class TcnBlock(Layer):
     """Causal dilated convolution + ReLU + residual add.
 
     The residual is the identity when widths match, a 1x1 projection otherwise,
-    and can be disabled. Left padding keeps the output time length equal to the
-    input's, so output[t] never sees input beyond t.
+    and can be disabled. Output time length equals the input's and output[t]
+    never sees input beyond t.
+
+    w is tap-major (k*in, out): rows j*in:(j+1)*in hold tap j, which reads
+    input step t - (k-1-j)*dilation. Forward is one GEMM of the input against
+    every tap (and the projection) side by side, then a shift-add of the
+    out-wide tap outputs, so no (B, T, k*in) im2col buffer is ever built.
+    Backward shifts the output gradient back into the same layout and forms
+    all weight gradients and the input gradient as one GEMM each.
     """
 
     def __init__(self, in_dim: int, out_dim: int, kernel_size: int = 3, dilation: int = 1,
@@ -67,50 +74,57 @@ class TcnBlock(Layer):
             self.params.append(self.proj)
         self.grads = [np.zeros_like(p) for p in self.params]
 
-    def _im2col(self, x_padded: np.ndarray, t: int) -> np.ndarray:
+    def _w_all(self) -> np.ndarray:
+        """(in, m*out): the k taps of w side by side, then proj if there is one."""
+        k, n, o = self.kernel_size, self.in_dim, self.out_dim
+        w = self.w.reshape(k, n, o).transpose(1, 0, 2).reshape(n, k * o)
+        return w if self.proj is None else np.concatenate([w, self.proj], axis=1)
+
+    def _shifts(self, t: int):
+        """(tap, shift) for every tap whose shift leaves part of a length-t sequence."""
         k, d = self.kernel_size, self.dilation
-        taps = [x_padded[:, j * d : j * d + t, :] for j in range(k)]
-        return np.concatenate(taps, axis=2)  # (B, T, k*in)
+        return [(j, (k - 1 - j) * d) for j in range(k) if (k - 1 - j) * d < t]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"TcnBlock expects feature dim {self.in_dim}, got {x.shape[-1]}")
-        b, t, _ = x.shape
-        pad = (self.kernel_size - 1) * self.dilation
-        xp = np.pad(x, ((0, 0), (pad, 0), (0, 0)))
-        cols = self._im2col(xp, t)
-        z = cols @ self.w + self.b
-        a = np.maximum(z, 0.0)
-        if self.use_residual:
-            res = x @ self.proj if self.proj is not None else x
-            y = a + res
-        else:
-            y = a
-        self._cache = (x, cols, z > 0)
-        return y
+        b, t, n = x.shape
+        k, o = self.kernel_size, self.out_dim
+        y = (x.reshape(b * t, n) @ self._w_all()).reshape(b, t, -1)
+        z = y[:, :, (k - 1) * o : k * o] + self.b
+        for j, s in self._shifts(t):
+            if s:
+                z[:, s:] += y[:, : t - s, j * o : (j + 1) * o]
+        np.maximum(z, 0.0, out=z)
+        mask = z > 0
+        if self.proj is not None:
+            z += y[:, :, k * o :]
+        elif self.use_residual:
+            z += x
+        self._cache = (x, mask)
+        return z
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, cols, relu_mask = self._cache
-        b, t, _ = x.shape
-        k, d = self.kernel_size, self.dilation
-        pad = (k - 1) * d
+        x, relu_mask = self._cache
+        b, t, n = x.shape
+        k, o = self.kernel_size, self.out_dim
 
+        w_all = self._w_all()
         gz = grad_out * relu_mask
+        g = np.zeros((b, t, w_all.shape[1]), dtype=grad_out.dtype)
+        for j, s in self._shifts(t):
+            g[:, : t - s, j * o : (j + 1) * o] = gz[:, s:]
+        if self.proj is not None:
+            g[:, :, k * o :] = grad_out
+        g2 = g.reshape(b * t, -1)
+        gw = x.reshape(b * t, n).T @ g2
+        self.grads[0] += gw[:, : k * o].reshape(n, k, o).transpose(1, 0, 2).reshape(k * n, o)
         self.grads[1] += gz.sum(axis=(0, 1))
-        self.grads[0] += cols.reshape(b * t, -1).T @ gz.reshape(b * t, -1)
-        gcols = (gz @ self.w.T).reshape(b, t, k, self.in_dim)
-
-        gxp = np.zeros((b, t + pad, self.in_dim), dtype=grad_out.dtype)
-        for j in range(k):
-            gxp[:, j * d : j * d + t, :] += gcols[:, :, j, :]
-        gx = gxp[:, pad:, :]
-
-        if self.use_residual:
-            if self.proj is not None:
-                self.grads[2] += x.reshape(b * t, -1).T @ grad_out.reshape(b * t, -1)
-                gx = gx + grad_out @ self.proj.T
-            else:
-                gx = gx + grad_out
+        if self.proj is not None:
+            self.grads[2] += gw[:, k * o :]
+        gx = (g2 @ w_all.T).reshape(b, t, n)
+        if self.use_residual and self.proj is None:
+            gx += grad_out
         return gx
 
 
@@ -136,7 +150,12 @@ class UpsampleRepeat(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: identity at inference, seeded mask while training."""
+    """Inverted dropout: identity at inference, seeded mask while training.
+
+    The uniform draw is made in the input's dtype, and the mask is cached as
+    booleans with the 1/keep scale applied to the product, so a float32 step
+    never holds a float64 or float32 copy of the mask.
+    """
 
     def __init__(self, rate: float = 0.2, seed: int = 0):
         super().__init__()
@@ -150,14 +169,18 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) >= self.rate).astype(x.dtype) / keep
-        return x * self._mask
+        self._mask = self.rng.random(x.shape, dtype=x.dtype) >= self.rate
+        self._scale = x.dtype.type(1.0) / (1.0 - self.rate)
+        y = x * self._mask
+        y *= self._scale
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
-        return grad_out * self._mask
+        g = grad_out * self._mask
+        g *= self._scale
+        return g
 
 
 class TimeDistributedDense(Layer):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NumericError
+from ..serialize import atomic_open
 from .layers import Adam, mse_loss
 from .models import Model
 
@@ -37,7 +38,7 @@ class TrainHistory:
         return self.epochs[-1]["train_loss"]
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             if meta:
                 fields = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
                 fh.write(f"# {fields}\n")

@@ -14,12 +14,10 @@ import numpy as np
 
 from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
-from .dataio import DatasetManifest, TrialRecord
+from .dataio import EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
 from .errors import DataError
 from .evaluate import evaluate_acoustic, evaluate_synthesis, mean_baseline_rmse
 from .serialize import load_container, save_container
-
-EEG_RATE_HZ = 1000
 
 
 def preprocess_options(cfg: RunConfig) -> eeg.PreprocessOptions:
@@ -37,7 +35,7 @@ def preprocess_options(cfg: RunConfig) -> eeg.PreprocessOptions:
 
 
 def eeg_grid(cfg: RunConfig) -> dsp.FrameGrid:
-    return dsp.frame_grid_for_rate(EEG_RATE_HZ, cfg.frame_rate_hz)
+    return dsp.frame_grid_for_rate(EEG_SAMPLE_RATE_HZ, cfg.frame_rate_hz)
 
 
 def audio_grid(cfg: RunConfig) -> dsp.FrameGrid:
@@ -57,7 +55,7 @@ def synthesis_example(trial: TrialRecord, clean: eeg.CleanEeg, cfg: RunConfig) -
     The target is the recorded audio resampled to 15 kHz; both sides are
     truncated so the output is exactly 15x the input length.
     """
-    factor = cfg.audio_rate_hz // EEG_RATE_HZ
+    factor = nn.SynthesisModel.upsample_factor
     x = clean.data.T
     y = audio_at_rate(trial, cfg)
     t_in = min(len(x), len(y) // factor)

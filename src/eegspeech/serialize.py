@@ -3,15 +3,19 @@
 Layout: 8-byte magic, uint32 version, uint64 header length, UTF-8 JSON header,
 then the raw array blobs concatenated in header order. The header JSON is
 canonical (sorted keys) and the blobs are little-endian, so a container written
-twice from identical state is byte-identical. A container is written to a
-temporary file beside its target and renamed over it, so an interrupted write
-never leaves a truncated file under the target's name.
+twice from identical state is byte-identical.
+
+Every artifact the pipeline writes (containers, JSON, CSV) goes through
+`atomic_open`: the bytes go to a temporary file beside the target, which is
+renamed over it only once they are all written, so an interrupted write never
+leaves a truncated file under the target's name.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,26 @@ MAGIC = b"EEGSPD01"
 VERSION = 1
 
 _DTYPES = {"float32": "<f4", "float64": "<f8", "int64": "<i8"}
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Open `path` for writing ("w": UTF-8 text, "wb": bytes) so that it is
+    replaced whole or not at all.
+
+    The block writes to `.<name>.<pid>.tmp` beside the target, which is renamed
+    over the target when the block exits normally; on any exception the
+    temporary file is removed and the previous target is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if mode == "wb" else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -37,20 +61,13 @@ def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
     header = json.dumps(
         {"kind": kind, "meta": meta, "arrays": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(np.uint32(VERSION).tobytes())
-            fh.write(np.uint64(len(header)).tobytes())
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(np.uint32(VERSION).tobytes())
+        fh.write(np.uint64(len(header)).tobytes())
+        fh.write(header)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_container(path: str | Path, expect_kind: str | None = None):

@@ -1,0 +1,66 @@
+"""JSON/CSV artifacts are replaced whole or not at all.
+
+Each writer is made to fail halfway through its first write; the previous
+file must keep its bytes and no temporary file may be left beside it.
+"""
+
+import pytest
+
+from eegspeech import dataio, nn, serialize
+from eegspeech.evaluate import MetricsReport
+
+
+def _report(rmse):
+    return MetricsReport("synthesis", [{"subject": 1, "condition": "spoken", "rmse": rmse, "n_trials": 2}],
+                         {"seed": 1})
+
+
+def _history(loss):
+    return nn.TrainHistory([{"epoch": 1, "train_loss": loss, "val_loss": None}])
+
+
+def _manifest(trial_id):
+    return dataio.DatasetManifest(None, [dataio.TrialRef(trial_id, 1, "spoken", "a.csv", "a.wav")])
+
+
+WRITERS = {
+    "split.json": lambda seed, path: dataio.save_split(
+        dataio.make_split([f"t{i:02d}" for i in range(20)], seed=seed), path),
+    "manifest.json": lambda seed, path: dataio.save_manifest(_manifest(f"t{seed}"), path),
+    "metrics.json": lambda seed, path: _report(float(seed)).to_json(path),
+    "metrics.csv": lambda seed, path: _report(float(seed)).to_csv(path),
+    "history.csv": lambda seed, path: _history(float(seed)).to_csv(path, {"seed": seed}),
+}
+
+
+class HalfWrittenFile:
+    """Writes the first half of the first chunk it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
+    write = WRITERS[name]
+    path = tmp_path / name
+    write(1, path)
+    before = path.read_bytes()
+    real_open = open
+    monkeypatch.setattr(serialize, "open", lambda *a, **k: HalfWrittenFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(2, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+

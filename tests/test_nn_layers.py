@@ -1,6 +1,8 @@
 """Layer-level gradient verification against central finite differences plus
 their fixed algebraic identities. All gradient checks run in float64."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,38 @@ class TestDropout:
         zero_frac = np.mean(y == 0.0)
         assert zero_frac == pytest.approx(0.2, abs=0.01)
         assert y.mean() == pytest.approx(1.0, abs=0.01)
+
+    def test_float32_monte_carlo_zero_fraction_and_mean(self):
+        layer = nn.Dropout(0.2, seed=7)
+        y = layer.forward(np.ones((100, 100, 100), dtype=np.float32), training=True)
+        assert np.mean(y == 0.0) == pytest.approx(0.2, abs=0.01)
+        assert y.mean(dtype=np.float64) == pytest.approx(1.0, abs=0.01)
+
+    def test_float32_stays_float32(self, rng):
+        layer = nn.Dropout(0.2, seed=5)
+        x = rng.standard_normal((2, 50, 8)).astype(np.float32)
+        y = layer.forward(x, training=True)
+        grad = layer.backward(np.ones_like(y))
+        assert y.dtype == np.float32 and grad.dtype == np.float32
+        assert set(np.unique(grad)) == {np.float32(0.0), np.float32(1.0) / np.float32(0.8)}
+
+    def test_float32_forward_holds_no_float64_mask(self, rng):
+        layer = nn.Dropout(0.2, seed=5)
+        x = rng.standard_normal((4, 1000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            layer.forward(x, training=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty(x.shape, dtype=np.float64).nbytes
+
+    def test_float64_keeps_random_stream(self, rng):
+        rate, seed = 0.3, 11
+        x = rng.standard_normal((3, 7, 5))
+        y = nn.Dropout(rate, seed=seed).forward(x, training=True)
+        keep = (np.random.default_rng(seed).random(x.shape) >= rate).astype(np.float64)
+        assert np.array_equal(y, x * (keep / (1.0 - rate)))
 
     def test_backward_uses_same_mask(self, rng):
         layer = nn.Dropout(0.4, seed=3)
