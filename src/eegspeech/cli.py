@@ -18,7 +18,12 @@ from . import acoustic, dataio, dsp, eeg, nn, pipeline
 from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import spectrogram_export
-from .serialize import atomic_open
+from .serialize import atomic_open, load_container, save_container
+
+# Container kinds of the per-trial intermediates under out_dir.
+CLEAN_KIND = "clean-eeg"
+FEATURES_KIND = "eeg-features"
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -79,19 +84,27 @@ def _clean_dir(cfg: RunConfig) -> Path:
     return Path(cfg.out_dir) / "clean"
 
 
-def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
-    path = _clean_dir(cfg) / f"{trial_id}.{cfg.eeg_format}"
+def _feats_dir(cfg: RunConfig) -> Path:
+    return Path(cfg.out_dir) / "feats_eeg"
+
+
+def _load_values(path: Path, kind: str, stage: str) -> np.ndarray:
+    """The one array of a per-trial intermediate container written by `stage`."""
     if not path.exists():
-        raise DataError(f"missing preprocessed EEG {path}; run the preprocess command first")
-    rec = dataio.read_eeg(path)
-    return eeg.CleanEeg(rec.data, bandpassed=True, notched=True, zscored=True)
+        raise DataError(f"missing {kind} file {path}; run {stage} first")
+    _, _, arrays = load_container(path, expect_kind=kind)
+    if list(arrays) != ["values"]:
+        raise DataError(f"{path}: expected a single 'values' array, found {sorted(arrays)}")
+    return arrays["values"]
+
+
+def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
+    values = _load_values(_clean_dir(cfg) / f"{trial_id}.clean", CLEAN_KIND, "preprocess")
+    return eeg.CleanEeg(values, bandpassed=True, notched=True, zscored=True)
 
 
 def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:
-    path = Path(cfg.out_dir) / "feats_eeg" / f"{trial_id}.csv"
-    if not path.exists():
-        raise DataError(f"missing EEG features {path}; run extract-eeg-feats first")
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    values = _load_values(_feats_dir(cfg) / f"{trial_id}.feats", FEATURES_KIND, "extract-eeg-feats")
     return eeg.StatFeatureSeq(values, pipeline.eeg_grid(cfg))
 
 
@@ -160,7 +173,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
     for trial_id in ids:
         trial = manifest.load_trial(trial_id)
         clean = eeg.preprocess_eeg(trial.eeg, options)
-        dataio.write_eeg(clean_dir / f"{trial_id}.{cfg.eeg_format}", dataio.EegRecording(clean.data))
+        save_container(clean_dir / f"{trial_id}.clean", CLEAN_KIND, {}, {"values": clean.data})
         flags[trial_id] = {
             "bandpassed": clean.bandpassed, "notched": clean.notched,
             "ica_cleaned": clean.ica_cleaned, "zscored": clean.zscored,
@@ -173,12 +186,12 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
 def cmd_extract_eeg_feats(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
     grid = pipeline.eeg_grid(cfg)
-    out_dir = Path(cfg.out_dir) / "feats_eeg"
+    out_dir = _feats_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = _filter_ids(manifest, manifest.ids(), args)
     for trial_id in ids:
         seq = eeg.extract_stat_features(_load_clean(cfg, trial_id), grid)
-        np.savetxt(out_dir / f"{trial_id}.csv", seq.values, fmt="%.9g", delimiter=",")
+        save_container(out_dir / f"{trial_id}.feats", FEATURES_KIND, {}, {"values": seq.values})
     _summary("extract-eeg-feats", n_trials=len(ids), dim=eeg.STAT_FEATURE_DIM, out=str(out_dir))
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from .dataio import EEG_SAMPLE_RATE_HZ
 from .errors import ConfigError
 from .nn.models import SynthesisModel
+from .serialize import atomic_open
 
 
 @dataclass
@@ -32,7 +33,7 @@ class RunConfig:
     train_ratio: float = 0.8
     val_ratio: float = 0.1
     test_ratio: float = 0.1
-    eeg_format: str = "csv"
+    eeg_format: str = "csv"  # EEG file format gen-data writes: "csv" or "f32"
     # preprocess
     bandpass_lo_hz: float = 0.1
     bandpass_hi_hz: float = 70.0
@@ -213,7 +214,8 @@ def echo_config(cfg: RunConfig, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "resolved_config.ini"
-    path.write_text(render_config(cfg), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(render_config(cfg))
     return path
 
 

@@ -1,9 +1,12 @@
 """Dataset model, on-disk formats, deterministic splitting, and the synthetic
 paired EEG/audio generator that stands in for a private recording corpus.
 
-On-disk layout: 16-bit PCM mono WAV for audio, CSV (header ch01..ch31, one row
+Input layout: 16-bit PCM mono WAV for audio, CSV (header ch01..ch31, one row
 per time sample) or a small-header float32 binary (.f32) for EEG, and a JSON
-manifest listing {id, subject, condition, eeg_path, wav_path} per trial.
+manifest listing {id, subject, condition, eeg_path, wav_path} per trial. These
+readers serve input trials only, and gen-data writes its EEG in the format the
+config's `eeg_format` names. Intermediates derived from the EEG (cleaned EEG,
+feature sequences) are `serialize` containers, not EEG files.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     words = quantize_pcm16(clip.samples)
-    with wave.open(str(path), "wb") as fh:
+    with atomic_open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(clip.sample_rate_hz)
@@ -179,45 +182,39 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 
 
 # ---------------------------------------------------------------------------
-# EEG I/O: CSV (ch01..ch31 header) and raw float32 binary
-
-def _csv_header() -> list[str]:
-    return [f"ch{c + 1:02d}" for c in range(EEG_CHANNELS)]
-
+# EEG input I/O: CSV (ch01..ch31 header) and raw float32 binary
 
 def write_eeg_csv(path: str | Path, rec: EegRecording) -> None:
     """One row per time sample, 9 significant digits (lossless to that precision)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_csv_header()) + "\n")
-        for row in rec.data.T:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    header = ",".join(f"ch{c + 1:02d}" for c in range(EEG_CHANNELS))
+    with atomic_open(path) as fh:
+        np.savetxt(fh, rec.data.T, fmt="%.9g", delimiter=",", header=header, comments="")
 
 
 def read_eeg_csv(path: str | Path) -> EegRecording:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) != EEG_CHANNELS:
-        raise DataError(f"{path}: wrong column count ({len(header)}, expected {EEG_CHANNELS})")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != EEG_CHANNELS:
-            raise DataError(f"{path}:{i}: wrong column count ({len(cells)}, expected {EEG_CHANNELS})")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"{path}:{i}: non-numeric cell") from exc
-    if not rows:
+    for i, ln in enumerate(lines, start=1):
+        n_cells = ln.count(",") + 1
+        if n_cells != EEG_CHANNELS:
+            raise DataError(f"{path}:{i}: wrong column count ({n_cells}, expected {EEG_CHANNELS})")
+    if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
-    return EegRecording(np.asarray(rows, dtype=np.float64).T)
+    try:
+        rows = np.loadtxt(lines[1:], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric cell ({exc})") from exc
+    return EegRecording(rows.T)
 
 
 def write_eeg_binary(path: str | Path, rec: EegRecording) -> None:
     """Little-endian float32, row-major (time-major rows), small fixed header."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(EEG_BINARY_MAGIC)
         fh.write(struct.pack("<IQ", EEG_CHANNELS, rec.n_samples))
         fh.write(rec.data.T.astype("<f4").tobytes())
@@ -231,9 +228,9 @@ def read_eeg_binary(path: str | Path) -> EegRecording:
     channels, samples = struct.unpack("<IQ", raw[8:20])
     if channels != EEG_CHANNELS:
         raise DataError(f"{path}: wrong column count ({channels}, expected {EEG_CHANNELS})")
+    if len(raw) - 20 != 4 * channels * samples:
+        raise DataError(f"{path}: {len(raw) - 20} data bytes, header promises {samples} samples")
     data = np.frombuffer(raw[20:], dtype="<f4")
-    if len(data) != channels * samples:
-        raise DataError(f"{path}: truncated EEG binary")
     return EegRecording(data.reshape(samples, channels).T.astype(np.float64))
 
 
@@ -344,9 +341,24 @@ def save_split(split: SplitAssignment, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return SplitAssignment(tuple(d["train_ids"]), tuple(d["val_ids"]), tuple(d["test_ids"]), int(d["seed"]))
+    """Read a split written by save_split; a missing or mistyped field is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: cannot read split ({exc})") from exc
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: split must be a JSON object")
+    sets = []
+    for key in ("train_ids", "val_ids", "test_ids"):
+        ids = d.get(key)
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise DataError(f"{path}: {key!r} must be a list of trial ids")
+        sets.append(tuple(ids))
+    seed = d.get("seed")
+    if type(seed) is not int:
+        raise DataError(f"{path}: 'seed' must be an integer, got {type(seed).__name__}")
+    return SplitAssignment(*sets, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +470,7 @@ def generate_synthetic_dataset(
         rng = np.random.default_rng(children[i])
         trial_id = f"trial_{i + 1:04d}"
         eeg_data, audio, _ = synthesize_trial(rng, duration_s)
-        eeg_path = f"{trial_id}.{eeg_format}" if eeg_format == "f32" else f"{trial_id}.csv"
+        eeg_path = f"{trial_id}.{eeg_format}"
         wav_path = f"{trial_id}.wav"
         write_eeg(out_dir / eeg_path, EegRecording(eeg_data))
         write_wav(out_dir / wav_path, AudioClip(AUDIO_RECORD_RATE_HZ, audio))

@@ -416,17 +416,31 @@ def save_kpca(model: KpcaModel, path: str | Path) -> None:
     )
 
 
+_KPCA_META_TYPES = {
+    "degree": int, "gamma": float, "coef0": float,
+    "grand_mean": float, "total_variance": float, "effective_rank": int,
+}
+
+
 def load_kpca(path: str | Path) -> KpcaModel:
+    """Read a model written by save_kpca; a missing or mistyped field is a DataError."""
     _, meta, arrays = load_container(path, expect_kind="kpca")
-    return KpcaModel(
-        train_vectors=arrays["train_vectors"],
-        coefficients=arrays["coefficients"],
-        eigenvalues=arrays["eigenvalues"],
-        degree=int(meta["degree"]),
-        gamma=float(meta["gamma"]),
-        coef0=float(meta["coef0"]),
-        row_means=arrays["row_means"],
-        grand_mean=float(meta["grand_mean"]),
-        total_variance=float(meta["total_variance"]),
-        effective_rank=int(meta["effective_rank"]),
-    )
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: KPCA meta must be an object")
+    fields = {}
+    for key, kind in _KPCA_META_TYPES.items():
+        value = meta.get(key)
+        if type(value) not in ((int,) if kind is int else (int, float)):
+            raise DataError(f"{path}: KPCA meta {key!r} must be {kind.__name__}, got {value!r}")
+        fields[key] = kind(value)
+    try:
+        x, coeff = arrays["train_vectors"], arrays["coefficients"]
+        vals, row_means = arrays["eigenvalues"], arrays["row_means"]
+    except KeyError as exc:
+        raise DataError(f"{path}: KPCA model lacks array {exc}") from exc
+    n = x.shape[0] if x.ndim == 2 else -1
+    if coeff.ndim != 2 or coeff.shape[0] != n or vals.shape != coeff.shape[1:] or row_means.shape != (n,):
+        raise DataError(
+            f"{path}: inconsistent KPCA array shapes {x.shape}, {coeff.shape}, {vals.shape}, {row_means.shape}"
+        )
+    return KpcaModel(train_vectors=x, coefficients=coeff, eigenvalues=vals, row_means=row_means, **fields)

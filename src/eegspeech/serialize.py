@@ -1,19 +1,28 @@
-"""Versioned binary container for model checkpoints and fitted transforms.
+"""Versioned binary container for model checkpoints, fitted transforms and the
+pipeline's intermediates (cleaned EEG and EEG feature sequences).
 
 Layout: 8-byte magic, uint32 version, uint64 header length, UTF-8 JSON header,
-then the raw array blobs concatenated in header order. The header JSON is
-canonical (sorted keys) and the blobs are little-endian, so a container written
-twice from identical state is byte-identical.
+then the raw array blobs concatenated in header order and nothing after them.
+The header JSON is canonical (sorted keys) and the blobs are little-endian, so a
+container written twice from identical state is byte-identical, and arrays load
+back exactly in their saved dtype.
 
-Every artifact the pipeline writes (containers, JSON, CSV) goes through
-`atomic_open`: the bytes go to a temporary file beside the target, which is
-renamed over it only once they are all written, so an interrupted write never
-leaves a truncated file under the target's name.
+The container is the only on-disk format for arrays that one stage hands to
+the next: `preprocess` writes `clean/<id>.clean` (kind "clean-eeg") and
+`extract-eeg-feats` writes `feats_eeg/<id>.feats` (kind "eeg-features"), so a
+file-driven run computes the same numbers as the in-memory pipeline.
+
+Every file the pipeline writes (containers, JSON, CSV, the resolved config and
+gen-data's EEG and WAV files), apart from the terminal spectrogram export, goes
+through `atomic_open`: the bytes go to a temporary file beside the target,
+which is renamed over it only once they are all written, so an interrupted
+write never leaves a truncated file under the target's name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,6 +89,8 @@ def load_container(path: str | Path, expect_kind: str | None = None):
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
+    if 20 + hlen > len(raw):
+        raise DataError(f"{path}: truncated container header")
     try:
         header = json.loads(raw[20 : 20 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -93,14 +104,20 @@ def load_container(path: str | Path, expect_kind: str | None = None):
     offset = 20 + hlen
     for entry in header["arrays"]:
         try:
-            name, dtype, shape = entry["name"], entry["dtype"], [int(n) for n in entry["shape"]]
+            name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
             dt = np.dtype(_DTYPES[dtype])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: bad array entry {entry!r}") from exc
-        nbytes = dt.itemsize * int(np.prod(shape))
+        if not isinstance(name, str) or not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise DataError(f"{path}: bad array entry {entry!r}")
+        nbytes = dt.itemsize * math.prod(shape)
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: truncated container")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(shape)
         arrays[name] = arr.astype(dtype).copy()
         offset += nbytes
+    if offset != len(raw):
+        raise DataError(f"{path}: {len(raw) - offset} bytes after the last array")
     return kind, header["meta"], arrays

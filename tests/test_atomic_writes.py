@@ -1,12 +1,15 @@
-"""JSON/CSV artifacts are replaced whole or not at all.
+"""Written files (JSON/CSV artifacts, the resolved config, gen-data's EEG and
+WAV files) are replaced whole or not at all.
 
 Each writer is made to fail halfway through its first write; the previous
 file must keep its bytes and no temporary file may be left beside it.
 """
 
+import numpy as np
 import pytest
 
 from eegspeech import dataio, nn, serialize
+from eegspeech.config import RunConfig, echo_config
 from eegspeech.evaluate import MetricsReport
 
 
@@ -23,7 +26,19 @@ def _manifest(trial_id):
     return dataio.DatasetManifest(None, [dataio.TrialRef(trial_id, 1, "spoken", "a.csv", "a.wav")])
 
 
+def _eeg(seed):
+    return dataio.EegRecording(np.random.default_rng(seed).standard_normal((31, 40)))
+
+
+def _wav(seed):
+    return dataio.AudioClip(16000, np.random.default_rng(seed).uniform(-1.0, 1.0, 400))
+
+
 WRITERS = {
+    "resolved_config.ini": lambda seed, path: echo_config(RunConfig(seed=seed), path.parent),
+    "eeg.csv": lambda seed, path: dataio.write_eeg(path, _eeg(seed)),
+    "eeg.f32": lambda seed, path: dataio.write_eeg(path, _eeg(seed)),
+    "trial.wav": lambda seed, path: dataio.write_wav(path, _wav(seed)),
     "split.json": lambda seed, path: dataio.save_split(
         dataio.make_split([f"t{i:02d}" for i in range(20)], seed=seed), path),
     "manifest.json": lambda seed, path: dataio.save_manifest(_manifest(f"t{seed}"), path),

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from eegspeech import cli
+from eegspeech import cli, dataio, eeg, nn, pipeline
+from eegspeech.config import parse_config
+from eegspeech.serialize import load_container
 
 
 def run_cli(*args) -> tuple[int, str]:
@@ -70,8 +72,8 @@ class TestPipelineCommands:
         root, config = workspace
         code, out = run_cli("extract-eeg-feats", "--config", str(config))
         assert code == 0
-        values = np.loadtxt(root / "out" / "feats_eeg" / "trial_0001.csv", delimiter=",")
-        assert values.shape[1] == 155
+        _, _, arrays = load_container(root / "out" / "feats_eeg" / "trial_0001.feats", expect_kind="eeg-features")
+        assert arrays["values"].shape[1] == 155
 
     def test_05_fit_kpca(self, workspace):
         root, config = workspace
@@ -215,3 +217,43 @@ class TestExitCodes:
         dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
         code = cli.main(["train-synth", "--data-root", str(tmp_path / "data"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestIntermediates:
+    @pytest.mark.parametrize("eeg_format", ["csv", "f32"])
+    def test_file_driven_features_equal_in_memory(self, tmp_path, eeg_format):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[paths]\ndata_root = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\n"
+            f"[dataset]\nn_trials = 3\nduration_s = 0.5\neeg_format = {eeg_format}\n"
+        )
+        for step in ("gen-data", "preprocess", "extract-eeg-feats"):
+            assert cli.main([step, "--config", str(config)]) == 0
+        cfg = parse_config(config)
+        manifest = dataio.load_manifest(tmp_path / "data" / "manifest.json")
+        for trial_id in manifest.ids():
+            clean = eeg.preprocess_eeg(manifest.load_trial(trial_id).eeg, pipeline.preprocess_options(cfg))
+            expected = eeg.extract_stat_features(clean, pipeline.eeg_grid(cfg)).values
+            kind, _, arrays = load_container(tmp_path / "out" / "feats_eeg" / f"{trial_id}.feats")
+            assert kind == "eeg-features"
+            assert np.array_equal(arrays["values"], expected)
+            assert np.array_equal(cli._load_clean(cfg, trial_id).data, clean.data)
+
+    def test_clean_eeg_of_another_kind_is_data_error(self, tmp_path, capsys):
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        (tmp_path / "o" / "clean").mkdir(parents=True)
+        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(tmp_path / "o" / "clean" / "trial_0001.clean")
+        code = cli.main(["extract-eeg-feats", "--out", str(tmp_path / "o"), "--data-root", str(tmp_path / "data")])
+        assert code == 2
+        assert "expected 'clean-eeg' container" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        '{"train_ids": []}', '{"train_ids": 3, "val_ids": [], "test_ids": [], "seed": 0}', "not json",
+    ])
+    def test_malformed_split_exits_2(self, tmp_path, capsys, content):
+        dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "split.json").write_text(content)
+        code = cli.main(["fit-kpca", "--out", str(tmp_path / "o"), "--data-root", str(tmp_path / "data")])
+        assert code == 2
+        assert "split" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import struct
 import wave
 
 import numpy as np
@@ -119,6 +120,36 @@ class TestEegCsv:
         with pytest.raises(DataError, match="wrong column count"):
             dataio.read_eeg_csv(path)
 
+    def test_wrong_column_count_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [",".join(["0"] * 31)] * 3
+        rows[1] += ",0"
+        path.write_text(",".join(f"ch{c:02d}" for c in range(1, 32)) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: wrong column count \(32, expected 31\)"):
+            dataio.read_eeg_csv(path)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_text(",".join(f"ch{c:02d}" for c in range(1, 32)) + "\n\n")
+        with pytest.raises(DataError, match="no data rows"):
+            dataio.read_eeg_csv(path)
+
+    def test_matches_per_cell_oracle(self, tmp_path):
+        # the writer equals formatting each cell with "%.9g", and the reader
+        # equals float() of each cell, on a generated trial and on edge values
+        manifest = dataio.generate_synthetic_dataset(1, duration_s=0.5, seed=2, out_dir=tmp_path / "d")
+        edges = np.array([0.0, -0.0, 1e-300, -1e300, 123456789.5, 1 / 3, -2.5e-7, 7.0])
+        data = manifest.load_trial("trial_0001").eeg.data.copy()
+        data[:, : len(edges)] = edges
+        rec = dataio.EegRecording(data)
+        path = tmp_path / "eeg.csv"
+        dataio.write_eeg_csv(path, rec)
+        header = ",".join(f"ch{c:02d}" for c in range(1, 32))
+        oracle = [header] + [",".join(f"{v:.9g}" for v in row) for row in rec.data.T]
+        assert path.read_text() == "\n".join(oracle) + "\n"
+        cells = np.array([[float(c) for c in ln.split(",")] for ln in oracle[1:]])
+        assert np.array_equal(dataio.read_eeg_csv(path).data, cells.T)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         row = ["0"] * 31
@@ -144,6 +175,26 @@ class TestEegCsv:
 class TestSplit:
     def _ids(self, n):
         return [f"t{i:04d}" for i in range(n)]
+
+    def test_save_load_round_trip(self, tmp_path):
+        split = dataio.make_split(self._ids(30), seed=2)
+        dataio.save_split(split, tmp_path / "split.json")
+        assert dataio.load_split(tmp_path / "split.json") == split
+
+    @pytest.mark.parametrize("content", [
+        '{"train_ids": []}',
+        '{"train_ids": [], "val_ids": [], "test_ids": "t1", "seed": 0}',
+        '{"train_ids": [1], "val_ids": [], "test_ids": [], "seed": 0}',
+        '{"train_ids": [], "val_ids": [], "test_ids": [], "seed": "0"}',
+        '{"train_ids": [], "val_ids": [], "test_ids": [], "seed": 1.5}',
+        '[]',
+        '{"train_ids": [',
+    ])
+    def test_malformed_split_is_data_error(self, tmp_path, content):
+        path = tmp_path / "split.json"
+        path.write_text(content)
+        with pytest.raises(DataError):
+            dataio.load_split(path)
 
     def test_100_trials_gives_80_10_10(self):
         split = dataio.make_split(self._ids(100), seed=7)
@@ -272,3 +323,57 @@ class TestSyntheticDataset:
         audio = dataio.AudioClip(16000, np.zeros(8000))  # 0.5 s vs 1.0 s
         with pytest.raises(DataError, match="durations"):
             dataio.TrialRecord("x", 1, "spoken", eeg, audio)
+
+
+_HEADER = ",".join(f"ch{c:02d}" for c in range(1, 32))
+_CELLS = st.sampled_from(["0", "1.5", "-2e3", "1e999", "nan", "inf", "", " ", "x", "1_0", "#", "0x1f", "+.5", "\x00"])
+_CSV_LINES = st.lists(st.lists(_CELLS, min_size=29, max_size=33).map(",".join), max_size=4)
+
+
+def _only_data_error(read, path):
+    try:
+        read(path)
+    except DataError:
+        pass
+
+
+class TestReaderFuzz:
+    """Every reader of an input file fails with DataError and nothing else."""
+
+    @given(body=_CSV_LINES, header=st.sampled_from([_HEADER, _HEADER + ",ch32", ""]),
+           noise=st.text(max_size=40), mode=st.sampled_from(["rows", "text", "bytes"]),
+           raw=st.binary(max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_read_eeg_csv(self, body, header, noise, mode, raw, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "eeg.csv"
+        if mode == "rows":
+            path.write_text("\n".join([header] + body) + "\n", encoding="utf-8")
+        elif mode == "text":
+            path.write_text(header + "\n" + noise, encoding="utf-8")
+        else:
+            path.write_bytes(raw)
+        _only_data_error(dataio.read_eeg_csv, path)
+
+    @given(channels=st.sampled_from([31, 31, 30, 2**32 - 1]), samples=st.integers(0, 2**64 - 1) | st.integers(0, 4),
+           payload=st.binary(max_size=31 * 4 * 3), magic=st.sampled_from([dataio.EEG_BINARY_MAGIC, b"EEGF32\x00\x02"]),
+           cut=st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_read_eeg_binary(self, channels, samples, payload, magic, cut, tmp_path_factory):
+        path = tmp_path_factory.mktemp("f32") / "eeg.f32"
+        raw = magic + struct.pack("<IQ", channels, samples) + payload
+        path.write_bytes(raw[: len(raw) - cut])
+        _only_data_error(dataio.read_eeg_binary, path)
+
+    @given(fields=st.dictionaries(
+        st.sampled_from(["train_ids", "val_ids", "test_ids", "seed", "other"]),
+        st.lists(st.text(max_size=3) | st.integers(), max_size=3) | st.integers() | st.text(max_size=3)
+        | st.none() | st.booleans() | st.floats(allow_nan=False)),
+        top=st.sampled_from(["dict", "list", "bytes"]), raw=st.binary(max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_load_split(self, fields, top, raw, tmp_path_factory):
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        if top == "bytes":
+            path.write_bytes(raw)
+        else:
+            path.write_text(json.dumps(fields if top == "dict" else list(fields.values())))
+        _only_data_error(dataio.load_split, path)

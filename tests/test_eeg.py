@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eegspeech import eeg
+from eegspeech import eeg, serialize
 from eegspeech.dataio import EegRecording
+from eegspeech.errors import DataError
 
 from conftest import sine
 
@@ -308,6 +309,24 @@ class TestKpca:
         back = eeg.load_kpca(path)
         probe = rng.standard_normal((5, 155))
         assert np.array_equal(eeg.kpca_transform(model, probe), eeg.kpca_transform(back, probe))
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta, arrays: meta.pop("degree"),
+        lambda meta, arrays: meta.update(degree=3.0),
+        lambda meta, arrays: meta.update(gamma="0.1"),
+        lambda meta, arrays: meta.update(effective_rank=True),
+        lambda meta, arrays: arrays.pop("row_means"),
+        lambda meta, arrays: arrays.update(eigenvalues=arrays["eigenvalues"][:-1]),
+        lambda meta, arrays: arrays.update(train_vectors=arrays["train_vectors"][0]),
+    ])
+    def test_malformed_model_is_data_error(self, tmp_path, rng, edit):
+        path = tmp_path / "model.kpca"
+        eeg.save_kpca(eeg.kpca_fit(rng.standard_normal((40, 155))), path)
+        _, meta, arrays = serialize.load_container(path)
+        edit(meta, arrays)
+        serialize.save_container(path, "kpca", meta, arrays)
+        with pytest.raises(DataError, match="KPCA"):
+            eeg.load_kpca(path)
 
     def test_too_few_rows(self, rng):
         with pytest.raises(ValueError):

@@ -1,0 +1,117 @@
+"""The binary container: exact round trips and a closed failure on every malformed file."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eegspeech import serialize
+from eegspeech.errors import DataError
+
+ARRAYS = {"a": np.arange(4, dtype=np.float64).reshape(2, 2), "b": np.array([7, -1], dtype=np.int64)}
+
+
+def _container(tmp_path, arrays=ARRAYS):
+    path = tmp_path / "x.bin"
+    serialize.save_container(path, "test", {"k": 1}, arrays)
+    return path
+
+
+def _with_header(path, edit) -> None:
+    """Rewrite the header JSON of the container at `path` in place, keeping its blobs."""
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
+    header = json.loads(raw[20 : 20 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:12] + np.uint64(len(text)).tobytes() + text + raw[20 + hlen :])
+
+
+def test_round_trip_is_exact(tmp_path, rng):
+    arrays = {"x": rng.standard_normal((3, 5)), "y": rng.standard_normal(4).astype(np.float32),
+              "empty": np.zeros((0, 155))}
+    kind, meta, back = serialize.load_container(_container(tmp_path, arrays), expect_kind="test")
+    assert (kind, meta) == ("test", {"k": 1})
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+
+
+def test_wrong_kind_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="expected 'other'"):
+        serialize.load_container(_container(tmp_path), expect_kind="other")
+
+
+@pytest.mark.parametrize("shape", [[-1, 2], [2, -2], [2.0, 2], ["2", 2], [True, 4], None, 4])
+def test_bad_shape_entry_is_data_error(tmp_path, shape):
+    path = _container(tmp_path)
+    _with_header(path, lambda h: h["arrays"][0].update(shape=shape))
+    with pytest.raises(DataError, match="bad array entry"):
+        serialize.load_container(path)
+
+
+def test_trailing_bytes_are_data_error(tmp_path):
+    path = _container(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DataError, match="1 bytes after the last array"):
+        serialize.load_container(path)
+
+
+def test_truncated_blob_is_data_error(tmp_path):
+    path = _container(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match="truncated container"):
+        serialize.load_container(path)
+
+
+def test_header_length_past_end_is_data_error(tmp_path):
+    path = _container(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:12] + np.uint64(len(raw)).tobytes() + raw[20:])
+    with pytest.raises(DataError, match="truncated container header"):
+        serialize.load_container(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_ENTRY = st.fixed_dictionaries({
+    "name": st.text(max_size=4) | _JSON,
+    "dtype": st.sampled_from(["float32", "float64", "int64", "float16"]) | _JSON,
+    "shape": st.lists(st.integers(-3, 6) | _JSON, max_size=3) | _JSON,
+})
+_HEADER = st.fixed_dictionaries(
+    {"kind": st.text(max_size=4) | _JSON, "meta": _JSON, "arrays": st.lists(_ENTRY, max_size=3) | _JSON}
+) | _JSON
+
+
+@given(header=_HEADER, blob=st.binary(max_size=200), version=st.sampled_from([1, 1, 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_crafted_headers_raise_only_data_error(header, blob, version, tmp_path_factory):
+    text = json.dumps(header).encode()
+    path = tmp_path_factory.mktemp("c") / "fuzz.bin"
+    path.write_bytes(serialize.MAGIC + np.uint32(version).tobytes() + np.uint64(len(text)).tobytes() + text + blob)
+    try:
+        serialize.load_container(path)
+    except DataError:
+        pass
+
+
+@given(cut=st.integers(0, 400), flips=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 255)), max_size=4),
+       tail=st.binary(max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_damaged_containers_raise_only_data_error(cut, flips, tail, tmp_path_factory):
+    path = _container(tmp_path_factory.mktemp("c"))
+    raw = bytearray(path.read_bytes())
+    for pos, mask in flips:
+        if pos < len(raw):
+            raw[pos] ^= mask
+    path.write_bytes(bytes(raw[: max(cut, 0)]) + tail)
+    try:
+        serialize.load_container(path)
+    except DataError:
+        pass
