@@ -5,8 +5,20 @@ band_power:12, cqt_chroma:12, chroma_cens:12, mel:128, rms:1, centroid:1,
 bandwidth:1, contrast:7, flatness:1, rolloff:1, poly:2, tonnetz:6, zcr:1,
 tempogram:384, loudness:1, pitch:1.
 
-All extractors are pure functions of (samples, grid, params) and share the
-centered framing of dsp, so every kind produces 1 + len//hop frames.
+`extract_acoustic_set(audio, grid)` is the one entry point. It computes each
+shared analysis once (the power STFT, the 84 constant-Q note energies, the
+mel spectrogram and the CENS chroma) and hands each kernel only what it reads:
+
+- the power STFT: `band_power_12`, `mel_spectrogram_128`,
+  `spectral_contrast_7`, `poly_coeffs_2`;
+- the constant-Q note energies: `cqt_chroma_12`, `chroma_cens_12`;
+- the CENS chroma: `tonnetz_6`;
+- the mel spectrogram: `onset_strength`, `tempogram_384`;
+- the samples, STFT and grid: `spectral_scalars` (the seven dim-1 kinds);
+- the samples and grid: `pitch_track_1`.
+
+Every analysis uses the centered framing of dsp, so every kind has
+1 + len//hop frames.
 """
 
 from __future__ import annotations
@@ -18,7 +30,6 @@ import numpy as np
 from . import dsp
 from .errors import DataError
 
-AUDIO_RATE_HZ = 15000
 FFT_SIZE = 1024
 PITCH_WINDOW = 1024
 EPS_POWER = 1e-10
@@ -64,7 +75,6 @@ def label_for_kind(kind: str) -> str:
 class FeatureSequence:
     kind: str
     values: np.ndarray
-    grid: dsp.FrameGrid
 
     def __post_init__(self):
         if self.kind not in FEATURE_DIMS:
@@ -103,18 +113,6 @@ class AcousticSet:
 
     def concatenated(self) -> np.ndarray:
         return np.hstack([self.features[k].values for k in FEATURE_ORDER])
-
-
-def default_grid() -> dsp.FrameGrid:
-    return dsp.frame_grid_for_rate(AUDIO_RATE_HZ)
-
-
-def _as_samples(audio) -> np.ndarray:
-    samples = getattr(audio, "samples", audio)
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 1:
-        raise DataError("audio must be a non-empty 1-D sequence")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -163,49 +161,43 @@ def mel_filterbank(n_mels: int, freqs: np.ndarray, lo_hz: float = 0.0, hi_hz: fl
 # ---------------------------------------------------------------------------
 # Spectral families
 
-def band_power_12(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSpectrogram | None = None) -> FeatureSequence:
-    grid = grid or default_grid()
-    spec = spec or dsp.stft_power(_as_samples(audio), FFT_SIZE, grid.hop, grid.sample_rate_hz)
+def band_power_12(spec: dsp.PowerSpectrogram) -> FeatureSequence:
     values = spec.power @ _band_weights(spec.freqs_hz).T
-    return FeatureSequence("band_power", values, grid)
+    return FeatureSequence("band_power", values)
 
 
-def mel_spectrogram_128(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSpectrogram | None = None) -> FeatureSequence:
-    grid = grid or default_grid()
-    spec = spec or dsp.stft_power(_as_samples(audio), FFT_SIZE, grid.hop, grid.sample_rate_hz)
+def mel_spectrogram_128(spec: dsp.PowerSpectrogram) -> FeatureSequence:
     fb = mel_filterbank(128, spec.freqs_hz)
-    return FeatureSequence("mel", spec.power @ fb.T, grid)
+    return FeatureSequence("mel", spec.power @ fb.T)
 
 
-def spectral_contrast_7(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSpectrogram | None = None,
-                        quantile: float = 0.2) -> FeatureSequence:
+CONTRAST_QUANTILE = 0.2
+
+
+def spectral_contrast_7(spec: dsp.PowerSpectrogram) -> FeatureSequence:
     """Sub-band below 200 Hz plus six octave bands from 200 Hz; per band the
     log ratio of the top to bottom power quintile."""
-    grid = grid or default_grid()
-    spec = spec or dsp.stft_power(_as_samples(audio), FFT_SIZE, grid.hop, grid.sample_rate_hz)
     freqs = spec.freqs_hz
     edges = [0.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, freqs[-1] + 1.0]
     out = np.zeros((spec.n_frames, 7))
     for b in range(7):
         cols = (freqs >= edges[b]) & (freqs < edges[b + 1])
         band = np.sort(spec.power[:, cols], axis=1)
-        q = max(1, int(round(quantile * band.shape[1])))
+        q = max(1, int(round(CONTRAST_QUANTILE * band.shape[1])))
         top = band[:, -q:].mean(axis=1)
         bottom = band[:, :q].mean(axis=1)
         out[:, b] = np.log(top + EPS_POWER) - np.log(bottom + EPS_POWER)
-    return FeatureSequence("contrast", out, grid)
+    return FeatureSequence("contrast", out)
 
 
-def poly_coeffs_2(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSpectrogram | None = None) -> FeatureSequence:
+def poly_coeffs_2(spec: dsp.PowerSpectrogram) -> FeatureSequence:
     """Least-squares (slope, intercept) of power vs bin frequency in Hz."""
-    grid = grid or default_grid()
-    spec = spec or dsp.stft_power(_as_samples(audio), FFT_SIZE, grid.hop, grid.sample_rate_hz)
     f = spec.freqs_hz
     fc = f - f.mean()
     denom = np.sum(fc * fc)
     slope = (spec.power @ fc) / denom
     intercept = spec.power.mean(axis=1) - slope * f.mean()
-    return FeatureSequence("poly", np.column_stack([slope, intercept]), grid)
+    return FeatureSequence("poly", np.column_stack([slope, intercept]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +246,12 @@ def _fold_chroma(energies: np.ndarray) -> np.ndarray:
     return chroma
 
 
-def cqt_chroma_12(audio, grid: dsp.FrameGrid | None = None, energies: np.ndarray | None = None) -> FeatureSequence:
+def cqt_chroma_12(energies: np.ndarray) -> FeatureSequence:
     """Constant-Q semitone energies C1..B7 folded to 12 classes, max-normalized."""
-    grid = grid or default_grid()
-    if energies is None:
-        energies = _cqt_note_energies(_as_samples(audio), grid)
     chroma = _fold_chroma(energies)
     peak = chroma.max(axis=1, keepdims=True)
     values = np.where(peak > 1e-12, chroma / np.where(peak > 1e-12, peak, 1.0), 0.0)
-    return FeatureSequence("cqt_chroma", values, grid)
+    return FeatureSequence("cqt_chroma", values)
 
 
 CENS_THRESHOLDS = (0.4, 0.2, 0.1, 0.05)
@@ -270,12 +259,9 @@ CENS_WEIGHTS = (4.0, 3.0, 2.0, 1.0)
 CENS_SMOOTH_FRAMES = 41
 
 
-def chroma_cens_12(audio, grid: dsp.FrameGrid | None = None, energies: np.ndarray | None = None) -> FeatureSequence:
+def chroma_cens_12(energies: np.ndarray) -> FeatureSequence:
     """CENS-style chroma: L1-normalize, quantize at 0.4/0.2/0.1/0.05, smooth
     over 41 frames with a Hann kernel, L2-normalize per frame."""
-    grid = grid or default_grid()
-    if energies is None:
-        energies = _cqt_note_energies(_as_samples(audio), grid)
     chroma = _fold_chroma(energies)
     l1 = chroma.sum(axis=1, keepdims=True)
     chroma = np.where(l1 > 1e-12, chroma / np.where(l1 > 1e-12, l1, 1.0), 0.0)
@@ -294,7 +280,7 @@ def chroma_cens_12(audio, grid: dsp.FrameGrid | None = None, energies: np.ndarra
 
     norm = np.linalg.norm(smooth, axis=1, keepdims=True)
     values = np.where(norm > 1e-12, smooth / np.where(norm > 1e-12, norm, 1.0), 0.0)
-    return FeatureSequence("chroma_cens", values, grid)
+    return FeatureSequence("chroma_cens", values)
 
 
 def tonnetz_matrix() -> np.ndarray:
@@ -313,25 +299,25 @@ def tonnetz_matrix() -> np.ndarray:
     )
 
 
-def tonnetz_6(audio, grid: dsp.FrameGrid | None = None, cens: FeatureSequence | None = None) -> FeatureSequence:
-    grid = grid or default_grid()
-    if cens is None:
-        cens = chroma_cens_12(audio, grid)
+def tonnetz_6(cens: FeatureSequence) -> FeatureSequence:
     chroma = cens.values
     l1 = chroma.sum(axis=1, keepdims=True)
     chroma = np.where(l1 > 1e-12, chroma / np.where(l1 > 1e-12, l1, 1.0), 0.0)
-    return FeatureSequence("tonnetz", chroma @ tonnetz_matrix().T, grid)
+    return FeatureSequence("tonnetz", chroma @ tonnetz_matrix().T)
 
 
 # ---------------------------------------------------------------------------
 # Scalar families
 
-def spectral_scalars(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSpectrogram | None = None,
-                     rolloff_fraction: float = 0.85) -> dict[str, FeatureSequence]:
-    """rms, centroid, bandwidth, flatness, rolloff, zcr, loudness (dim 1 each)."""
-    grid = grid or default_grid()
-    x = _as_samples(audio)
-    spec = spec or dsp.stft_power(x, FFT_SIZE, grid.hop, grid.sample_rate_hz)
+ROLLOFF_FRACTION = 0.85
+
+
+def spectral_scalars(x: np.ndarray, spec: dsp.PowerSpectrogram, grid: dsp.FrameGrid) -> dict[str, FeatureSequence]:
+    """rms, centroid, bandwidth, flatness, rolloff, zcr, loudness (dim 1 each).
+
+    The spectral kinds read `spec`; rms, zcr and loudness read hop-long frames
+    of `x` on `grid`.
+    """
     power = spec.power
     freqs = spec.freqs_hz
     total = power.sum(axis=1)
@@ -345,10 +331,10 @@ def spectral_scalars(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSp
     flatness = np.exp(np.mean(np.log(floored), axis=1)) / floored.mean(axis=1)
 
     cum = np.cumsum(power, axis=1)
-    idx = np.argmax(cum >= rolloff_fraction * total[:, None], axis=1)
+    idx = np.argmax(cum >= ROLLOFF_FRACTION * total[:, None], axis=1)
     rolloff = np.where(total > EPS_POWER, freqs[idx], 0.0)
 
-    frames = dsp.frame_signal_centered(x, grid.window_len, grid.hop)
+    frames = dsp.frame_signal_centered(x, grid.hop, grid.hop)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     signs = np.where(frames >= 0.0, 1, -1)
     zcr = np.sum(signs[:, 1:] != signs[:, :-1], axis=1) / (frames.shape[1] - 1)
@@ -358,7 +344,7 @@ def spectral_scalars(audio, grid: dsp.FrameGrid | None = None, spec: dsp.PowerSp
         "rms": rms, "centroid": centroid, "bandwidth": bandwidth, "flatness": flatness,
         "rolloff": rolloff, "zcr": zcr, "loudness": loudness,
     }
-    return {k: FeatureSequence(k, v[:, None], grid) for k, v in cols.items()}
+    return {k: FeatureSequence(k, v[:, None]) for k, v in cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +354,13 @@ TEMPOGRAM_WINDOW = 384
 ONSET_SMOOTH_FRAMES = 5
 
 
-def onset_strength(audio, grid: dsp.FrameGrid | None = None, mel: FeatureSequence | None = None) -> np.ndarray:
+def onset_strength(mel: FeatureSequence) -> np.ndarray:
     """Half-wave-rectified log-mel flux per frame, smoothed over 5 frames.
 
     The short Hann smoothing spreads each onset across the fractional frame
     spacing of the ~31 Hz grid so the beat period wins over its double in the
     autocorrelation.
     """
-    grid = grid or default_grid()
-    if mel is None:
-        mel = mel_spectrogram_128(audio, grid)
     db = 10.0 * np.log10(mel.values + EPS_POWER)
     flux = np.maximum(0.0, np.diff(db, axis=0)).sum(axis=1)
     env = np.concatenate([[0.0], flux])
@@ -388,11 +371,10 @@ def onset_strength(audio, grid: dsp.FrameGrid | None = None, mel: FeatureSequenc
     return np.convolve(padded, kernel, mode="valid")
 
 
-def tempogram_384(audio, grid: dsp.FrameGrid | None = None, mel: FeatureSequence | None = None) -> FeatureSequence:
+def tempogram_384(mel: FeatureSequence) -> FeatureSequence:
     """Local autocorrelation of the onset envelope over a centered 384-frame
     window; 384 lag coefficients per frame."""
-    grid = grid or default_grid()
-    env = onset_strength(audio, grid, mel)
+    env = onset_strength(mel)
     n = len(env)
     w = TEMPOGRAM_WINDOW
     padded = np.pad(env, w // 2)
@@ -401,7 +383,7 @@ def tempogram_384(audio, grid: dsp.FrameGrid | None = None, mel: FeatureSequence
     fft_n = 2 * w
     spec = np.fft.rfft(segs, n=fft_n, axis=1)
     acorr = np.fft.irfft(np.abs(spec) ** 2, n=fft_n, axis=1)[:, :w]
-    return FeatureSequence("tempogram", acorr, grid)
+    return FeatureSequence("tempogram", acorr)
 
 
 PITCH_MIN_HZ = 60.0
@@ -409,11 +391,9 @@ PITCH_MAX_HZ = 400.0
 PITCH_CLARITY_THRESHOLD = 0.3
 
 
-def pitch_track_1(audio, grid: dsp.FrameGrid | None = None) -> FeatureSequence:
+def pitch_track_1(x: np.ndarray, grid: dsp.FrameGrid) -> FeatureSequence:
     """Autocorrelation pitch in 60-400 Hz with parabolic peak interpolation;
     frames with peak clarity below 0.3 are reported as 0 (unvoiced)."""
-    grid = grid or default_grid()
-    x = _as_samples(audio)
     fs = grid.sample_rate_hz
     frames = dsp.frame_signal_centered(x, PITCH_WINDOW, grid.hop)
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -440,36 +420,31 @@ def pitch_track_1(audio, grid: dsp.FrameGrid | None = None) -> FeatureSequence:
 
     clarity = np.where(r0 > 1e-10, r_peak / np.where(r0 > 1e-10, r0, 1.0), 0.0)
     f0 = np.where(clarity >= PITCH_CLARITY_THRESHOLD, fs / lag, 0.0)
-    return FeatureSequence("pitch", f0[:, None], grid)
+    return FeatureSequence("pitch", f0[:, None])
 
 
 # ---------------------------------------------------------------------------
 # Full set
 
-def extract_acoustic_set(audio, grid: dsp.FrameGrid | None = None) -> AcousticSet:
-    """All 16 kinds on the shared grid, truncated to the common frame count."""
-    grid = grid or default_grid()
-    x = _as_samples(audio)
+def extract_acoustic_set(audio: np.ndarray, grid: dsp.FrameGrid) -> AcousticSet:
+    """All 16 kinds of `audio` (1-D samples at grid.sample_rate_hz) on `grid`."""
+    x = np.asarray(audio, dtype=np.float64)
+    if x.ndim != 1 or len(x) < 1:
+        raise DataError("audio must be a non-empty 1-D sequence")
     spec = dsp.stft_power(x, FFT_SIZE, grid.hop, grid.sample_rate_hz)
     energies = _cqt_note_energies(x, grid)
-    mel = mel_spectrogram_128(x, grid, spec)
-    cens = chroma_cens_12(x, grid, energies=energies)
-    scalars = spectral_scalars(x, grid, spec)
-
+    mel = mel_spectrogram_128(spec)
+    cens = chroma_cens_12(energies)
     seqs = {
-        "band_power": band_power_12(x, grid, spec),
-        "cqt_chroma": cqt_chroma_12(x, grid, energies=energies),
+        "band_power": band_power_12(spec),
+        "cqt_chroma": cqt_chroma_12(energies),
         "chroma_cens": cens,
         "mel": mel,
-        "contrast": spectral_contrast_7(x, grid, spec),
-        "poly": poly_coeffs_2(x, grid, spec),
-        "tonnetz": tonnetz_6(x, grid, cens=cens),
-        "tempogram": tempogram_384(x, grid, mel=mel),
+        "contrast": spectral_contrast_7(spec),
+        "poly": poly_coeffs_2(spec),
+        "tonnetz": tonnetz_6(cens),
+        "tempogram": tempogram_384(mel),
         "pitch": pitch_track_1(x, grid),
-        **scalars,
+        **spectral_scalars(x, spec, grid),
     }
-    n = min(seq.n_frames for seq in seqs.values())
-    truncated = {
-        kind: FeatureSequence(kind, seqs[kind].values[:n], grid) for kind in FEATURE_ORDER
-    }
-    return AcousticSet(truncated)
+    return AcousticSet({kind: seqs[kind] for kind in FEATURE_ORDER})

@@ -100,12 +100,12 @@ def _load_values(path: Path, kind: str, stage: str) -> np.ndarray:
 
 def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
     values = _load_values(_clean_dir(cfg) / f"{trial_id}.clean", CLEAN_KIND, "preprocess")
-    return eeg.CleanEeg(values, bandpassed=True, notched=True, zscored=True)
+    return eeg.CleanEeg(values)
 
 
 def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:
     values = _load_values(_feats_dir(cfg) / f"{trial_id}.feats", FEATURES_KIND, "extract-eeg-feats")
-    return eeg.StatFeatureSeq(values, pipeline.eeg_grid(cfg))
+    return eeg.StatFeatureSeq(values)
 
 
 def _kpca_models(cfg: RunConfig) -> dict[str, eeg.KpcaModel]:
@@ -168,18 +168,16 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
     options = pipeline.preprocess_options(cfg)
     clean_dir = _clean_dir(cfg)
     clean_dir.mkdir(parents=True, exist_ok=True)
-    flags = {}
+    # every trial goes through the same steps: the ones `options` switches on
+    steps = {"bandpassed": True, "notched": True, "ica_cleaned": options.run_ica,
+             "zscored": options.zscore}
     ids = _filter_ids(manifest, manifest.ids(), args)
     for trial_id in ids:
         trial = manifest.load_trial(trial_id)
         clean = eeg.preprocess_eeg(trial.eeg, options)
         save_container(clean_dir / f"{trial_id}.clean", CLEAN_KIND, {}, {"values": clean.data})
-        flags[trial_id] = {
-            "bandpassed": clean.bandpassed, "notched": clean.notched,
-            "ica_cleaned": clean.ica_cleaned, "zscored": clean.zscored,
-        }
     with atomic_open(clean_dir / "preprocess.json") as fh:
-        fh.write(json.dumps(flags, indent=1, sort_keys=True) + "\n")
+        fh.write(json.dumps({trial_id: steps for trial_id in ids}, indent=1, sort_keys=True) + "\n")
     _summary("preprocess", n_trials=len(ids), out=str(clean_dir))
 
 

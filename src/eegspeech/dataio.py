@@ -264,12 +264,31 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         fh.write("\n")
 
 
+_MANIFEST_KEYS = ("id", "subject", "condition", "eeg_path", "wav_path")
+
+
+def _manifest_entry(item, n: int, path: Path) -> TrialRef:
+    """One manifest entry as a TrialRef; anything but string ids and paths, an
+    integer subject 1..4 and a known condition is a DataError."""
+    if not isinstance(item, dict) or any(key not in item for key in _MANIFEST_KEYS):
+        raise DataError(f"{path}: manifest entry {n} is not a complete trial object")
+    ref = TrialRef(*(item[key] for key in _MANIFEST_KEYS))
+    if not all(isinstance(v, str) for v in (ref.id, ref.eeg_path, ref.wav_path)):
+        raise DataError(f"{path}: manifest entry {n}: id and file paths must be strings")
+    if type(ref.subject) is not int or not 1 <= ref.subject <= 4:
+        raise DataError(f"{path}: manifest entry {n}: subject must be an integer 1..4, got {ref.subject!r}")
+    if ref.condition not in CONDITIONS:
+        raise DataError(f"{path}: manifest entry {n}: condition must be one of {CONDITIONS}, "
+                        f"got {ref.condition!r}")
+    return ref
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             items = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: cannot read manifest ({exc})") from exc
     if not isinstance(items, list):
         raise DataError(f"{path}: manifest must be a JSON array")
@@ -277,10 +296,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     trials = []
     seen = set()
     for n, item in enumerate(items):
-        try:
-            ref = TrialRef(item["id"], int(item["subject"]), item["condition"], item["eeg_path"], item["wav_path"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: manifest entry {n} is not a complete trial object ({exc!r})") from exc
+        ref = _manifest_entry(item, n, path)
         if ref.id in seen:
             raise DataError(f"{path}: duplicate trial id {ref.id!r}")
         seen.add(ref.id)

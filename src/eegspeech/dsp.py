@@ -114,18 +114,18 @@ def resample_poly(x: np.ndarray, from_hz: int = 16000, to_hz: int = 15000) -> np
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Analysis grid realizing a ~31 Hz frame rate with an integer hop."""
+    """Analysis grid realizing a ~31 Hz frame rate with an integer hop.
+
+    Frame statistics (the EEG stats, audio rms and zcr) use hop-long windows.
+    """
 
     sample_rate_hz: int
     hop: int
-    window_len: int
     target_rate_hz: float = 31.0
 
     def __post_init__(self):
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        if self.window_len < self.hop:
-            raise ValueError("window_len must be >= hop")
         if abs(self.sample_rate_hz / self.hop - self.target_rate_hz) >= 0.5:
             raise ValueError(
                 f"hop {self.hop} does not realize ~{self.target_rate_hz} Hz at fs={self.sample_rate_hz}"
@@ -136,12 +136,11 @@ class FrameGrid:
         return self.sample_rate_hz / self.hop
 
 
-def frame_grid_for_rate(fs_hz: int, target_rate: float = 31.0, window_len: int | None = None) -> FrameGrid:
+def frame_grid_for_rate(fs_hz: int, target_rate: float = 31.0) -> FrameGrid:
     """Integer-hop grid closest to target_rate: hop = round(fs / target)."""
     if fs_hz < target_rate:
         raise ValueError(f"sample rate {fs_hz} too small for a {target_rate} Hz grid")
-    hop = int(round(fs_hz / target_rate))
-    return FrameGrid(int(fs_hz), hop, hop if window_len is None else window_len, target_rate)
+    return FrameGrid(int(fs_hz), int(round(fs_hz / target_rate)), target_rate)
 
 
 def frame_count(n_samples: int, hop: int) -> int:
@@ -204,9 +203,7 @@ class PowerSpectrogram:
         return self.power.shape[0]
 
 
-def stft_power(
-    x: np.ndarray, fft_size: int, hop: int, fs_hz: int = 15000, window: str = "hann"
-) -> PowerSpectrogram:
+def stft_power(x: np.ndarray, fft_size: int, hop: int, fs_hz: int = 15000) -> PowerSpectrogram:
     """Power STFT |DFT|^2 with periodic Hann window and reflection center-padding.
 
     Frame count is 1 + floor(len(x)/hop): the signal is padded by fft_size/2 on
@@ -216,13 +213,7 @@ def stft_power(
         raise ValueError("fft_size must be a power of two >= 64")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    if window == "hann":
-        win = hann_periodic(fft_size)
-    elif window == "rect":
-        win = np.ones(fft_size)
-    else:
-        raise ValueError(f"unsupported window {window!r}")
     frames = frame_signal_centered(x, fft_size, hop)
-    spec = np.fft.rfft(frames * win[None, :], axis=1)
+    spec = np.fft.rfft(frames * hann_periodic(fft_size)[None, :], axis=1)
     power = np.abs(spec) ** 2
     return PowerSpectrogram(power, fft_size, hop, int(fs_hz))

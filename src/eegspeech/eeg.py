@@ -43,10 +43,6 @@ class PreprocessOptions:
 class CleanEeg:
     data: np.ndarray
     sample_rate_hz: int = 1000
-    bandpassed: bool = False
-    notched: bool = False
-    ica_cleaned: bool = False
-    zscored: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -84,23 +80,14 @@ def preprocess_eeg(rec: EegRecording, options: PreprocessOptions | None = None) 
     notch = dsp.design_iir_notch(options.notch_hz, options.notch_q, fs)
     data = dsp.apply_filter(notch, data, zero_phase=options.zero_phase, axis=1)
 
-    ica_cleaned = False
     if options.run_ica:
         result = fast_ica(data, seed=options.ica_seed)
-        data, removed = remove_artifact_components(result, options.ica_kurtosis_threshold)
-        ica_cleaned = True
+        data, _ = remove_artifact_components(result, options.ica_kurtosis_threshold)
 
     if options.zscore:
         data = zscore_channels(data)
 
-    return CleanEeg(
-        data,
-        sample_rate_hz=fs,
-        bandpassed=True,
-        notched=True,
-        ica_cleaned=ica_cleaned,
-        zscored=options.zscore,
-    )
+    return CleanEeg(data, sample_rate_hz=fs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +242,6 @@ class StatFeatureSeq:
     """frames x 155 matrix; columns are channel-major blocks of the 5 stats."""
 
     values: np.ndarray
-    grid: dsp.FrameGrid
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -270,19 +256,17 @@ class StatFeatureSeq:
         return self.values.shape[0]
 
 
-def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid | None = None) -> StatFeatureSeq:
-    """Non-overlapping valid-mode framing; 5 stats per channel, channel-major."""
-    if grid is None:
-        grid = dsp.frame_grid_for_rate(clean.sample_rate_hz)
+def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid) -> StatFeatureSeq:
+    """Non-overlapping hop-long valid-mode frames; 5 stats per channel, channel-major."""
     if grid.sample_rate_hz != clean.sample_rate_hz:
         raise ValueError("grid sample rate does not match the recording")
-    if clean.n_samples < grid.window_len:
+    if clean.n_samples < grid.hop:
         raise ValueError("recording shorter than one frame")
-    frames = dsp.frame_signal_valid(clean.data, grid.window_len, grid.hop)  # (ch, nf, w)
+    frames = dsp.frame_signal_valid(clean.data, grid.hop, grid.hop)  # (ch, nf, w)
     n_ch, n_frames, w = frames.shape
     stats = _stats_block(frames.reshape(n_ch * n_frames, w)).reshape(n_ch, n_frames, 5)
     values = np.transpose(stats, (1, 0, 2)).reshape(n_frames, n_ch * 5)
-    return StatFeatureSeq(values, grid)
+    return StatFeatureSeq(values)
 
 
 # ---------------------------------------------------------------------------

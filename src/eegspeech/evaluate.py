@@ -160,7 +160,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     """8-bit binary PGM; image values already in 0..255."""
     img = np.asarray(image)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.astype(np.uint8).tobytes())
 
@@ -190,7 +190,8 @@ def spectrogram_export(
     csv_path = out_prefix.with_suffix(".csv")
     pgm_path = out_prefix.with_suffix(".pgm")
     try:
-        np.savetxt(csv_path, db, fmt="%.6g", delimiter=",")
+        with atomic_open(csv_path) as fh:
+            np.savetxt(fh, db, fmt="%.6g", delimiter=",")
         image = np.round((db - floor_db) / (-floor_db) * 255.0)
         write_pgm(pgm_path, image)
     except OSError as exc:

@@ -71,15 +71,9 @@ def synthesis_example(trial: TrialRecord, clean: eeg.CleanEeg, cfg: RunConfig) -
 
 
 def build_synthesis_dataset(
-    manifest: DatasetManifest, ids, cfg: RunConfig, cleans: dict[str, eeg.CleanEeg] | None = None
+    manifest: DatasetManifest, ids, cfg: RunConfig, cleans: dict[str, eeg.CleanEeg]
 ) -> list[dict]:
-    options = preprocess_options(cfg)
-    out = []
-    for trial_id in ids:
-        trial = manifest.load_trial(trial_id)
-        clean = cleans[trial_id] if cleans is not None else eeg.preprocess_eeg(trial.eeg, options)
-        out.append(synthesis_example(trial, clean, cfg))
-    return out
+    return [synthesis_example(manifest.load_trial(tid), cleans[tid], cfg) for tid in ids]
 
 
 def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dict] | None = None,

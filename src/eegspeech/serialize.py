@@ -12,11 +12,11 @@ the next: `preprocess` writes `clean/<id>.clean` (kind "clean-eeg") and
 `extract-eeg-feats` writes `feats_eeg/<id>.feats` (kind "eeg-features"), so a
 file-driven run computes the same numbers as the in-memory pipeline.
 
-Every file the pipeline writes (containers, JSON, CSV, the resolved config and
-gen-data's EEG and WAV files), apart from the terminal spectrogram export, goes
-through `atomic_open`: the bytes go to a temporary file beside the target,
-which is renamed over it only once they are all written, so an interrupted
-write never leaves a truncated file under the target's name.
+Every file the pipeline writes (containers, JSON, CSV, the resolved config,
+gen-data's EEG and WAV files and the spectrogram CSV and PGM) goes through
+`atomic_open`: the bytes go to a temporary file beside the target, which is
+renamed over it only once they are all written, so an interrupted write never
+leaves a truncated file under the target's name.
 """
 
 from __future__ import annotations

@@ -147,14 +147,16 @@ def test_criterion_overfit(tmp_path):
         tid: eeg.preprocess_eeg(manifest.load_trial(tid).eeg, pipeline.preprocess_options(reg_cfg))
         for tid in manifest.ids()
     }
-    seqs = {tid: eeg.extract_stat_features(reg_cleans[tid]) for tid in manifest.ids()}
+    eeg_grid, audio_grid = pipeline.eeg_grid(reg_cfg), pipeline.audio_grid(reg_cfg)
+    seqs = {tid: eeg.extract_stat_features(reg_cleans[tid], eeg_grid) for tid in manifest.ids()}
     subjects = {tid: manifest.by_id(tid).subject for tid in manifest.ids()}
     kmods = pipeline.fit_kpca_models(seqs, subjects, manifest.ids(), reg_cfg)
     reg_examples = []
     for tid in manifest.ids():
         ref = manifest.by_id(tid)
         reduced = pipeline.reduce_features(seqs[tid], ref.subject, kmods, reg_cfg)
-        targets = acoustic.extract_acoustic_set(pipeline.audio_at_rate(manifest.load_trial(tid), reg_cfg))
+        audio = pipeline.audio_at_rate(manifest.load_trial(tid), reg_cfg)
+        targets = acoustic.extract_acoustic_set(audio, audio_grid)
         reg_examples.append(pipeline.regression_example(tid, ref.subject, ref.condition, reduced, targets))
     _, reg_history = pipeline.train_regression_kind("mel", reg_examples, reg_cfg, epochs=500)
     reg_first = reg_history.epochs[0]["train_loss"]
@@ -196,12 +198,13 @@ def test_criterion_end_to_end_synthetic_generalization(tmp_path):
     reg_cfg = RunConfig(seed=11, kpca_scope="pooled", gru_hidden=32,
                         learning_rate=3e-3, batch_size=100)
     reg_opts = pipeline.preprocess_options(reg_cfg)
+    eeg_grid, audio_grid = pipeline.eeg_grid(reg_cfg), pipeline.audio_grid(reg_cfg)
     seqs, subjects, targets_all = {}, {}, {}
     for tid in manifest.ids():
         trial = manifest.load_trial(tid)
-        seqs[tid] = eeg.extract_stat_features(eeg.preprocess_eeg(trial.eeg, reg_opts))
+        seqs[tid] = eeg.extract_stat_features(eeg.preprocess_eeg(trial.eeg, reg_opts), eeg_grid)
         subjects[tid] = trial.subject
-        targets_all[tid] = acoustic.extract_acoustic_set(pipeline.audio_at_rate(trial, reg_cfg))
+        targets_all[tid] = acoustic.extract_acoustic_set(pipeline.audio_at_rate(trial, reg_cfg), audio_grid)
     kmods = pipeline.fit_kpca_models(seqs, subjects, split.train_ids, reg_cfg)
 
     def examples_for(ids):
@@ -298,20 +301,23 @@ def test_criterion_feature_golden_suite():
     """440 Hz -> chroma class A; 200 Hz sawtooth pitch within 2 Hz; full-scale
     sine loudness -3.01 +/-0.1 dBFS; alternating +/-1 kurtosis -2; white-noise
     rolloff 6375 Hz +/-5%; 120 BPM clicks -> tempogram lag 15-16; total 571."""
-    grid = acoustic.default_grid()
+    grid = dsp.frame_grid_for_rate(FS_AUDIO)
 
-    chroma = acoustic.cqt_chroma_12(sine(440.0, FS_AUDIO, 0.8), grid)
+    def features(x):
+        return acoustic.extract_acoustic_set(x, grid).features
+
+    chroma = features(sine(440.0, FS_AUDIO, 0.8))["cqt_chroma"]
     cls = int(np.argmax(chroma.values[chroma.n_frames // 2]))
     assert cls == 9  # A
 
     t = np.arange(FS_AUDIO) / FS_AUDIO
     saw = 2.0 * ((t * 200.0) % 1.0) - 1.0
-    pitch = acoustic.pitch_track_1(saw, grid)
+    pitch = features(saw)["pitch"]
     voiced = pitch.values[pitch.values[:, 0] > 0, 0]
     pitch_med = float(np.median(voiced))
     assert abs(pitch_med - 200.0) <= 2.0
 
-    scalars = acoustic.spectral_scalars(sine(1000.0, FS_AUDIO, 1.0), grid)
+    scalars = features(sine(1000.0, FS_AUDIO, 1.0))
     loud = float(scalars["loudness"].values[scalars["loudness"].n_frames // 2, 0])
     assert abs(loud - (-3.01)) <= 0.1
 
@@ -319,7 +325,7 @@ def test_criterion_feature_golden_suite():
     assert kurt == pytest.approx(-2.0, abs=1e-9)
 
     rng = np.random.default_rng(8)
-    noise_scalars = acoustic.spectral_scalars(rng.standard_normal(2 * FS_AUDIO), grid)
+    noise_scalars = features(rng.standard_normal(2 * FS_AUDIO))
     rolloff = float(np.mean(noise_scalars["rolloff"].values))
     assert abs(rolloff - 6375.0) <= 0.05 * 6375.0
 
@@ -327,7 +333,7 @@ def test_criterion_feature_golden_suite():
     period = int(round(FS_AUDIO * 60.0 / 120.0))
     for pos in range(0, len(clicks), period):
         clicks[pos : pos + 30] = 1.0
-    tempo = acoustic.tempogram_384(clicks, grid)
+    tempo = features(clicks)["tempogram"]
     mid = tempo.values[tempo.n_frames // 2]
     peak = int(np.argmax(mid[8:])) + 8
     assert peak in (15, 16)

@@ -23,7 +23,12 @@ def clicks(bpm: float, fs_hz: float, duration_s: float) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def grid():
-    return acoustic.default_grid()
+    return dsp.frame_grid_for_rate(FS)
+
+
+def family(kind, x, grid):
+    """One kind of the acoustic set of `x`, through the one entry point."""
+    return acoustic.extract_acoustic_set(x, grid).features[kind]
 
 
 class TestDimensionTable:
@@ -47,12 +52,12 @@ class TestDimensionTable:
 
     def test_wrong_dim_rejected(self, grid):
         with pytest.raises(Exception, match="expected frames x 12"):
-            acoustic.FeatureSequence("band_power", np.zeros((4, 11)), grid)
+            acoustic.FeatureSequence("band_power", np.zeros((4, 11)))
 
 
 class TestBandPower:
     def test_silence_is_zero(self, grid):
-        seq = acoustic.band_power_12(np.zeros(FS), grid)
+        seq = family("band_power", np.zeros(FS), grid)
         assert seq.values.shape[1] == 12
         assert np.all(seq.values == 0.0)
 
@@ -60,64 +65,64 @@ class TestBandPower:
         # band-edge oracle: locate the band containing 1 kHz from the edges
         edges = acoustic.log_band_edges()
         band = int(np.searchsorted(edges, 1000.0) - 1)
-        seq = acoustic.band_power_12(sine(1000.0, FS, 1.0), grid)
+        seq = family("band_power", sine(1000.0, FS, 1.0), grid)
         totals = seq.values.sum(axis=0)
         assert totals[band] / totals.sum() >= 0.80
 
 
 class TestChroma:
     def test_440hz_maps_to_class_a(self, grid):
-        seq = acoustic.cqt_chroma_12(sine(440.0, FS, 0.8), grid)
+        seq = family("cqt_chroma", sine(440.0, FS, 0.8), grid)
         mid = seq.values[seq.n_frames // 2]
         assert int(np.argmax(mid)) == 9  # A with C=0
 
     def test_silence_is_zero(self, grid):
-        seq = acoustic.cqt_chroma_12(np.zeros(FS), grid)
+        seq = family("cqt_chroma", np.zeros(FS), grid)
         assert np.all(seq.values == 0.0)
 
     def test_octave_folding(self, grid):
-        low = acoustic.cqt_chroma_12(sine(440.0, FS, 0.8), grid)
-        high = acoustic.cqt_chroma_12(sine(880.0, FS, 0.8), grid)
+        low = family("cqt_chroma", sine(440.0, FS, 0.8), grid)
+        high = family("cqt_chroma", sine(880.0, FS, 0.8), grid)
         mid = low.n_frames // 2
         assert int(np.argmax(low.values[mid])) == int(np.argmax(high.values[mid]))
 
     def test_max_normalization(self, grid):
-        seq = acoustic.cqt_chroma_12(sine(261.63, FS, 0.8), grid)
+        seq = family("cqt_chroma", sine(261.63, FS, 0.8), grid)
         assert np.max(seq.values) == pytest.approx(1.0)
 
 
 class TestChromaCens:
     def test_sustained_c4_argmax(self, grid):
-        seq = acoustic.chroma_cens_12(sine(261.63, FS, 1.0), grid)
+        seq = family("chroma_cens", sine(261.63, FS, 1.0), grid)
         mid = seq.values[seq.n_frames // 2]
         assert int(np.argmax(mid)) == 0  # C
 
     def test_frame_norm_is_one_or_zero(self, grid, rng):
-        seq = acoustic.chroma_cens_12(rng.standard_normal(FS) * 0.2, grid)
+        seq = family("chroma_cens", rng.standard_normal(FS) * 0.2, grid)
         norms = np.linalg.norm(seq.values, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms < 1e-9))
-        silent = acoustic.chroma_cens_12(np.zeros(FS), grid)
+        silent = family("chroma_cens", np.zeros(FS), grid)
         assert np.all(np.linalg.norm(silent.values, axis=1) < 1e-12)
 
     def test_robust_to_quiet_noise(self, grid, rng):
         tone = sine(261.63, FS, 1.0)
         noisy = tone + (10 ** (-30 / 20)) * rng.standard_normal(len(tone))
-        a = acoustic.chroma_cens_12(tone, grid)
-        b = acoustic.chroma_cens_12(noisy, grid)
+        a = family("chroma_cens", tone, grid)
+        b = family("chroma_cens", noisy, grid)
         mid = a.n_frames // 2
         assert int(np.argmax(a.values[mid])) == int(np.argmax(b.values[mid]))
 
 
 class TestMel:
     def test_dim_and_silence(self, grid):
-        seq = acoustic.mel_spectrogram_128(np.zeros(FS), grid)
+        seq = family("mel", np.zeros(FS), grid)
         assert seq.values.shape[1] == 128
         assert np.all(seq.values == 0.0)
 
     def test_energy_close_to_banded_stft_power(self, grid):
         x = sine(1000.0, FS, 1.0) + 0.3 * sine(3000.0, FS, 1.0)
         spec = dsp.stft_power(x, acoustic.FFT_SIZE, grid.hop, FS)
-        mel = acoustic.mel_spectrogram_128(x, grid, spec)
+        mel = acoustic.mel_spectrogram_128(spec)
         mid = mel.n_frames // 2
         ratio = mel.values[mid].sum() / spec.power[mid].sum()
         assert ratio == pytest.approx(1.0, rel=0.10)
@@ -125,34 +130,34 @@ class TestMel:
 
 class TestSpectralScalars:
     def test_full_scale_sine_loudness(self, grid):
-        scalars = acoustic.spectral_scalars(sine(1000.0, FS, 1.0), grid)
+        scalars = acoustic.extract_acoustic_set(sine(1000.0, FS, 1.0), grid).features
         mid = scalars["loudness"].n_frames // 2
         assert scalars["loudness"].values[mid, 0] == pytest.approx(20 * np.log10(1 / np.sqrt(2)), abs=0.1)
 
     def test_sine_centroid_and_bandwidth(self, grid):
-        scalars = acoustic.spectral_scalars(sine(1000.0, FS, 1.0), grid)
+        scalars = acoustic.extract_acoustic_set(sine(1000.0, FS, 1.0), grid).features
         bin_width = FS / acoustic.FFT_SIZE
         mid = scalars["centroid"].n_frames // 2
         assert abs(scalars["centroid"].values[mid, 0] - 1000.0) <= bin_width
         assert scalars["bandwidth"].values[mid, 0] < 2 * bin_width
 
     def test_flatness_extremes(self, grid, rng):
-        noise = acoustic.spectral_scalars(rng.standard_normal(FS), grid)
-        tone = acoustic.spectral_scalars(sine(1000.0, FS, 1.0), grid)
+        noise = acoustic.extract_acoustic_set(rng.standard_normal(FS), grid).features
+        tone = acoustic.extract_acoustic_set(sine(1000.0, FS, 1.0), grid).features
         mid = noise["flatness"].n_frames // 2
         assert np.mean(noise["flatness"].values) > 0.5
         assert tone["flatness"].values[mid, 0] < 0.05
 
     def test_white_noise_rolloff(self, grid, rng):
         # statistical oracle over many frames: flat spectrum -> 0.85 * 7500
-        scalars = acoustic.spectral_scalars(rng.standard_normal(FS * 2), grid)
+        scalars = acoustic.extract_acoustic_set(rng.standard_normal(FS * 2), grid).features
         mean_rolloff = float(np.mean(scalars["rolloff"].values))
         assert mean_rolloff == pytest.approx(0.85 * 7500.0, rel=0.05)
 
     def test_scaling_behavior(self, grid, rng):
         x = rng.standard_normal(FS) * 0.4
-        full = acoustic.spectral_scalars(x, grid)
-        half = acoustic.spectral_scalars(0.5 * x, grid)
+        full = acoustic.extract_acoustic_set(x, grid).features
+        half = acoustic.extract_acoustic_set(0.5 * x, grid).features
         assert np.allclose(half["rms"].values, 0.5 * full["rms"].values)
         shift = half["loudness"].values - full["loudness"].values
         assert np.allclose(shift, -20 * np.log10(2), atol=0.01)
@@ -162,7 +167,7 @@ class TestSpectralScalars:
 
 class TestContrast:
     def test_dim_and_silence(self, grid):
-        seq = acoustic.spectral_contrast_7(np.zeros(FS), grid)
+        seq = family("contrast", np.zeros(FS), grid)
         assert seq.values.shape[1] == 7
         assert np.all(seq.values == 0.0)
 
@@ -170,15 +175,15 @@ class TestContrast:
         # harmonics of 220 Hz up to 7.48 kHz so every octave band holds peaks
         t = np.arange(FS) / FS
         harm = sum(np.sin(2 * np.pi * 220.0 * k * t) / np.sqrt(k) for k in range(1, 35))
-        tone = acoustic.spectral_contrast_7(harm, grid)
-        noise = acoustic.spectral_contrast_7(rng.standard_normal(FS), grid)
+        tone = family("contrast", harm, grid)
+        noise = family("contrast", rng.standard_normal(FS), grid)
         assert np.all(tone.values.mean(axis=0) > noise.values.mean(axis=0))
 
 
 class TestPoly:
     def test_flat_spectrum_slope_zero(self, grid):
         flat = dsp.PowerSpectrogram(np.full((5, 513), 2.5), 1024, grid.hop, FS)
-        seq = acoustic.poly_coeffs_2(None, grid, spec=flat)
+        seq = acoustic.poly_coeffs_2(flat)
         assert np.allclose(seq.values[:, 0], 0.0, atol=1e-15)
         assert np.allclose(seq.values[:, 1], 2.5)
 
@@ -186,14 +191,14 @@ class TestPoly:
         freqs = np.fft.rfftfreq(1024, 1.0 / FS)
         slope, intercept = 3e-4, 1.75
         planted = dsp.PowerSpectrogram(np.tile(slope * freqs + intercept, (4, 1)), 1024, grid.hop, FS)
-        seq = acoustic.poly_coeffs_2(None, grid, spec=planted)
+        seq = acoustic.poly_coeffs_2(planted)
         assert np.allclose(seq.values[:, 0], slope, atol=1e-6)
         assert np.allclose(seq.values[:, 1], intercept, atol=1e-6)
 
 
 class TestTonnetz:
     def test_dim_and_zero_guard(self, grid):
-        seq = acoustic.tonnetz_6(np.zeros(FS), grid)
+        seq = family("tonnetz", np.zeros(FS), grid)
         assert seq.values.shape[1] == 6
         assert np.all(seq.values == 0.0)
 
@@ -209,12 +214,12 @@ class TestTonnetz:
 
 class TestTempogram:
     def test_dim_and_lag0_maximum(self, grid, rng):
-        seq = acoustic.tempogram_384(rng.standard_normal(FS) * 0.3, grid)
+        seq = family("tempogram", rng.standard_normal(FS) * 0.3, grid)
         assert seq.values.shape[1] == 384
         assert np.all(seq.values[:, 0] >= seq.values.max(axis=1) - 1e-9)
 
     def test_120bpm_clicks_peak_lag(self, grid):
-        seq = acoustic.tempogram_384(clicks(120.0, FS, 4.0), grid)
+        seq = family("tempogram", clicks(120.0, FS, 4.0), grid)
         mid = seq.values[seq.n_frames // 2]
         peak = int(np.argmax(mid[8:])) + 8
         assert peak in (15, 16)
@@ -222,30 +227,30 @@ class TestTempogram:
 
 class TestPitch:
     def test_200hz_sawtooth(self, grid):
-        seq = acoustic.pitch_track_1(sawtooth(200.0, FS, 1.0), grid)
+        seq = family("pitch", sawtooth(200.0, FS, 1.0), grid)
         voiced = seq.values[seq.values[:, 0] > 0, 0]
         assert len(voiced) > 0
         assert np.median(voiced) == pytest.approx(200.0, abs=2.0)
 
     def test_silence_unvoiced(self, grid):
-        seq = acoustic.pitch_track_1(np.zeros(FS), grid)
+        seq = family("pitch", np.zeros(FS), grid)
         assert np.all(seq.values == 0.0)
 
     def test_octave_ratio(self, grid):
-        low = acoustic.pitch_track_1(sine(150.0, FS, 1.0), grid)
-        high = acoustic.pitch_track_1(sine(300.0, FS, 1.0), grid)
+        low = family("pitch", sine(150.0, FS, 1.0), grid)
+        high = family("pitch", sine(300.0, FS, 1.0), grid)
         mid = low.n_frames // 2
         ratio = high.values[mid, 0] / low.values[mid, 0]
         assert ratio == pytest.approx(2.0, rel=0.02)
 
 
 @pytest.fixture(scope="module")
-def aset():
+def aset(grid):
     rng = np.random.default_rng(5)
     t = np.arange(FS) / FS
     x = 0.5 * np.sin(2 * np.pi * 220 * t) * (1 + 0.5 * np.sin(2 * np.pi * 2 * t))
     x += 0.05 * rng.standard_normal(FS)
-    return acoustic.extract_acoustic_set(x)
+    return acoustic.extract_acoustic_set(x, grid)
 
 
 class TestAcousticSet:
@@ -268,18 +273,18 @@ class TestAcousticSet:
             assert np.array_equal(concat[:, offset : offset + dim], aset.features[kind].values)
             offset += dim
 
-    def test_determinism(self):
+    def test_determinism(self, grid):
         x = sine(330.0, FS, 0.8, amplitude=0.7)
-        a = acoustic.extract_acoustic_set(x).concatenated()
-        b = acoustic.extract_acoustic_set(x).concatenated()
+        a = acoustic.extract_acoustic_set(x, grid).concatenated()
+        b = acoustic.extract_acoustic_set(x, grid).concatenated()
         assert np.array_equal(a, b)
 
-    def test_amplitude_scaling_invariances(self):
+    def test_amplitude_scaling_invariances(self, grid):
         rng = np.random.default_rng(11)
         t = np.arange(FS) / FS
         x = 0.6 * np.sin(2 * np.pi * 220 * t) + 0.1 * rng.standard_normal(FS)
-        a = acoustic.extract_acoustic_set(x)
-        b = acoustic.extract_acoustic_set(0.5 * x)
+        a = acoustic.extract_acoustic_set(x, grid)
+        b = acoustic.extract_acoustic_set(0.5 * x, grid)
         mid = a.n_frames // 2
         assert int(np.argmax(a.features["cqt_chroma"].values[mid])) == int(
             np.argmax(b.features["cqt_chroma"].values[mid])
@@ -293,14 +298,31 @@ class TestAcousticSet:
         shift = b.features["loudness"].values - a.features["loudness"].values
         assert np.allclose(shift, -6.02, atol=0.05)
 
-    def test_too_short_clip_rejected(self):
+    def test_too_short_clip_rejected(self, grid):
         with pytest.raises(ValueError, match="shorter than one window"):
-            acoustic.extract_acoustic_set(np.zeros(100))
+            acoustic.extract_acoustic_set(np.zeros(100), grid)
+
+    def test_shared_analyses_run_once(self, grid, monkeypatch):
+        calls = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((dsp, "stft_power"), (acoustic, "_cqt_note_energies"),
+                            (acoustic, "mel_spectrogram_128"), (acoustic, "chroma_cens_12")):
+            counted(owner, name)
+        acoustic.extract_acoustic_set(sine(330.0, FS, 0.5), grid)
+        assert calls == {"stft_power": 1, "_cqt_note_energies": 1, "mel_spectrogram_128": 1, "chroma_cens_12": 1}
 
     @pytest.mark.parametrize("n", [7500, 11111, 20000])
-    def test_frame_counts_follow_stft_formula_for_any_length(self, n):
+    def test_frame_counts_follow_stft_formula_for_any_length(self, n, grid):
         rng = np.random.default_rng(n)
-        aset = acoustic.extract_acoustic_set(0.3 * rng.standard_normal(n))
+        aset = acoustic.extract_acoustic_set(0.3 * rng.standard_normal(n), grid)
         expected = 1 + n // 484
         assert aset.n_frames == expected
         assert all(seq.n_frames == expected for seq in aset.features.values())

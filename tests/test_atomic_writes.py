@@ -1,5 +1,5 @@
 """Written files (JSON/CSV artifacts, the resolved config, gen-data's EEG and
-WAV files) are replaced whole or not at all.
+WAV files, the spectrogram CSV and PGM) are replaced whole or not at all.
 
 Each writer is made to fail halfway through its first write; the previous
 file must keep its bytes and no temporary file may be left beside it.
@@ -10,7 +10,8 @@ import pytest
 
 from eegspeech import dataio, nn, serialize
 from eegspeech.config import RunConfig, echo_config
-from eegspeech.evaluate import MetricsReport
+from eegspeech.errors import DataError
+from eegspeech.evaluate import MetricsReport, spectrogram_export
 
 
 def _report(rmse):
@@ -79,3 +80,23 @@ def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".pgm"])
+def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeypatch):
+    """The export writes the CSV, then the PGM; the one that fails keeps its old bytes."""
+    prefix = tmp_path / "spec"
+    spectrogram_export(np.random.default_rng(1).standard_normal(3000), prefix)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = open
+
+    def failing_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return HalfWrittenFile(fh) if file.name.startswith(f".spec{suffix}.") else fh
+
+    monkeypatch.setattr(serialize, "open", failing_open, raising=False)
+    with pytest.raises(DataError, match="disk full"):
+        spectrogram_export(np.random.default_rng(2).standard_normal(3000), prefix)
+    target = prefix.with_suffix(suffix)
+    assert target.read_bytes() == before[target.name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)

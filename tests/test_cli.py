@@ -212,6 +212,19 @@ class TestExitCodes:
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert cli.main(["split", "--data-root", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field, literal", [
+        ("subject", "1e400"), ("subject", "1.7"), ("subject", "true"), ("id", "7"), ("condition", '"sing"'),
+    ])
+    def test_malformed_manifest_entry_is_data_error(self, tmp_path, capsys, field, literal):
+        manifest = dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
+        path = manifest.root / "manifest.json"
+        items = json.loads(path.read_text())
+        items[0][field] = "@@"
+        path.write_text(json.dumps(items).replace('"@@"', literal))
+        assert cli.main(["split", "--data-root", str(tmp_path / "data"), "--out", str(tmp_path / "o")]) == 2
+        assert "manifest entry 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "split.json").exists()
+
     def test_missing_split_is_data_error(self, tmp_path):
         from eegspeech import dataio
         dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
@@ -238,6 +251,19 @@ class TestIntermediates:
             assert kind == "eeg-features"
             assert np.array_equal(arrays["values"], expected)
             assert np.array_equal(cli._load_clean(cfg, trial_id).data, clean.data)
+
+    @pytest.mark.parametrize("use_ica", ["false", "true"])
+    def test_preprocess_record_follows_options(self, tmp_path, use_ica):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[paths]\ndata_root = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\n"
+            f"[dataset]\nn_trials = 2\nduration_s = 0.5\n[preprocess]\nuse_ica = {use_ica}\n"
+        )
+        for step in ("gen-data", "preprocess"):
+            assert cli.main([step, "--config", str(config)]) == 0
+        record = json.loads((tmp_path / "out" / "clean" / "preprocess.json").read_text())
+        steps = {"bandpassed": True, "notched": True, "ica_cleaned": use_ica == "true", "zscored": True}
+        assert record == {"trial_0001": steps, "trial_0002": steps}
 
     def test_clean_eeg_of_another_kind_is_data_error(self, tmp_path, capsys):
         dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")

@@ -310,6 +310,13 @@ class TestSyntheticDataset:
         lambda items: [{k: v for k, v in items[0].items() if k != "id"}] + items[1:],
         lambda items: ["trial_0001"] + items[1:],
         lambda items: [{**items[0], "subject": "one"}] + items[1:],
+        lambda items: [{**items[0], "subject": 1.7}] + items[1:],
+        lambda items: [{**items[0], "subject": True}] + items[1:],
+        lambda items: [{**items[0], "subject": float("inf")}] + items[1:],
+        lambda items: [{**items[0], "subject": 5}] + items[1:],
+        lambda items: [{**items[0], "condition": "sing"}] + items[1:],
+        lambda items: [{**items[0], "id": 7}] + items[1:],
+        lambda items: [{**items[0], "eeg_path": ["a.csv"]}] + items[1:],
     ])
     def test_malformed_manifest_entry_rejected(self, tmp_path, mangle):
         manifest = dataio.generate_synthetic_dataset(2, duration_s=0.5, seed=0, out_dir=tmp_path / "d")
@@ -328,6 +335,11 @@ class TestSyntheticDataset:
 _HEADER = ",".join(f"ch{c:02d}" for c in range(1, 32))
 _CELLS = st.sampled_from(["0", "1.5", "-2e3", "1e999", "nan", "inf", "", " ", "x", "1_0", "#", "0x1f", "+.5", "\x00"])
 _CSV_LINES = st.lists(st.lists(_CELLS, min_size=29, max_size=33).map(",".join), max_size=4)
+
+
+_MANIFEST_KEYS = ("id", "subject", "condition", "eeg_path", "wav_path")
+_JSON_VALUES = (st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=4)
+                | st.sampled_from(["spoken", "listen", "a.csv", "a.wav"]) | st.lists(st.integers(), max_size=2))
 
 
 def _only_data_error(read, path):
@@ -377,3 +389,23 @@ class TestReaderFuzz:
         else:
             path.write_text(json.dumps(fields if top == "dict" else list(fields.values())))
         _only_data_error(dataio.load_split, path)
+
+    @given(entries=st.lists(st.dictionaries(st.sampled_from(_MANIFEST_KEYS + ("other",)), _JSON_VALUES),
+                            max_size=3),
+           subject=st.sampled_from(["1e400", "-1e400", "1.7", "1.0", "true", "1", "4", "5", "0", '"1"', "null",
+                                    "[]", "NaN", "Infinity", "123456789012345678901234567890"]),
+           top=st.sampled_from(["entries", "subject", "bytes"]), raw=st.binary(max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_load_manifest(self, entries, subject, top, raw, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest")
+        (root / "a.csv").write_text("")
+        (root / "a.wav").write_bytes(b"")
+        path = root / "manifest.json"
+        if top == "bytes":
+            path.write_bytes(raw)
+        elif top == "entries":
+            path.write_text(json.dumps(entries))
+        else:
+            path.write_text('[{"id": "t1", "subject": %s, "condition": "spoken", '
+                            '"eeg_path": "a.csv", "wav_path": "a.wav"}]' % subject)
+        _only_data_error(dataio.load_manifest, path)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from eegspeech import eeg, serialize
+from eegspeech import dsp, eeg, serialize
 from eegspeech.dataio import EegRecording
 from eegspeech.errors import DataError
 
 from conftest import sine
+
+GRID = dsp.frame_grid_for_rate(1000)
+# FastICA on Gaussian input has no independent directions to converge to
+GAUSSIAN_ICA = pytest.mark.filterwarnings("ignore:FastICA did not converge")
 
 
 def periodogram_power_at(x: np.ndarray, freq_hz: float, fs_hz: float) -> float:
@@ -20,8 +24,6 @@ class TestPreprocess:
         rec = EegRecording(rng.standard_normal((31, 2000)) * 30)
         clean = eeg.preprocess_eeg(rec)
         assert clean.data.shape == (31, 2000)
-        assert clean.bandpassed and clean.notched and clean.zscored
-        assert not clean.ica_cleaned
 
     def test_60hz_power_reduced_30db(self, rng):
         data = rng.standard_normal((31, 4000)) * 5
@@ -80,6 +82,7 @@ class TestFastIca:
             assert mags[0] > 0.9
             assert mags[1] < 0.35
 
+    @GAUSSIAN_ICA
     def test_mixing_unmixing_reconstruction(self, rng):
         x = rng.standard_normal((4, 5000))
         result = eeg.fast_ica(x, seed=0)
@@ -88,6 +91,7 @@ class TestFastIca:
         rmse = np.sqrt(np.mean((recon - whitened) ** 2))
         assert rmse < 1e-6
 
+    @GAUSSIAN_ICA
     def test_energy_conservation_retained_plus_removed(self, rng):
         x = rng.standard_normal((4, 5000))
         result = eeg.fast_ica(x, seed=0)
@@ -133,6 +137,7 @@ class TestRemoveArtifacts:
         assert removed == []
         assert np.sqrt(np.mean((cleaned - x) ** 2)) < 1e-6
 
+    @GAUSSIAN_ICA
     def test_gaussian_components_not_removed(self, rng):
         x = rng.standard_normal((4, 20000))
         result = eeg.fast_ica(x, seed=5)
@@ -188,20 +193,20 @@ class TestFrameStats:
 
 class TestExtractStatFeatures:
     def test_ten_second_recording_shape(self, rng):
-        clean = eeg.CleanEeg(rng.standard_normal((31, 10000)), zscored=True)
-        seq = eeg.extract_stat_features(clean)
+        clean = eeg.CleanEeg(rng.standard_normal((31, 10000)))
+        seq = eeg.extract_stat_features(clean, GRID)
         assert seq.values.shape == (312, 155)
 
     def test_zero_recording_zero_features(self):
         clean = eeg.CleanEeg(np.zeros((31, 1000)))
-        seq = eeg.extract_stat_features(clean)
+        seq = eeg.extract_stat_features(clean, GRID)
         assert np.all(seq.values == 0.0)
 
     def test_channel_major_ordering(self, rng):
         data = np.zeros((31, 320))
         data[2] = rng.standard_normal(320)
         clean = eeg.CleanEeg(data)
-        seq = eeg.extract_stat_features(clean)
+        seq = eeg.extract_stat_features(clean, GRID)
         # only channel 2's 5-column block may be nonzero
         block = seq.values[:, 2 * 5 : 3 * 5]
         rest = np.delete(seq.values, np.s_[2 * 5 : 3 * 5], axis=1)
@@ -210,13 +215,13 @@ class TestExtractStatFeatures:
 
     def test_determinism(self, rng):
         data = rng.standard_normal((31, 1000))
-        a = eeg.extract_stat_features(eeg.CleanEeg(data.copy()))
-        b = eeg.extract_stat_features(eeg.CleanEeg(data.copy()))
+        a = eeg.extract_stat_features(eeg.CleanEeg(data.copy()), GRID)
+        b = eeg.extract_stat_features(eeg.CleanEeg(data.copy()), GRID)
         assert np.array_equal(a.values, b.values)
 
     def test_too_short_recording(self):
         with pytest.raises(ValueError, match="shorter"):
-            eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, 10))))
+            eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, 10))), GRID)
 
 
 def brute_force_kpca_projection(x: np.ndarray, out_dim: int, gamma: float, coef0: float, degree: int):
@@ -350,9 +355,10 @@ def _centered_train_kernel(model: eeg.KpcaModel) -> np.ndarray:
 
 
 class TestPipelineDeterminism:
+    @GAUSSIAN_ICA
     def test_identical_inputs_identical_features(self, rng):
         data = rng.standard_normal((31, 2000)) * 25
         opts = eeg.PreprocessOptions(run_ica=True, ica_seed=11)
-        a = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts))
-        b = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts))
+        a = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts), GRID)
+        b = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts), GRID)
         assert np.array_equal(a.values, b.values)
