@@ -23,6 +23,7 @@ Every analysis uses the centered framing of dsp, so every kind has
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,29 +213,55 @@ def _midi_to_hz(m) -> np.ndarray:
     return 440.0 * 2.0 ** ((np.asarray(m, dtype=np.float64) - 69.0) / 12.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _cqt_octave_blocks(fs: int) -> tuple[np.ndarray, ...]:
+    """Per octave, the 12 note kernels as one zero-padded (2·p, 24) real block.
+
+    Note k's kernel is a Hann window of constant-Q length n_k times a complex
+    exponential at its frequency, divided by the window sum. Its real and
+    imaginary parts are columns 2k and 2k+1, placed so that sample n_k//2 of
+    the kernel sits on row p, where p = max(n_k)//2 + 1 over the octave, so
+    one row block lines up with a frame of 2·p samples centred on the hop.
+    """
+    freqs = _midi_to_hz(np.arange(CQT_MIDI_LO, CQT_MIDI_HI + 1))
+    lengths = np.round(CQT_Q * fs / freqs).astype(int)
+    blocks = []
+    for octave in range(len(freqs) // 12):
+        notes = range(12 * octave, 12 * octave + 12)
+        p = int(lengths[notes.start] // 2 + 1)  # the lowest note is the longest
+        block = np.zeros((2 * p, 24))
+        for col, i in enumerate(notes):
+            nk = lengths[i]
+            n = np.arange(nk)
+            window = dsp.hann_periodic(nk)
+            kernel = window * np.exp(-2j * np.pi * freqs[i] * n / fs)
+            kernel /= window.sum()
+            rows = slice(p - nk // 2, p - nk // 2 + nk)
+            block[rows, 2 * col] = kernel.real
+            block[rows, 2 * col + 1] = kernel.imag
+        block.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
+
+
 def _cqt_note_energies(x: np.ndarray, grid: dsp.FrameGrid) -> np.ndarray:
     """(frames, 84) per-semitone energies from Goertzel-style windowed kernels.
 
     Each note uses a Hann-windowed complex exponential of constant-Q length
     centered on the frame position; a unit-amplitude tone at the note frequency
-    yields ~0.25 energy regardless of the note.
+    yields ~0.25 energy regardless of the note. Each octave is one GEMM of its
+    centred frames against the octave's kernel block.
     """
-    fs = grid.sample_rate_hz
-    midis = np.arange(CQT_MIDI_LO, CQT_MIDI_HI + 1)
-    freqs = _midi_to_hz(midis)
-    lengths = np.round(CQT_Q * fs / freqs).astype(int)
-    pad = int(lengths.max() // 2 + 1)
+    blocks = _cqt_octave_blocks(grid.sample_rate_hz)
+    pad = len(blocks[0]) // 2
     xp = np.pad(x, pad)
     centers = grid.hop * np.arange(dsp.frame_count(len(x), grid.hop)) + pad
-    energies = np.empty((len(centers), len(midis)))
-    for i, (fk, nk) in enumerate(zip(freqs, lengths)):
-        n = np.arange(nk)
-        window = dsp.hann_periodic(nk)
-        kernel = window * np.exp(-2j * np.pi * fk * n / fs)
-        kernel /= window.sum()
-        idx = centers[:, None] + (n - nk // 2)[None, :]
-        frames = xp[idx]
-        energies[:, i] = np.abs(frames @ kernel) ** 2
+    energies = np.empty((len(centers), 12 * len(blocks)))
+    for octave, block in enumerate(blocks):
+        p = len(block) // 2
+        frames = np.lib.stride_tricks.sliding_window_view(xp, 2 * p)[centers - p]
+        reim = frames @ block
+        energies[:, 12 * octave:12 * octave + 12] = reim[:, 0::2] ** 2 + reim[:, 1::2] ** 2
     return energies
 
 

@@ -211,7 +211,9 @@ def cmd_fit_kpca(cfg: RunConfig, args) -> None:
         for key in sorted(curves):
             for i, frac in enumerate(curves[key], start=1):
                 fh.write(f"{key},{i},{frac:.9g}\n")
-    _summary("fit-kpca", scopes=sorted(models), out_dim=cfg.kpca_out_dim, out=str(kdir))
+    _summary("fit-kpca", scopes=sorted(models), out_dim=cfg.kpca_out_dim, out=str(kdir),
+             effective_rank={key: model.effective_rank for key, model in models.items()},
+             explained_variance={key: float(curve[-1]) for key, curve in curves.items()})
 
 
 def cmd_train_synth(cfg: RunConfig, args) -> None:

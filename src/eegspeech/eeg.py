@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 
 from . import dsp
 from .dataio import EEG_CHANNELS, EegRecording
@@ -305,7 +305,8 @@ def kpca_fit(
     gamma: float | None = None,
     coef0: float = 1.0,
 ) -> KpcaModel:
-    """Fit polynomial-kernel PCA: double-centered kernel, top-out_dim eigenpairs.
+    """Fit polynomial-kernel PCA: double-centered kernel, top-out_dim eigenpairs
+    by Lanczos iteration (ARPACK `eigsh`), in descending order.
 
     Coefficients are eigenvectors scaled by 1/sqrt(eigenvalue) so the implicit
     principal directions have unit feature-space norm. Rank deficiency yields
@@ -321,19 +322,29 @@ def kpca_fit(
     if gamma is None:
         gamma = 1.0 / d
 
-    k = _poly_kernel(x, x, gamma, coef0, degree)
-    row_means = k.mean(axis=1)
-    grand_mean = float(k.mean())
-    kc = k - row_means[:, None] - row_means[None, :] + grand_mean
+    kc = _poly_kernel(x, x, gamma, coef0, degree)
+    row_means = kc.mean(axis=1)
+    grand_mean = float(kc.mean())
+    # centered in place: at thousands of frames a second n x n array is the peak
+    kc -= row_means[:, None]
+    kc -= row_means[None, :]
+    kc += grand_mean
     total_variance = float(np.trace(kc))
-
-    vals, vecs = scipy.linalg.eigh(kc, subset_by_index=[n - out_dim, n - 1])
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    vals = np.maximum(vals, 0.0)
 
     # rank cutoff needs an absolute scale: for degenerate data the centered
     # kernel is all rounding noise and its top eigenvalue is no reference
+    floor = 1e-10 * abs(grand_mean)
+    if np.linalg.norm(kc) <= floor:
+        # the Frobenius norm bounds every |eigenvalue|, so no component can
+        # clear the cutoff; and Lanczos cannot start on an all-zero kernel
+        vals, vecs = np.zeros(out_dim), np.zeros((n, out_dim))
+    else:
+        # a fixed start vector keeps the fit deterministic; it must not be
+        # constant, since the constant vector is in the centered kernel's null space
+        v0 = np.random.default_rng(0).standard_normal(n)
+        vals, vecs = scipy.sparse.linalg.eigsh(kc, k=out_dim, which="LA", v0=v0)
+        order = np.argsort(vals)[::-1]
+        vals, vecs = np.maximum(vals[order], 0.0), vecs[:, order]
     tol = 1e-10 * max(vals[0], abs(grand_mean))
     effective_rank = int(np.sum(vals > tol))
 

@@ -156,13 +156,11 @@ def mean_baseline_rmse(train_targets: list[np.ndarray], test_targets: list[np.nd
 # ---------------------------------------------------------------------------
 # Spectrogram export (figure analogs)
 
-def write_pgm(path: str | Path, image: np.ndarray) -> None:
+def pgm_bytes(image: np.ndarray) -> bytes:
     """8-bit binary PGM; image values already in 0..255."""
     img = np.asarray(image)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.astype(np.uint8).tobytes())
+    return header + img.astype(np.uint8).tobytes()
 
 
 def spectrogram_export(
@@ -176,7 +174,9 @@ def spectrogram_export(
     """Write the log-power STFT as CSV and a grayscale PGM (frames x bins).
 
     Power is scaled to dB relative to the frame-matrix maximum and clipped at
-    floor_db; silence maps to a uniform minimum-value image.
+    floor_db; silence maps to a uniform minimum-value image. Both files are
+    written out whole before either replaces its previous version, so a failed
+    export leaves the previous pair as it was.
     """
     out_prefix = Path(out_prefix)
     if hop is None:
@@ -189,11 +189,11 @@ def spectrogram_export(
         db = 10.0 * np.log10(np.maximum(spec.power / peak, 10.0 ** (floor_db / 10.0)))
     csv_path = out_prefix.with_suffix(".csv")
     pgm_path = out_prefix.with_suffix(".pgm")
+    image = np.round((db - floor_db) / (-floor_db) * 255.0)
     try:
-        with atomic_open(csv_path) as fh:
-            np.savetxt(fh, db, fmt="%.6g", delimiter=",")
-        image = np.round((db - floor_db) / (-floor_db) * 255.0)
-        write_pgm(pgm_path, image)
+        with atomic_open(csv_path) as csv_fh, atomic_open(pgm_path, "wb") as pgm_fh:
+            np.savetxt(csv_fh, db, fmt="%.6g", delimiter=",")
+            pgm_fh.write(pgm_bytes(image))
     except OSError as exc:
         raise DataError(f"cannot write spectrogram to {out_prefix}: {exc}") from exc
     return csv_path, pgm_path

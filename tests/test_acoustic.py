@@ -31,6 +31,27 @@ def family(kind, x, grid):
     return acoustic.extract_acoustic_set(x, grid).features[kind]
 
 
+def reference_cqt_note_energies(x: np.ndarray, grid: dsp.FrameGrid) -> np.ndarray:
+    """The constant-Q note energies one note at a time: each note's kernel
+    applied to frames gathered around every hop center (the oracle for the
+    per-octave GEMM in acoustic._cqt_note_energies)."""
+    fs = grid.sample_rate_hz
+    freqs = acoustic._midi_to_hz(np.arange(acoustic.CQT_MIDI_LO, acoustic.CQT_MIDI_HI + 1))
+    lengths = np.round(acoustic.CQT_Q * fs / freqs).astype(int)
+    pad = int(lengths.max() // 2 + 1)
+    xp = np.pad(x, pad)
+    centers = grid.hop * np.arange(dsp.frame_count(len(x), grid.hop)) + pad
+    energies = np.empty((len(centers), len(freqs)))
+    for i, (fk, nk) in enumerate(zip(freqs, lengths)):
+        n = np.arange(nk)
+        window = dsp.hann_periodic(nk)
+        kernel = window * np.exp(-2j * np.pi * fk * n / fs)
+        kernel /= window.sum()
+        frames = xp[centers[:, None] + (n - nk // 2)[None, :]]
+        energies[:, i] = np.abs(frames @ kernel) ** 2
+    return energies
+
+
 class TestDimensionTable:
     def test_totals(self):
         assert acoustic.TOTAL_DIM == 571
@@ -89,6 +110,43 @@ class TestChroma:
     def test_max_normalization(self, grid):
         seq = family("cqt_chroma", sine(261.63, FS, 0.8), grid)
         assert np.max(seq.values) == pytest.approx(1.0)
+
+
+class TestCqtNoteEnergies:
+    # shorter than one hop (484), shorter than the C1 kernel (7716), then 1-4 s
+    @pytest.mark.parametrize("n", [1, 100, 483, 485, 3000, 7715, 15000, 30001, 45000, 60000])
+    def test_matches_per_note_oracle(self, n, grid):
+        rng = np.random.default_rng(n)
+        x = 0.3 * rng.standard_normal(n) + sine(261.63, FS, n / FS)[:n] + 0.5 * sine(55.0, FS, n / FS)[:n]
+        got = acoustic._cqt_note_energies(x, grid)
+        want = reference_cqt_note_energies(x, grid)
+        assert got.shape == want.shape == (1 + n // grid.hop, 84)
+        peak = want.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * peak)
+
+    def test_matches_per_note_oracle_at_another_rate(self, rng):
+        grid16k = dsp.frame_grid_for_rate(16000)
+        x = rng.standard_normal(20000)
+        want = reference_cqt_note_energies(x, grid16k)
+        got = acoustic._cqt_note_energies(x, grid16k)
+        assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
+
+    def test_silence_is_exactly_zero(self, grid):
+        assert np.all(acoustic._cqt_note_energies(np.zeros(FS), grid) == 0.0)
+
+    def test_note_tone_energy_is_a_quarter(self, grid):
+        # a unit-amplitude tone at A4 gives ~0.25 in the A4 column
+        energies = acoustic._cqt_note_energies(sine(440.0, FS, 1.0), grid)
+        mid = energies[len(energies) // 2]
+        assert int(np.argmax(mid)) == 69 - acoustic.CQT_MIDI_LO
+        assert mid[69 - acoustic.CQT_MIDI_LO] == pytest.approx(0.25, rel=1e-3)
+
+    def test_kernel_blocks_are_cached_and_small(self):
+        blocks = acoustic._cqt_octave_blocks(FS)
+        assert acoustic._cqt_octave_blocks(FS) is blocks
+        assert [b.shape[1] for b in blocks] == [24] * 7
+        assert sum(b.nbytes for b in blocks) <= 3 * 2**20
+        assert not any(b.flags.writeable for b in blocks)
 
 
 class TestChromaCens:

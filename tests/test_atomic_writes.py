@@ -84,7 +84,7 @@ def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("suffix", [".csv", ".pgm"])
 def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeypatch):
-    """The export writes the CSV, then the PGM; the one that fails keeps its old bytes."""
+    """Whichever of the two files fails, the CSV and the PGM both keep their old bytes."""
     prefix = tmp_path / "spec"
     spectrogram_export(np.random.default_rng(1).standard_normal(3000), prefix)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -97,6 +97,7 @@ def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeyp
     monkeypatch.setattr(serialize, "open", failing_open, raising=False)
     with pytest.raises(DataError, match="disk full"):
         spectrogram_export(np.random.default_rng(2).standard_normal(3000), prefix)
-    target = prefix.with_suffix(suffix)
-    assert target.read_bytes() == before[target.name]
+    for other in (".csv", ".pgm"):
+        target = prefix.with_suffix(other)
+        assert target.read_bytes() == before[target.name]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)

@@ -83,6 +83,13 @@ class TestPipelineCommands:
         curve = (root / "out" / "kpca" / "explained_variance.csv").read_text().splitlines()
         assert curve[0] == "scope,component,cumulative_fraction"
         assert len(curve) == 1 + 30
+        summary = summary_of(out)
+        model = eeg.load_kpca(root / "out" / "kpca" / "pooled.kpca")
+        assert summary["effective_rank"] == {"pooled": model.effective_rank}
+        assert summary["effective_rank"]["pooled"] == 30
+        assert summary["explained_variance"] == {"pooled": float(eeg.explained_variance_curve(model)[-1])}
+        assert f"{summary['explained_variance']['pooled']:.9g}" == curve[-1].split(",")[2]
+        assert 0.0 < summary["explained_variance"]["pooled"] <= 1.0
 
     def test_07_train_synth(self, workspace):
         root, config = workspace

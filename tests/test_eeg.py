@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from eegspeech import dsp, eeg, serialize
+from eegspeech import dataio, dsp, eeg, serialize
 from eegspeech.dataio import EegRecording
 from eegspeech.errors import DataError
 
@@ -347,6 +348,76 @@ class TestKpca:
         model = eeg.kpca_fit(rng.standard_normal((40, 155)))
         with pytest.raises(ValueError):
             eeg.kpca_transform(model, rng.standard_normal((5, 154)))
+
+
+@pytest.fixture(scope="module")
+def stat_features():
+    """~430 frames of the 155 statistics of seven preprocessed 2 s synthetic trials."""
+    rng = np.random.default_rng(5)
+    seqs = []
+    for _ in range(7):
+        data, _, _ = dataio.synthesize_trial(rng, 2.0)
+        seqs.append(eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data)), GRID).values)
+    return np.vstack(seqs)
+
+
+class TestKpcaAgainstDenseEigh:
+    """Lanczos eigenpairs against the dense `scipy.linalg.eigh` subset of the
+    same centered kernel: eigenvalues within 1e-12 relative and eigenvectors
+    within 1e-12 of |cos| = 1 on the components above the rank cutoff."""
+
+    @staticmethod
+    def assert_matches_dense(model: eeg.KpcaModel, rank: int):
+        kc = _centered_train_kernel(model)
+        n = len(kc)
+        vals, vecs = scipy.linalg.eigh(kc, subset_by_index=[n - model.out_dim, n - 1])
+        vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
+        assert model.effective_rank == rank
+        assert np.all(np.abs(model.eigenvalues[:rank] - vals) <= 1e-12 * vals)
+        unit = model.coefficients[:, :rank] * np.sqrt(model.eigenvalues[:rank])
+        assert np.all(np.abs(np.sum(unit * vecs, axis=0)) >= 1.0 - 1e-12)
+        assert np.all(model.coefficients[:, rank:] == 0.0)
+        assert np.all(np.diff(model.eigenvalues) <= 0.0)
+
+    def test_stat_features(self, stat_features):
+        assert 400 <= len(stat_features) <= 450
+        self.assert_matches_dense(eeg.kpca_fit(stat_features), 30)
+
+    def test_one_row_more_than_out_dim(self, rng):
+        self.assert_matches_dense(eeg.kpca_fit(rng.standard_normal((31, 155))), 30)
+
+    def test_rank_below_out_dim(self, rng):
+        # six distinct points: the centered kernel has rank 5
+        x = np.repeat(rng.standard_normal((6, 155)), 10, axis=0)
+        self.assert_matches_dense(eeg.kpca_fit(x), 5)
+
+    def test_exactly_centered_kernel(self):
+        # small integers: the kernel, its means and its row sums are exact, so
+        # the constant vector is exactly in the null space of the centered
+        # kernel and cannot serve as the Lanczos start vector
+        x = np.random.default_rng(0).integers(-1, 2, size=(64, 155)).astype(np.float64)
+        model = eeg.kpca_fit(x, degree=1, gamma=1.0, coef0=0.0)
+        assert np.all(_centered_train_kernel(model).sum(axis=1) == 0.0)
+        self.assert_matches_dense(model, 30)
+
+    def test_deterministic(self, stat_features):
+        a, b = eeg.kpca_fit(stat_features), eeg.kpca_fit(stat_features)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+    @pytest.mark.parametrize("rows, exact_zero", [
+        (lambda rng: np.zeros((40, 155)), True),
+        (lambda rng: np.ones((40, 155)), True),
+        (lambda rng: np.tile(3.0 * rng.standard_normal(155), (37, 1)), False),
+    ], ids=["zero-rows", "identical-rows", "rounding-noise"])
+    def test_degenerate_kernel_has_rank_zero(self, rows, exact_zero, rng):
+        x = rows(rng)
+        model = eeg.kpca_fit(x)
+        assert np.all(_centered_train_kernel(model) == 0.0) == exact_zero
+        assert model.effective_rank == 0
+        assert np.all(model.eigenvalues == 0.0)
+        assert np.all(model.coefficients == 0.0)
+        assert np.all(eeg.kpca_transform(model, x) == 0.0)
 
 
 def _centered_train_kernel(model: eeg.KpcaModel) -> np.ndarray:
