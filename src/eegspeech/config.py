@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,8 +115,13 @@ def _convert(section: str, key: str, raw: str, tag: str):
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return float(raw)
+        if tag == "gamma" and raw.lower() in ("auto", "none", ""):
+            return None
+        if tag in ("float", "gamma"):
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if tag == "bool":
             low = raw.lower()
             if low in _BOOL_TRUE:
@@ -123,8 +129,6 @@ def _convert(section: str, key: str, raw: str, tag: str):
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(raw)
-        if tag == "gamma":
-            return None if raw.lower() in ("auto", "none", "") else float(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {tag}") from exc
@@ -176,6 +180,8 @@ def parse_config(path: str | Path | None) -> RunConfig:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
     for section in parser.sections():

@@ -160,6 +160,10 @@ def read_wav(path: str | Path) -> AudioClip:
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataError(f"{path}: malformed WAV header ({exc})") from exc
+    except RuntimeError as exc:  # wave's chunk reader, on a chunk size past the end of the file
+        raise DataError(f"{path}: malformed WAV, a chunk runs past the end of the file") from exc
+    if len(raw) % 2:
+        raise DataError(f"{path}: WAV data is {len(raw)} bytes, not whole 16-bit samples")
     words = np.frombuffer(raw, dtype="<i2")
     if len(words) < 1:
         raise DataError(f"{path}: empty WAV")

@@ -295,7 +295,12 @@ class KpcaModel:
 
 
 def _poly_kernel(a: np.ndarray, b: np.ndarray, gamma: float, coef0: float, degree: int) -> np.ndarray:
-    return (gamma * (a @ b.T) + coef0) ** degree
+    """(gamma·a·bᵀ + coef0)^degree, built in place on the GEMM result."""
+    k = a @ b.T
+    k *= gamma
+    k += coef0
+    k **= degree
+    return k
 
 
 def kpca_fit(

@@ -1,12 +1,17 @@
 """Sequence layers with explicit forward/backward passes on numpy tensors.
 
 Batches are (batch, time, features). Every layer caches what its backward pass
-needs during forward; backward returns the input gradient and accumulates
-parameter gradients in-place. Training arithmetic is float32 by default;
-gradient verification builds float64 stacks.
+needs during forward; backward accumulates parameter gradients in place and
+returns the input gradient. A caller that has no use for the input gradient
+(the first layer of a stack) passes need_input_grad=False: the TCN block and
+the GRU then skip their input-gradient GEMM and return None, and the other
+layers ignore the flag. Training arithmetic is float32 by default; gradient
+verification builds float64 stacks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +31,7 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
@@ -52,7 +57,8 @@ class TcnBlock(Layer):
     every tap (and the projection) side by side, then a shift-add of the
     out-wide tap outputs, so no (B, T, k*in) im2col buffer is ever built.
     Backward shifts the output gradient back into the same layout and forms
-    all weight gradients and the input gradient as one GEMM each.
+    all weight gradients and, when asked for, the input gradient as one GEMM
+    each.
     """
 
     def __init__(self, in_dim: int, out_dim: int, kernel_size: int = 3, dilation: int = 1,
@@ -104,14 +110,13 @@ class TcnBlock(Layer):
         self._cache = (x, mask)
         return z
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         x, relu_mask = self._cache
         b, t, n = x.shape
         k, o = self.kernel_size, self.out_dim
 
-        w_all = self._w_all()
         gz = grad_out * relu_mask
-        g = np.zeros((b, t, w_all.shape[1]), dtype=grad_out.dtype)
+        g = np.zeros((b, t, k * o if self.proj is None else (k + 1) * o), dtype=grad_out.dtype)
         for j, s in self._shifts(t):
             g[:, : t - s, j * o : (j + 1) * o] = gz[:, s:]
         if self.proj is not None:
@@ -122,7 +127,9 @@ class TcnBlock(Layer):
         self.grads[1] += gz.sum(axis=(0, 1))
         if self.proj is not None:
             self.grads[2] += gw[:, k * o :]
-        gx = (g2 @ w_all.T).reshape(b, t, n)
+        if not need_input_grad:
+            return None
+        gx = (g2 @ self._w_all().T).reshape(b, t, n)
         if self.use_residual and self.proj is None:
             gx += grad_out
         return gx
@@ -141,7 +148,7 @@ class UpsampleRepeat(Layer):
         self._in_time = x.shape[1]
         return np.repeat(x, self.k, axis=1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         b, tk, f = grad_out.shape
         return grad_out.reshape(b, self._in_time, self.k, f).sum(axis=2)
 
@@ -149,12 +156,33 @@ class UpsampleRepeat(Layer):
         return self.k * t
 
 
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: float) -> np.ndarray:
+    """`rng.random(shape, dtype) >= rate`, bit for bit, from the raw generator words.
+
+    numpy forms a float32 uniform as (u32 >> 8)·2⁻²⁴ from the low, then the
+    high half of each 64-bit word, and a float64 one as (u64 >> 11)·2⁻⁵³, so
+    the comparison is an integer one against ceil(rate·2²⁴) << 8 or
+    ceil(rate·2⁵³) << 11, with no float array built. Unlike rng.random, an
+    odd-sized float32 draw does not keep the spare half-word for the next draw.
+    """
+    n = math.prod(shape)
+    if np.dtype(dtype) == np.float32:
+        words = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+        threshold, bits = math.ceil(float(np.float32(rate)) * 2**24) << 8, 32
+    else:
+        words = rng.bit_generator.random_raw(n)
+        threshold, bits = math.ceil(rate * 2**53) << 11, 64
+    if threshold >= 2**bits:
+        return np.zeros(shape, dtype=bool)
+    return (words >= threshold).reshape(shape)
+
+
 class Dropout(Layer):
     """Inverted dropout: identity at inference, seeded mask while training.
 
-    The uniform draw is made in the input's dtype, and the mask is cached as
-    booleans with the 1/keep scale applied to the product, so a float32 step
-    never holds a float64 or float32 copy of the mask.
+    The keep mask is drawn as integer words (see _keep_mask) and cached as
+    booleans with the 1/keep scale applied to the product, so a step never
+    holds a float copy of the mask.
     """
 
     def __init__(self, rate: float = 0.2, seed: int = 0):
@@ -169,13 +197,13 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        self._mask = self.rng.random(x.shape, dtype=x.dtype) >= self.rate
+        self._mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate)
         self._scale = x.dtype.type(1.0) / (1.0 - self.rate)
         y = x * self._mask
         y *= self._scale
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             return grad_out
         g = grad_out * self._mask
@@ -202,7 +230,7 @@ class TimeDistributedDense(Layer):
         self._x = x
         return x @ self.w + self.b
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
         b, t, _ = self._x.shape
         self.grads[0] += self._x.reshape(b * t, -1).T @ grad_out.reshape(b * t, -1)
         self.grads[1] += grad_out.sum(axis=(0, 1))
@@ -222,9 +250,9 @@ class GruLayer(Layer):
 
     The input projections of all steps are one GEMM before the recurrence, and
     z and r share one recurrent GEMM per step. Backward keeps only the
-    recurrence in its loop and forms every weight gradient and the input
-    gradient as one GEMM over all steps afterwards. Caches are time-major
-    (T, B, .) so each step's slice is contiguous.
+    recurrence in its loop and forms every weight gradient and, when asked
+    for, the input gradient as one GEMM over all steps afterwards. Caches are
+    time-major (T, B, .) so each step's slice is contiguous.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
@@ -269,7 +297,7 @@ class GruLayer(Layer):
         self._cache = (xs, w, zr, hcs, hs, rh)
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         xs, w, zr, hcs, hs, rh = self._cache
         t, b, _ = xs.shape
         hd = self.hidden
@@ -302,6 +330,8 @@ class GruLayer(Layer):
         gb_z += gb[:hd]
         gb_r += gb[hd : 2 * hd]
         gb_h += gb[2 * hd :]
+        if not need_input_grad:
+            return None
         gx = (da_all @ w.T).reshape(t, b, -1)
         return np.ascontiguousarray(gx.transpose(1, 0, 2))
 

@@ -43,10 +43,11 @@ class Model:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate every parameter gradient; the flag goes to the first layer only."""
+        for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        return self.layers[0].backward(grad_out, need_input_grad=need_input_grad)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference mode: dropout off, deterministic."""

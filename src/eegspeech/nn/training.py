@@ -1,5 +1,5 @@
-"""Training loop (seeded shuffling, length-bucketed padded batches, masked MSE,
-Adam) plus the finite-difference gradient verifier."""
+"""Training loop (seeded shuffling, length-bucketed padded batches run in
+micro-batches, masked MSE, Adam) plus the finite-difference gradient verifier."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ from ..errors import NumericError
 from ..serialize import atomic_open
 from .layers import Adam, mse_loss
 from .models import Model
+
+# Input time steps per forward/backward pass: a padded batch is run in slices of
+# whole trials that each stay at or below this (4 two-second trials), with the
+# gradients accumulated into one optimizer step. A slice's activations then stay
+# in the hundreds of MiB whatever the batch size.
+MICRO_BATCH_STEPS = 8000
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,25 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
         count_sum = 0.0
         for bi in rng.permutation(len(batches)):
             xb, yb, mask = _assemble(train_pairs, batches[bi], model, dtype)
-            pred = model.forward(xb, training=True)
-            loss, grad = mse_loss(pred, yb, mask)
-            if not np.isfinite(loss):
-                raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
             count = float(mask.sum()) * yb.shape[-1]
-            sq_sum += loss * count
-            count_sum += count
+            if count == 0:
+                raise ValueError("empty mask")
             model.zero_grad()
-            model.backward(grad)
+            step = max(1, MICRO_BATCH_STEPS // xb.shape[1])
+            for lo in range(0, len(xb), step):
+                # Every slice runs forward, so the dropout draws are those of the whole batch.
+                rows = slice(lo, lo + step)
+                pred = model.forward(xb[rows], training=True)
+                part = float(mask[rows].sum()) * yb.shape[-1]
+                if part == 0:
+                    continue
+                loss, grad = mse_loss(pred, yb[rows], mask[rows])
+                if not np.isfinite(loss):
+                    raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
+                sq_sum += loss * part
+                count_sum += part
+                grad *= grad.dtype.type(part / count)
+                model.backward(grad, need_input_grad=False)
             optimizer.step(model.grads())
         val_loss = _epoch_loss(model, val_pairs, val_batches, dtype) if val_batches else None
         history.epochs.append(
@@ -141,7 +157,7 @@ def finite_diff_grad_check(
     model.zero_grad()
     pred = model.forward(x, training=False)
     _, grad = mse_loss(pred, y)
-    model.backward(grad)
+    model.backward(grad, need_input_grad=False)
     analytic = [g.copy() for g in model.grads()]
 
     coords = [(pi, flat) for pi, p in enumerate(model.params()) for flat in range(p.size)]

@@ -195,6 +195,11 @@ class TestExitCodes:
         config.write_text("[synthesis]\nepochs = -1\n")
         assert cli.main(["split", "--config", str(config)]) == 1
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path):
+        config = tmp_path / "latin1.ini"
+        config.write_bytes(b"[paths]\nout_dir = \xe9t\xe9\n")
+        assert cli.main(["split", "--config", str(config)]) == 1
+
     def test_audio_rate_not_matching_synthesis_is_usage_error(self, workspace, tmp_path):
         _, base = workspace
         config = tmp_path / "rate.ini"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegspeech.config import (
     RunConfig,
@@ -56,6 +58,36 @@ class TestParseConfig:
         path.write_text("[training]\nthis is not a key value pair\n")
         with pytest.raises(ConfigError, match="line"):
             parse_config(path)
+
+    @pytest.mark.parametrize("line", ["[training]\nlearning_rate = nan", "[features]\nframe_rate_hz = inf",
+                                      "[kpca]\ngamma = -inf", "[dataset]\nduration_s = 1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, line):
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[paths]\nout_dir = sortie_\u00e9t\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_config(path)
+
+    @given(raw=st.binary(max_size=80), text=st.text(max_size=60),
+           mode=st.sampled_from(["bytes", "text", "value"]))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_config_error(self, raw, text, mode, tmp_path_factory):
+        path = tmp_path_factory.mktemp("config") / "fuzz.ini"
+        if mode == "bytes":
+            path.write_bytes(raw)
+        elif mode == "text":
+            path.write_text(text, encoding="utf-8")
+        else:
+            path.write_bytes(b"[training]\nbatch_size = " + raw + b"\n[dataset]\nduration_s = 2\n")
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "bad.ini"

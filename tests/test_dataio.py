@@ -52,6 +52,22 @@ class TestWavIo:
         with pytest.raises(DataError, match="malformed"):
             dataio.read_wav(path)
 
+    def test_odd_data_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        dataio.write_wav(path, dataio.AudioClip(15000, np.zeros(20)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match="whole 16-bit samples"):
+            dataio.read_wav(path)
+
+    def test_chunk_past_end_of_file_rejected(self, tmp_path):
+        path = tmp_path / "long_fmt.wav"
+        dataio.write_wav(path, dataio.AudioClip(15000, np.zeros(20)))
+        raw = path.read_bytes()
+        assert raw[12:16] == b"fmt "
+        path.write_bytes(raw[:16] + struct.pack("<I", 1000) + raw[20:])
+        with pytest.raises(DataError, match="past the end"):
+            dataio.read_wav(path)
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave.open(str(path), "wb") as fh:
@@ -389,6 +405,18 @@ class TestReaderFuzz:
         else:
             path.write_text(json.dumps(fields if top == "dict" else list(fields.values())))
         _only_data_error(dataio.load_split, path)
+
+    @given(edits=st.lists(st.tuples(st.integers(0, 83), st.integers(0, 255)), max_size=4),
+           cut=st.integers(0, 84), appended=st.binary(max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_read_wav(self, edits, cut, appended, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wav") / "clip.wav"
+        dataio.write_wav(path, dataio.AudioClip(15000, np.linspace(-0.5, 0.5, 20)))
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos] = value
+        path.write_bytes(bytes(raw[: len(raw) - cut]) + appended)
+        _only_data_error(dataio.read_wav, path)
 
     @given(entries=st.lists(st.dictionaries(st.sampled_from(_MANIFEST_KEYS + ("other",)), _JSON_VALUES),
                             max_size=3),

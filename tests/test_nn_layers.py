@@ -57,6 +57,20 @@ def check_layer_grads(layer, x, rng, tol=1e-4):
         assert rel(analytic_p, numeric_p).max() < tol
 
 
+def assert_skipped_input_grad_keeps_param_grads(layer, x, rng):
+    """backward(need_input_grad=False) returns None and the same parameter gradients."""
+    grad_out = rng.standard_normal(layer.forward(x).shape)
+    grads = []
+    for need in (True, False):
+        layer.zero_grad()
+        layer.forward(x)
+        gx = layer.backward(grad_out, need_input_grad=need)
+        assert (gx is None) == (not need)
+        grads.append([g.copy() for g in layer.grads])
+    for full, skipped in zip(*grads):
+        assert np.array_equal(full, skipped)
+
+
 class TestTcnBlock:
     @pytest.mark.parametrize("trial", range(10))
     def test_gradients(self, trial):
@@ -69,6 +83,11 @@ class TestTcnBlock:
         layer = nn.TcnBlock(in_dim, out_dim, k, d, use_residual=residual, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, int(rng.integers(3, 8)), in_dim))
         check_layer_grads(layer, x, rng)
+
+    @pytest.mark.parametrize("in_dim, out_dim, residual", [(3, 5, True), (4, 4, True), (4, 4, False)])
+    def test_skipped_input_grad_keeps_param_grads(self, rng, in_dim, out_dim, residual):
+        layer = nn.TcnBlock(in_dim, out_dim, 3, 2, use_residual=residual, rng=rng, dtype=np.float64)
+        assert_skipped_input_grad_keeps_param_grads(layer, rng.standard_normal((2, 9, in_dim)), rng)
 
     def test_output_time_length_equals_input(self, rng):
         layer = nn.TcnBlock(4, 8, kernel_size=3, rng=rng, dtype=np.float64)
@@ -174,6 +193,26 @@ class TestDropout:
         keep = (np.random.default_rng(seed).random(x.shape) >= rate).astype(np.float64)
         assert np.array_equal(y, x * (keep / (1.0 - rate)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.05, 0.2, 0.5, 0.9, 0.999])
+    def test_masks_match_uniform_draw(self, dtype, rate):
+        seed = 21
+        layer = nn.Dropout(rate, seed=seed)
+        ref = np.random.default_rng(seed)
+        for shape in [(2, 7, 4), (3, 5, 2), (1, 9, 6), (4, 3, 8)]:
+            kept = layer.forward(np.ones(shape, dtype=dtype), training=True) != 0.0
+            assert np.array_equal(kept, ref.random(shape, dtype=dtype) >= rate)
+
+    @pytest.mark.parametrize("dtype, rate", [(np.float32, 1.0 - 2.0**-30),
+                                             (np.float64, float(np.nextafter(1.0, 0.0)))])
+    def test_rate_near_one_drops_everything(self, dtype, rate):
+        layer = nn.Dropout(rate, seed=4)
+        ref = np.random.default_rng(4)
+        for shape in [(2, 5, 4), (1, 8, 2)]:
+            y = layer.forward(np.ones(shape, dtype=dtype), training=True)
+            assert not np.any(y)
+            assert not np.any(ref.random(shape, dtype=dtype) >= rate)
+
     def test_backward_uses_same_mask(self, rng):
         layer = nn.Dropout(0.4, seed=3)
         x = rng.standard_normal((2, 6, 4))
@@ -216,6 +255,10 @@ class TestGru:
         t = int(rng.integers(2, 13))
         x = rng.standard_normal((2, t, layer.in_dim))
         check_layer_grads(layer, x, rng)
+
+    def test_skipped_input_grad_keeps_param_grads(self, rng):
+        layer = nn.GruLayer(5, 6, rng=rng, dtype=np.float64)
+        assert_skipped_input_grad_keeps_param_grads(layer, rng.standard_normal((3, 7, 5)), rng)
 
     def test_zero_params_zero_output(self, rng):
         layer = nn.GruLayer(3, 4, dtype=np.float64)

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eegspeech import nn, pipeline, serialize
 from eegspeech.errors import DataError, NumericError
+from eegspeech.nn import training
 
 
 class TestSynthesisModel:
@@ -194,6 +196,72 @@ class TestTrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 4
+
+
+class TestModelBackward:
+    @pytest.mark.parametrize("kind", ["synthesis", "regression"])
+    def test_skipped_input_grad_keeps_param_grads(self, rng, kind):
+        if kind == "synthesis":
+            model = nn.build_synthesis_model(seed=3, filters=(6, 4), dtype=np.float64)
+            x = rng.standard_normal((2, 9, 31))
+        else:
+            model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, dtype=np.float64)
+            x = rng.standard_normal((2, 9, 30))
+        grad_out = rng.standard_normal(model.forward(x).shape)
+        grads = []
+        for need in (True, False):
+            model.zero_grad()
+            model.forward(x)
+            gx = model.backward(grad_out, need_input_grad=need)
+            assert (gx is None) == (not need)
+            grads.append([g.copy() for g in model.grads()])
+        for full, skipped in zip(*grads):
+            assert np.array_equal(full, skipped)
+
+
+class TestMicroBatches:
+    """A batch longer than MICRO_BATCH_STEPS is run in slices whose gradients
+    add up to the whole batch's."""
+
+    @staticmethod
+    def _one_step_grads(kind, dtype, pairs, steps, monkeypatch):
+        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", steps)
+        if kind == "synthesis":
+            model = nn.build_synthesis_model(seed=6, filters=(8, 4), dtype=dtype)
+        else:
+            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8, dtype=dtype)
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=len(pairs), seed=3))
+        return [g.copy() for g in model.grads()], history.final_train_loss()
+
+    @pytest.mark.parametrize("kind", ["synthesis", "regression"])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_slices_match_whole_batch(self, rng, monkeypatch, kind, dtype, tol):
+        lengths = rng.integers(12, 41, size=10)
+        if kind == "synthesis":
+            pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
+        else:
+            pairs = [(rng.standard_normal((n, 30)), rng.standard_normal((n, 2))) for n in lengths]
+        t_in = int(lengths.max())
+        whole, whole_loss = self._one_step_grads(kind, dtype, pairs, 10 * t_in, monkeypatch)
+        sliced, sliced_loss = self._one_step_grads(kind, dtype, pairs, 3 * t_in, monkeypatch)
+        for w, s in zip(whole, sliced):
+            assert np.max(np.abs(w - s)) <= tol * np.max(np.abs(w))
+        assert sliced_loss == pytest.approx(whole_loss, rel=tol)
+
+    def test_stock_batch_memory_stays_at_one_slice(self, rng):
+        def epoch_peak(n_trials):
+            pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+                      0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_trials)]
+            model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+            tracemalloc.start()
+            try:
+                nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=n_trials, seed=0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial epoch is one slice
+        assert epoch_peak(12) < 2 * epoch_peak(4)
 
 
 class TestCheckpoint:
