@@ -57,9 +57,6 @@ FEATURE_ORDER = tuple(FEATURE_DIMS)
 FEATURE_LABELS = {f"f{i + 1}": kind for i, kind in enumerate(FEATURE_ORDER)}
 TOTAL_DIM = sum(FEATURE_DIMS.values())  # 571
 
-PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
-
-
 def kind_for_label(label: str) -> str:
     if label in FEATURE_DIMS:
         return label

@@ -17,7 +17,7 @@ import numpy as np
 from . import acoustic, dataio, dsp, eeg, nn, pipeline
 from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import spectrogram_export
+from .evaluate import evaluate_acoustic, spectrogram_export
 from .serialize import atomic_open, load_container, save_container
 
 # Container kinds of the per-trial intermediates under out_dir.
@@ -168,9 +168,8 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
     options = pipeline.preprocess_options(cfg)
     clean_dir = _clean_dir(cfg)
     clean_dir.mkdir(parents=True, exist_ok=True)
-    # every trial goes through the same steps: the ones `options` switches on
-    steps = {"bandpassed": True, "notched": True, "ica_cleaned": options.run_ica,
-             "zscored": options.zscore}
+    # every trial goes through the same steps; only ICA is switchable
+    steps = {"bandpassed": True, "notched": True, "ica_cleaned": options.run_ica, "zscored": True}
     ids = _filter_ids(manifest, manifest.ids(), args)
     for trial_id in ids:
         trial = manifest.load_trial(trial_id)
@@ -266,6 +265,8 @@ def cmd_eval_synth(cfg: RunConfig, args) -> None:
         raise DataError(f"missing checkpoint {ckpt}; run train-synth first")
     model = nn.load_model(ckpt)
     test_ids = _filter_ids(manifest, split.test_ids, args)
+    if not test_ids:
+        raise DataError("no test trials after filtering")
     cleans = {tid: _load_clean(cfg, tid) for tid in test_ids}
     examples = pipeline.build_synthesis_dataset(manifest, test_ids, cfg, cleans)
     report = pipeline.evaluate_synthesis_model(
@@ -289,8 +290,11 @@ def cmd_eval_regress(cfg: RunConfig, args) -> None:
             raise DataError(f"missing regression checkpoint for kind {kind!r} at {path}")
         bundles[kind] = pipeline.RegressorBundle.load(path)
     examples = _regression_examples(cfg, manifest, split.test_ids, args)
-    report = pipeline.evaluate_regression_bundles(
-        bundles, examples, {"seed": cfg.seed, "config_hash": config_hash(cfg)}
+    if not examples:
+        raise DataError("no test trials after filtering")
+    report = evaluate_acoustic(
+        {kind: b.predict for kind, b in bundles.items()}, examples,
+        {"seed": cfg.seed, "config_hash": config_hash(cfg)},
     )
     metrics_dir = Path(cfg.out_dir) / "metrics"
     metrics_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +384,8 @@ def build_parser() -> _Parser:
             p.add_argument("--epochs", type=int, default=None)
 
     p = add("train-regress")
-    p.add_argument("--kind", default="all", help="feature kind or label fN, or 'all'")
+    p.add_argument("--kind", default="all", choices=("all", *acoustic.FEATURE_LABELS, *acoustic.FEATURE_ORDER),
+                   metavar="KIND", help="feature kind or label fN, or 'all'")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--subject", type=int, default=None)
     p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)

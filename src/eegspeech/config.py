@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import dsp
 from .dataio import EEG_SAMPLE_RATE_HZ
 from .errors import ConfigError
 from .nn.models import SynthesisModel
@@ -153,10 +154,20 @@ def validate_config(cfg: RunConfig) -> None:
             f"{SynthesisModel.upsample_factor} audio samples per {EEG_SAMPLE_RATE_HZ} Hz EEG sample, "
             f"got {cfg.audio_rate_hz}"
         )
+    # dsp holds the valid ranges: build the filters and grids the stages will build
+    try:
+        dsp.design_butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_lo_hz, cfg.bandpass_hi_hz,
+                                        EEG_SAMPLE_RATE_HZ)
+        dsp.design_iir_notch(cfg.notch_hz, cfg.notch_q, EEG_SAMPLE_RATE_HZ)
+    except ValueError as exc:
+        raise ConfigError(f"[preprocess] {exc}") from exc
+    try:
+        for fs in (EEG_SAMPLE_RATE_HZ, cfg.audio_rate_hz):
+            dsp.frame_grid_for_rate(fs, cfg.frame_rate_hz)
+    except ValueError as exc:
+        raise ConfigError(f"[features] {exc}") from exc
     if not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
-    if not (0 < cfg.bandpass_lo_hz < cfg.bandpass_hi_hz):
-        raise ConfigError("bandpass_lo_hz must be positive and below bandpass_hi_hz")
     ratios = (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio)
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r <= 0 for r in ratios):
         raise ConfigError(f"split ratios must be positive and sum to 1, got {ratios}")

@@ -71,6 +71,8 @@ def design_iir_notch(f0_hz: float = 60.0, q: float = 30.0, fs_hz: float = 1000.0
     """Second-order notch with a true zero at f0_hz; -3 dB bandwidth f0/q."""
     if not (0 < f0_hz < fs_hz / 2):
         raise ValueError(f"invalid notch frequency {f0_hz} for fs={fs_hz}")
+    if not (q > 0):
+        raise ValueError(f"notch quality factor must be positive, got {q}")
     b, a = sps.iirnotch(f0_hz, q, fs=fs_hz)
     sos = np.hstack([b, a])[None, :]
     return IirFilter(sos, f"iir-notch f0={f0_hz}Hz q={q} fs={fs_hz}Hz")
@@ -131,13 +133,11 @@ class FrameGrid:
                 f"hop {self.hop} does not realize ~{self.target_rate_hz} Hz at fs={self.sample_rate_hz}"
             )
 
-    @property
-    def effective_rate_hz(self) -> float:
-        return self.sample_rate_hz / self.hop
-
 
 def frame_grid_for_rate(fs_hz: int, target_rate: float = 31.0) -> FrameGrid:
     """Integer-hop grid closest to target_rate: hop = round(fs / target)."""
+    if not (target_rate > 0):
+        raise ValueError(f"frame rate must be positive, got {target_rate}")
     if fs_hz < target_rate:
         raise ValueError(f"sample rate {fs_hz} too small for a {target_rate} Hz grid")
     return FrameGrid(int(fs_hz), int(round(fs_hz / target_rate)), target_rate)

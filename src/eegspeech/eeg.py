@@ -36,7 +36,6 @@ class PreprocessOptions:
     run_ica: bool = False
     ica_kurtosis_threshold: float = 8.0
     ica_seed: int = 0
-    zscore: bool = True
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,7 @@ def preprocess_eeg(rec: EegRecording, options: PreprocessOptions | None = None) 
         result = fast_ica(data, seed=options.ica_seed)
         data, _ = remove_artifact_components(result, options.ica_kurtosis_threshold)
 
-    if options.zscore:
-        data = zscore_channels(data)
-
-    return CleanEeg(data, sample_rate_hz=fs)
+    return CleanEeg(zscore_channels(data), sample_rate_hz=fs)
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +99,9 @@ class IcaResult:
     converged: bool
     n_iter: int
 
-    @property
-    def mixing(self) -> np.ndarray:
-        """Inverse of unmixing in whitened space (transpose of an orthonormal matrix)."""
-        return self.unmixing.T
-
-    def whitened(self) -> np.ndarray:
-        return self.mixing @ self.components
-
-    def reconstruct(self, keep: np.ndarray | None = None) -> np.ndarray:
+    def reconstruct(self, keep: np.ndarray) -> np.ndarray:
         """Back-project components to signal space, zeroing dropped ones."""
-        comps = self.components if keep is None else self.components * np.asarray(keep)[:, None]
+        comps = self.components * np.asarray(keep)[:, None]
         return self.dewhitening @ (self.unmixing.T @ comps) + self.mean[:, None]
 
 
@@ -125,7 +113,6 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
 
 def fast_ica(
     data: np.ndarray,
-    n_components: int | None = None,
     seed: int = 0,
     max_iter: int = 200,
     tol: float = 1e-4,
@@ -140,16 +127,12 @@ def fast_ica(
     if data.ndim != 2:
         raise ValueError("data must be channels x samples")
     n_ch, n_samples = data.shape
-    if n_components is None:
-        n_components = n_ch
-    if n_components > n_ch:
-        raise ValueError(f"n_components {n_components} > channels {n_ch}")
 
     mean = data.mean(axis=1)
     xc = data - mean[:, None]
     cov = (xc @ xc.T) / n_samples
     vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1][:n_components]
+    order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 1e-18)
     vecs = vecs[:, order]
     whitening = (vecs * (1.0 / np.sqrt(vals))).T
@@ -157,7 +140,7 @@ def fast_ica(
     z = whitening @ xc
 
     rng = np.random.default_rng(seed)
-    w = _sym_decorrelate(rng.standard_normal((n_components, n_components)))
+    w = _sym_decorrelate(rng.standard_normal((n_ch, n_ch)))
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -202,14 +185,6 @@ def remove_artifact_components(
 
 # ---------------------------------------------------------------------------
 # Per-frame statistical features
-
-def frame_stats(frame: np.ndarray, fs_hz: float = 1000.0) -> np.ndarray:
-    """(rms, zcr, mwa, kurtosis, pse) for one frame of at least 8 samples."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1 or len(frame) < 8:
-        raise ValueError("frame must be 1-D with length >= 8")
-    return _stats_block(frame[None, :])[0]
-
 
 def _stats_block(frames: np.ndarray) -> np.ndarray:
     """Vectorized stats over (n_frames, window) -> (n_frames, 5)."""

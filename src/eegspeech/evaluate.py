@@ -59,12 +59,6 @@ class MetricsReport:
             for row in self.rows:
                 fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
 
-    @staticmethod
-    def from_json(path: str | Path) -> "MetricsReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return MetricsReport(doc["scope"], doc["rows"], doc["metadata"])
-
 
 def _grouped_mean(per_trial: list[dict], keys: tuple[str, ...]) -> list[dict]:
     groups: dict[tuple, list[dict]] = {}

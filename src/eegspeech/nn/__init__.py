@@ -16,7 +16,6 @@ from .models import (
     build_synthesis_model,
     load_model,
     restore_model,
-    synthesis_param_count,
 )
 from .training import TrainConfig, TrainHistory, finite_diff_grad_check, train
 
@@ -24,6 +23,6 @@ __all__ = [
     "Adam", "Dropout", "GruLayer", "Layer", "TcnBlock", "TimeDistributedDense",
     "UpsampleRepeat", "mse_loss", "Model", "RegressionModel", "SynthesisModel",
     "build_regression_model", "build_synthesis_model", "load_model", "restore_model",
-    "synthesis_param_count", "TrainConfig", "TrainHistory",
+    "TrainConfig", "TrainHistory",
     "finite_diff_grad_check", "train",
 ]

@@ -41,9 +41,6 @@ class Layer:
     def output_length(self, t: int) -> int:
         return t
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params)
-
 
 class TcnBlock(Layer):
     """Causal dilated convolution + ReLU + residual add.

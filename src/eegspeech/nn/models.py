@@ -63,16 +63,10 @@ class Model:
         for layer in self.layers:
             layer.zero_grad()
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
-
     def output_length(self, t: int) -> int:
         for layer in self.layers:
             t = layer.output_length(t)
         return t
-
-    def out_dim(self) -> int:
-        return self.config["out_dim"]
 
     def named_params(self) -> dict[str, np.ndarray]:
         """Parameters under their checkpoint names, layerNN_pJ."""
@@ -165,15 +159,6 @@ def build_regression_model(
         "dtype": np.dtype(dtype).name,
     }
     return RegressionModel(layers, config, in_dim)
-
-
-def synthesis_param_count(in_dim: int, filters: tuple[int, int], kernel_size: int) -> int:
-    """Closed-form parameter total for the synthesis stack."""
-    f1, f2 = filters
-    tcn1 = kernel_size * in_dim * f1 + f1 + (in_dim * f1 if in_dim != f1 else 0)
-    tcn2 = kernel_size * f1 * f2 + f2 + (f1 * f2 if f1 != f2 else 0)
-    dense = f2 * 1 + 1
-    return tcn1 + tcn2 + dense
 
 
 def restore_model(kind: str, config: dict, arrays: dict, source: str | Path = "checkpoint") -> Model:

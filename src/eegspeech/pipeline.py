@@ -16,7 +16,7 @@ from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
 from .dataio import EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
 from .errors import DataError
-from .evaluate import evaluate_acoustic, evaluate_synthesis, mean_baseline_rmse
+from .evaluate import evaluate_synthesis
 from .serialize import load_container, save_container
 
 
@@ -104,12 +104,6 @@ def evaluate_synthesis_model(model, examples: list[dict], metadata: dict | None 
     ]
     predict = lambda x: model.predict(x.astype(np.float32)[None, ...])[0]
     return evaluate_synthesis(predict, trials, metadata)
-
-
-def synthesis_mean_baseline(train_examples: list[dict], test_examples: list[dict]) -> float:
-    return mean_baseline_rmse(
-        [ex["y"][:, 0] for ex in train_examples], [ex["y"][:, 0] for ex in test_examples]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +243,3 @@ def train_regression_kind(
     )
     history = nn.train(model, pairs, train_cfg)
     return RegressorBundle(kind, model, in_scaler, out_scaler), history
-
-
-def evaluate_regression_bundles(bundles: dict[str, RegressorBundle], examples: list[dict],
-                                metadata: dict | None = None):
-    predict_fns = {kind: bundles[kind].predict for kind in bundles}
-    return evaluate_acoustic(predict_fns, examples, metadata)

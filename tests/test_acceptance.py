@@ -100,7 +100,9 @@ def test_criterion_architecture_conformance():
     assert tcn2.w.shape == (3 * 256, 32) and tcn2.proj.shape == (256, 32)
     assert dense.w.shape == (32, 1)
     assert drop.rate == 0.2
-    assert synth.param_count() == nn.synthesis_param_count(31, (256, 32), 3)
+    # TCN1 taps + bias + 1x1 projection, TCN2 likewise, dense weight + bias
+    closed_form = (3 * 31 * 256 + 256 + 31 * 256) + (3 * 256 * 32 + 32 + 256 * 32) + (32 + 1)
+    assert sum(p.size for p in synth.params()) == closed_form
 
     dims = []
     x = rng.standard_normal((1, 5, 30)).astype(np.float32)
@@ -185,7 +187,7 @@ def test_criterion_end_to_end_synthetic_generalization(tmp_path):
     synth_cleans = {tid: eeg.preprocess_eeg(manifest.load_trial(tid).eeg, opts) for tid in manifest.ids()}
     train_ex = pipeline.build_synthesis_dataset(manifest, split.train_ids, synth_cfg, synth_cleans)
     test_ex = pipeline.build_synthesis_dataset(manifest, split.test_ids, synth_cfg, synth_cleans)
-    baseline = pipeline.synthesis_mean_baseline(train_ex, test_ex)
+    baseline = mean_baseline_rmse([ex["y"][:, 0] for ex in train_ex], [ex["y"][:, 0] for ex in test_ex])
     model, _ = pipeline.train_synthesis(train_ex, synth_cfg, epochs=30)
     per_trial = [
         rmse(model.predict(ex["x"].astype(np.float32)[None, ...])[0][:, 0], ex["y"][:, 0])
@@ -321,7 +323,7 @@ def test_criterion_feature_golden_suite():
     loud = float(scalars["loudness"].values[scalars["loudness"].n_frames // 2, 0])
     assert abs(loud - (-3.01)) <= 0.1
 
-    kurt = eeg.frame_stats(np.resize([1.0, -1.0], 64))[3]
+    kurt = eeg.excess_kurtosis(np.resize([1.0, -1.0], 64))
     assert kurt == pytest.approx(-2.0, abs=1e-9)
 
     rng = np.random.default_rng(8)

@@ -177,6 +177,20 @@ class TestPipelineCommands:
         code, _ = run_cli("train-synth", "--config", str(blowup), "--epochs", "50")
         assert code == 3
 
+    @pytest.mark.parametrize("command, report", [("eval-synth", "synthesis.json"), ("eval-regress", "acoustic.json")])
+    def test_17_empty_test_set_keeps_previous_report(self, workspace, capsys, command, report):
+        root, config = workspace
+        split = json.loads((root / "out" / "split.json").read_text())
+        manifest = {t["id"]: t for t in json.loads((root / "data" / "manifest.json").read_text())}
+        subjects = {manifest[tid]["subject"] for tid in split["test_ids"]}
+        absent = max(subjects) + 1
+        path = root / "out" / "metrics" / report
+        before = path.read_bytes()
+        code, _ = run_cli(command, "--config", str(config), "--subject", str(absent))
+        assert code == 2
+        assert "no test trials after filtering" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
 
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
@@ -220,6 +234,33 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
         assert not out.exists() and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command, lines", [
+        ("extract-eeg-feats", "[features]\nframe_rate_hz = 0"),
+        ("extract-eeg-feats", "[features]\nframe_rate_hz = -5"),
+        ("extract-eeg-feats", "[features]\nframe_rate_hz = 400"),
+        ("preprocess", "[preprocess]\nnotch_q = 0"),
+        ("preprocess", "[preprocess]\nnotch_q = -3"),
+        ("preprocess", "[preprocess]\nnotch_hz = 700"),
+        ("preprocess", "[preprocess]\nbandpass_hi_hz = 500"),
+        ("preprocess", "[preprocess]\nbandpass_hi_hz = 600"),
+    ])
+    def test_bad_filter_or_grid_is_usage_error(self, tmp_path, capsys, command, lines):
+        config = tmp_path / "bad.ini"
+        config.write_text(lines + "\n")
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["train-regress", "--kind", "f99", "--out", str(out), "--data-root", str(tmp_path / "d")])
+        assert code == 1
+        assert "f99" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert cli.main(["split", "--data-root", str(tmp_path), "--out", str(tmp_path / "o")]) == 2

@@ -79,6 +79,11 @@ class TestNotch:
         with pytest.raises(ValueError):
             dsp.design_iir_notch(600.0, 30.0, 1000.0)
 
+    @pytest.mark.parametrize("q", [0.0, -3.0])
+    def test_non_positive_q_rejected(self, q):
+        with pytest.raises(ValueError, match="quality factor"):
+            dsp.design_iir_notch(60.0, q, 1000.0)
+
 
 class TestFiltfilt:
     def test_identity_section_preserves_impulse(self):
@@ -208,12 +213,12 @@ class TestFrameGrid:
     def test_eeg_rate(self):
         grid = dsp.frame_grid_for_rate(1000)
         assert grid.hop == 32
-        assert grid.effective_rate_hz == pytest.approx(31.25)
+        assert grid.sample_rate_hz / grid.hop == pytest.approx(31.25)
 
     def test_audio_rate(self):
         grid = dsp.frame_grid_for_rate(15000)
         assert grid.hop == 484
-        assert grid.effective_rate_hz == pytest.approx(30.99, abs=0.01)
+        assert grid.sample_rate_hz / grid.hop == pytest.approx(30.99, abs=0.01)
 
     def test_identity_rate(self):
         assert dsp.frame_grid_for_rate(31).hop == 1
@@ -225,3 +230,8 @@ class TestFrameGrid:
     def test_incompatible_rate_rejected(self):
         with pytest.raises(ValueError):
             dsp.frame_grid_for_rate(100)
+
+    @pytest.mark.parametrize("target", [0.0, -5.0])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(ValueError, match="frame rate must be positive"):
+            dsp.frame_grid_for_rate(1000, target)

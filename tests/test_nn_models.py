@@ -9,6 +9,12 @@ from eegspeech.errors import DataError, NumericError
 from eegspeech.nn import training
 
 
+def test_public_names_resolve():
+    missing = [name for name in nn.__all__ if not hasattr(nn, name)]
+    assert missing == []
+    assert len(set(nn.__all__)) == len(nn.__all__)
+
+
 class TestSynthesisModel:
     def test_maps_t_to_15t(self, rng):
         model = nn.build_synthesis_model(seed=0, filters=(8, 4))
@@ -34,9 +40,12 @@ class TestSynthesisModel:
         assert drop.rate == 0.2
 
     def test_param_count_matches_closed_form(self):
-        for filters in [(256, 32), (8, 4), (16, 16)]:
-            model = nn.build_synthesis_model(seed=0, filters=filters)
-            assert model.param_count() == nn.synthesis_param_count(31, filters, 3)
+        for f1, f2 in [(256, 32), (8, 4), (16, 16)]:
+            model = nn.build_synthesis_model(seed=0, filters=(f1, f2))
+            tcn1 = 3 * 31 * f1 + f1 + 31 * f1  # taps, bias, 1x1 residual projection
+            tcn2 = 3 * f1 * f2 + f2 + (f1 * f2 if f1 != f2 else 0)
+            dense = f2 + 1
+            assert sum(p.size for p in model.params()) == tcn1 + tcn2 + dense
 
     def test_causality_probe(self, rng):
         model = nn.build_synthesis_model(seed=1, filters=(6, 3))
