@@ -17,8 +17,8 @@ import numpy as np
 from . import acoustic, dataio, dsp, eeg, nn, pipeline
 from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import evaluate_acoustic, spectrogram_export
-from .serialize import atomic_open, load_container, save_container
+from .evaluate import MetricsReport, evaluate_acoustic, spectrogram_export
+from .serialize import atomic_open, load_container, save_container, write_json
 
 # Container kinds of the per-trial intermediates under out_dir.
 CLEAN_KIND = "clean-eeg"
@@ -30,12 +30,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Per command: count flag -> the config field it overrides.
+# Per command: count flag -> (the config field it overrides, its type).
 _COUNT_FLAGS = {
-    "gen-data": {"n_trials": "n_trials", "duration": "duration_s"},
-    "train-synth": {"epochs": "synth_epochs"},
-    "train-regress": {"epochs": "regress_epochs"},
+    "gen-data": {"n_trials": ("n_trials", int), "duration": ("duration_s", float)},
+    "train-synth": {"epochs": ("synth_epochs", int)},
+    "train-regress": {"epochs": ("regress_epochs", int)},
 }
+# The commands that take the --subject/--condition trial filters.
+_FILTERED = ("preprocess", "extract-eeg-feats", "fit-kpca", "train-synth", "train-regress",
+             "eval-synth", "eval-regress")
 
 
 def _load_config(args) -> RunConfig:
@@ -45,9 +48,9 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if getattr(args, "data_root", None):
+    if args.data_root:
         cfg.data_root = args.data_root
-    for flag, field_name in _COUNT_FLAGS.get(args.command, {}).items():
+    for flag, (field_name, _) in _COUNT_FLAGS.get(args.command, {}).items():
         value = getattr(args, flag)
         if value is not None:
             setattr(cfg, field_name, value)
@@ -55,76 +58,78 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+# ---------------------------------------------------------------------------
+# The stage frame: select the trials, require the inputs, then write the outputs.
+
+def _select(manifest: dataio.DatasetManifest, ids, args, role: str | None = None) -> list[str]:
+    """`ids` narrowed by --subject/--condition. Given a `role`, the set is
+    required: an empty one is a DataError, raised before the stage writes."""
+    refs = [manifest.by_id(tid) for tid in ids]
+    selected = [ref.id for ref in refs
+                if args.subject in (None, ref.subject) and args.condition in (None, ref.condition)]
+    if role and not selected:
+        raise DataError(f"no {role} trials after filtering")
+    return selected
+
+
+def _require(path: Path, stage: str) -> Path:
+    """`path`, an output of `stage`; a DataError that names the stage if it is missing."""
+    if not path.exists():
+        raise DataError(f"missing {path}; run {stage} first")
+    return path
+
+
+def _stage_dir(cfg: RunConfig, name: str) -> Path:
+    """out_dir/<name>, created to take a stage's outputs."""
+    path = Path(cfg.out_dir) / name
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _manifest(cfg: RunConfig) -> dataio.DatasetManifest:
     return dataio.load_manifest(Path(cfg.data_root) / "manifest.json")
 
 
 def _split(cfg: RunConfig) -> dataio.SplitAssignment:
-    path = Path(cfg.out_dir) / "split.json"
-    if not path.exists():
-        raise DataError(f"missing split file {path}; run the split command first")
-    return dataio.load_split(path)
-
-
-def _filter_ids(manifest: dataio.DatasetManifest, ids, args) -> list[str]:
-    subject = getattr(args, "subject", None)
-    condition = getattr(args, "condition", None)
-    out = []
-    for trial_id in ids:
-        ref = manifest.by_id(trial_id)
-        if subject is not None and ref.subject != subject:
-            continue
-        if condition is not None and ref.condition != condition:
-            continue
-        out.append(trial_id)
-    return out
-
-
-def _clean_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) / "clean"
-
-
-def _feats_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) / "feats_eeg"
+    return dataio.load_split(_require(Path(cfg.out_dir) / "split.json", "split"))
 
 
 def _load_values(path: Path, kind: str, stage: str) -> np.ndarray:
     """The one array of a per-trial intermediate container written by `stage`."""
-    if not path.exists():
-        raise DataError(f"missing {kind} file {path}; run {stage} first")
-    _, _, arrays = load_container(path, expect_kind=kind)
+    _, _, arrays = load_container(_require(path, stage), expect_kind=kind)
     if list(arrays) != ["values"]:
         raise DataError(f"{path}: expected a single 'values' array, found {sorted(arrays)}")
     return arrays["values"]
 
 
 def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
-    values = _load_values(_clean_dir(cfg) / f"{trial_id}.clean", CLEAN_KIND, "preprocess")
+    values = _load_values(Path(cfg.out_dir, "clean", f"{trial_id}.clean"), CLEAN_KIND, "preprocess")
     return eeg.CleanEeg(values)
 
 
 def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:
-    values = _load_values(_feats_dir(cfg) / f"{trial_id}.feats", FEATURES_KIND, "extract-eeg-feats")
+    values = _load_values(Path(cfg.out_dir, "feats_eeg", f"{trial_id}.feats"), FEATURES_KIND,
+                          "extract-eeg-feats")
     return eeg.StatFeatureSeq(values)
 
 
 def _kpca_models(cfg: RunConfig) -> dict[str, eeg.KpcaModel]:
-    kdir = Path(cfg.out_dir) / "kpca"
-    if not kdir.is_dir():
-        raise DataError(f"missing KPCA directory {kdir}; run fit-kpca first")
-    models = {}
-    for path in sorted(kdir.glob("*.kpca")):
-        models[path.stem] = eeg.load_kpca(path)
+    kdir = _require(Path(cfg.out_dir) / "kpca", "fit-kpca")
+    models = {path.stem: eeg.load_kpca(path) for path in sorted(kdir.glob("*.kpca"))}
     if not models:
-        raise DataError(f"no fitted KPCA models under {kdir}")
+        raise DataError(f"no fitted KPCA models under {kdir}; run fit-kpca first")
     return models
 
 
-def _regression_examples(cfg: RunConfig, manifest, ids, args) -> list[dict]:
+def _synthesis_model(cfg: RunConfig) -> nn.Model:
+    return nn.load_model(_require(Path(cfg.out_dir) / "models" / "synthesis.ckpt", "train-synth"))
+
+
+def _regression_examples(cfg: RunConfig, manifest: dataio.DatasetManifest, ids) -> list[dict]:
     models = _kpca_models(cfg)
     grid = pipeline.audio_grid(cfg)
     examples = []
-    for trial_id in _filter_ids(manifest, ids, args):
+    for trial_id in ids:
         ref = manifest.by_id(trial_id)
         seq = _feature_seq(cfg, trial_id)
         reduced = pipeline.reduce_features(seq, ref.subject, models, cfg)
@@ -132,6 +137,21 @@ def _regression_examples(cfg: RunConfig, manifest, ids, args) -> list[dict]:
         targets = acoustic.extract_acoustic_set(pipeline.audio_at_rate(trial, cfg), grid)
         examples.append(pipeline.regression_example(trial_id, ref.subject, ref.condition, reduced, targets))
     return examples
+
+
+def _write_history(cfg: RunConfig, history: nn.TrainHistory, path: Path, epochs: int) -> None:
+    """A trainer's per-epoch losses, headed by the run's training settings."""
+    history.to_csv(path, meta={"epochs": epochs, "batch_size": cfg.batch_size,
+                               "learning_rate": cfg.learning_rate})
+
+
+def _write_report(cfg: RunConfig, command: str, report: MetricsReport) -> None:
+    """metrics/<scope>.json and .csv, stamped with the run's seed and config hash."""
+    report.metadata = {"seed": cfg.seed, "config_hash": config_hash(cfg)}
+    path = _stage_dir(cfg, "metrics") / f"{report.scope}.json"
+    report.to_json(path)
+    report.to_csv(path.with_suffix(".csv"))
+    _summary(command, n_rows=len(report.rows), out=str(path))
 
 
 def _summary(command: str, **payload) -> None:
@@ -142,6 +162,7 @@ def _summary(command: str, **payload) -> None:
 # Command implementations
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
+    """write a synthetic paired EEG/audio dataset"""
     manifest = dataio.generate_synthetic_dataset(
         n_trials=cfg.n_trials,
         duration_s=cfg.duration_s,
@@ -153,11 +174,12 @@ def cmd_gen_data(cfg: RunConfig, args) -> None:
 
 
 def cmd_split(cfg: RunConfig, args) -> None:
+    """deterministic train/val/test assignment"""
     manifest = _manifest(cfg)
     split = dataio.make_split(
         manifest, (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio), stage_seed(cfg.seed, "split")
     )
-    out = Path(cfg.out_dir) / "split.json"
+    out = _stage_dir(cfg, ".") / "split.json"
     dataio.save_split(split, out)
     _summary("split", train=len(split.train_ids), val=len(split.val_ids),
              test=len(split.test_ids), path=str(out))
@@ -165,27 +187,24 @@ def cmd_split(cfg: RunConfig, args) -> None:
 
 def cmd_preprocess(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
+    ids = _select(manifest, manifest.ids(), args, "dataset")
     options = pipeline.preprocess_options(cfg)
-    clean_dir = _clean_dir(cfg)
-    clean_dir.mkdir(parents=True, exist_ok=True)
+    clean_dir = _stage_dir(cfg, "clean")
     # every trial goes through the same steps; only ICA is switchable
     steps = {"bandpassed": True, "notched": True, "ica_cleaned": options.run_ica, "zscored": True}
-    ids = _filter_ids(manifest, manifest.ids(), args)
     for trial_id in ids:
         trial = manifest.load_trial(trial_id)
         clean = eeg.preprocess_eeg(trial.eeg, options)
         save_container(clean_dir / f"{trial_id}.clean", CLEAN_KIND, {}, {"values": clean.data})
-    with atomic_open(clean_dir / "preprocess.json") as fh:
-        fh.write(json.dumps({trial_id: steps for trial_id in ids}, indent=1, sort_keys=True) + "\n")
+    write_json(clean_dir / "preprocess.json", dict.fromkeys(ids, steps))
     _summary("preprocess", n_trials=len(ids), out=str(clean_dir))
 
 
 def cmd_extract_eeg_feats(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
+    ids = _select(manifest, manifest.ids(), args, "dataset")
     grid = pipeline.eeg_grid(cfg)
-    out_dir = _feats_dir(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = _filter_ids(manifest, manifest.ids(), args)
+    out_dir = _stage_dir(cfg, "feats_eeg")
     for trial_id in ids:
         seq = eeg.extract_stat_features(_load_clean(cfg, trial_id), grid)
         save_container(out_dir / f"{trial_id}.feats", FEATURES_KIND, {}, {"values": seq.values})
@@ -194,13 +213,11 @@ def cmd_extract_eeg_feats(cfg: RunConfig, args) -> None:
 
 def cmd_fit_kpca(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
-    split = _split(cfg)
-    train_ids = _filter_ids(manifest, split.train_ids, args)
+    train_ids = _select(manifest, _split(cfg).train_ids, args, "training")
     seqs = {tid: _feature_seq(cfg, tid) for tid in train_ids}
     subjects = {tid: manifest.by_id(tid).subject for tid in train_ids}
     models = pipeline.fit_kpca_models(seqs, subjects, train_ids, cfg)
-    kdir = Path(cfg.out_dir) / "kpca"
-    kdir.mkdir(parents=True, exist_ok=True)
+    kdir = _stage_dir(cfg, "kpca")
     curves = {}
     for key, model in models.items():
         eeg.save_kpca(model, kdir / f"{key}.kpca")
@@ -218,119 +235,74 @@ def cmd_fit_kpca(cfg: RunConfig, args) -> None:
 def cmd_train_synth(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
     split = _split(cfg)
-    train_ids = _filter_ids(manifest, split.train_ids, args)
-    val_ids = _filter_ids(manifest, split.val_ids, args)
+    train_ids = _select(manifest, split.train_ids, args, "training")
+    val_ids = _select(manifest, split.val_ids, args)
     cleans = {tid: _load_clean(cfg, tid) for tid in train_ids + val_ids}
     train_ex = pipeline.build_synthesis_dataset(manifest, train_ids, cfg, cleans)
-    val_ex = pipeline.build_synthesis_dataset(manifest, val_ids, cfg, cleans) if val_ids else None
+    val_ex = pipeline.build_synthesis_dataset(manifest, val_ids, cfg, cleans)
     model, history = pipeline.train_synthesis(train_ex, cfg, val_ex)
-    models_dir = Path(cfg.out_dir) / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    models_dir = _stage_dir(cfg, "models")
     ckpt = models_dir / "synthesis.ckpt"
     model.save(ckpt)
-    history.to_csv(
-        models_dir / "synthesis_history.csv",
-        meta={"epochs": cfg.synth_epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
-    )
+    _write_history(cfg, history, models_dir / "synthesis_history.csv", cfg.synth_epochs)
     _summary("train-synth", epochs=cfg.synth_epochs, final_train_loss=history.final_train_loss(),
              checkpoint=str(ckpt))
 
 
 def cmd_train_regress(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
-    split = _split(cfg)
     kinds = list(acoustic.FEATURE_ORDER) if args.kind == "all" else [acoustic.kind_for_label(args.kind)]
-    examples = _regression_examples(cfg, manifest, split.train_ids, args)
-    if not examples:
-        raise DataError("no training trials after filtering")
-    models_dir = Path(cfg.out_dir) / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    train_ids = _select(manifest, _split(cfg).train_ids, args, "training")
+    examples = _regression_examples(cfg, manifest, train_ids)
+    models_dir = _stage_dir(cfg, "models")
     losses = {}
     for kind in kinds:
         bundle, history = pipeline.train_regression_kind(kind, examples, cfg)
         bundle.save(models_dir / f"regress_{kind}.ckpt")
-        history.to_csv(
-            models_dir / f"regress_{kind}_history.csv",
-            meta={"epochs": cfg.regress_epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate},
-        )
+        _write_history(cfg, history, models_dir / f"regress_{kind}_history.csv", cfg.regress_epochs)
         losses[acoustic.label_for_kind(kind)] = history.final_train_loss()
     _summary("train-regress", epochs=cfg.regress_epochs, kinds=sorted(losses), final_train_loss=losses)
 
 
 def cmd_eval_synth(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
-    split = _split(cfg)
-    ckpt = Path(cfg.out_dir) / "models" / "synthesis.ckpt"
-    if not ckpt.exists():
-        raise DataError(f"missing checkpoint {ckpt}; run train-synth first")
-    model = nn.load_model(ckpt)
-    test_ids = _filter_ids(manifest, split.test_ids, args)
-    if not test_ids:
-        raise DataError("no test trials after filtering")
+    test_ids = _select(manifest, _split(cfg).test_ids, args, "test")
+    model = _synthesis_model(cfg)
     cleans = {tid: _load_clean(cfg, tid) for tid in test_ids}
     examples = pipeline.build_synthesis_dataset(manifest, test_ids, cfg, cleans)
-    report = pipeline.evaluate_synthesis_model(
-        model, examples, {"seed": cfg.seed, "config_hash": config_hash(cfg)}
-    )
-    metrics_dir = Path(cfg.out_dir) / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    report.to_json(metrics_dir / "synthesis.json")
-    report.to_csv(metrics_dir / "synthesis.csv")
-    _summary("eval-synth", n_rows=len(report.rows), out=str(metrics_dir / "synthesis.json"))
+    _write_report(cfg, "eval-synth", pipeline.evaluate_synthesis_model(model, examples))
 
 
 def cmd_eval_regress(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
-    split = _split(cfg)
-    models_dir = Path(cfg.out_dir) / "models"
-    bundles = {}
-    for kind in acoustic.FEATURE_ORDER:
-        path = models_dir / f"regress_{kind}.ckpt"
-        if not path.exists():
-            raise DataError(f"missing regression checkpoint for kind {kind!r} at {path}")
-        bundles[kind] = pipeline.RegressorBundle.load(path)
-    examples = _regression_examples(cfg, manifest, split.test_ids, args)
-    if not examples:
-        raise DataError("no test trials after filtering")
-    report = evaluate_acoustic(
-        {kind: b.predict for kind, b in bundles.items()}, examples,
-        {"seed": cfg.seed, "config_hash": config_hash(cfg)},
-    )
-    metrics_dir = Path(cfg.out_dir) / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    report.to_json(metrics_dir / "acoustic.json")
-    report.to_csv(metrics_dir / "acoustic.csv")
-    _summary("eval-regress", n_rows=len(report.rows), out=str(metrics_dir / "acoustic.json"))
+    test_ids = _select(manifest, _split(cfg).test_ids, args, "test")
+    paths = {kind: Path(cfg.out_dir, "models", f"regress_{kind}.ckpt") for kind in acoustic.FEATURE_ORDER}
+    bundles = {kind: pipeline.RegressorBundle.load(_require(path, "train-regress")) for kind, path in paths.items()}
+    examples = _regression_examples(cfg, manifest, test_ids)
+    report = evaluate_acoustic({kind: b.predict for kind, b in bundles.items()}, examples)
+    _write_report(cfg, "eval-regress", report)
 
 
 def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
-    out_dir = Path(cfg.out_dir) / "spectrograms"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.wav:
+    if args.wav is not None:
         clip = dataio.read_wav(args.wav)
         wave = dsp.resample_poly(clip.samples, clip.sample_rate_hz, cfg.audio_rate_hz)
-        prefix = out_dir / Path(args.wav).stem
-    elif args.trial:
-        manifest = _manifest(cfg)
-        trial = manifest.load_trial(args.trial)
+        name = Path(args.wav).stem
+    else:
+        trial = _manifest(cfg).load_trial(args.trial)
         if args.source == "predicted":
-            ckpt = Path(cfg.out_dir) / "models" / "synthesis.ckpt"
-            if not ckpt.exists():
-                raise DataError(f"missing checkpoint {ckpt}; run train-synth first")
-            model = nn.load_model(ckpt)
-            clean = _load_clean(cfg, args.trial)
-            example = pipeline.synthesis_example(trial, clean, cfg)
-            wave = model.predict(example["x"].astype(np.float32)[None, ...])[0][:, 0]
+            example = pipeline.synthesis_example(trial, _load_clean(cfg, args.trial), cfg)
+            wave = _synthesis_model(cfg).predict(example["x"].astype(np.float32)[None, ...])[0][:, 0]
         else:
             wave = pipeline.audio_at_rate(trial, cfg)
-        prefix = out_dir / f"{args.trial}_{args.source}"
-    else:
-        raise ConfigError("export-spectrogram needs --wav or --trial")
+        name = f"{args.trial}_{args.source}"
+    prefix = _stage_dir(cfg, "spectrograms") / name
     csv_path, pgm_path = spectrogram_export(wave, prefix, fs_hz=cfg.audio_rate_hz)
     _summary("export-spectrogram", csv=str(csv_path), pgm=str(pgm_path))
 
 
 def cmd_grad_check(cfg: RunConfig, args) -> None:
+    """finite-difference verification of all layer gradients"""
     rng = np.random.default_rng(stage_seed(cfg.seed, "grad-check"))
     results = {}
     synth = nn.build_synthesis_model(seed=1, filters=(4, 2), kernel_size=3, dtype=np.float64)
@@ -353,56 +325,6 @@ def cmd_grad_check(cfg: RunConfig, args) -> None:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="eegspeech", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", default=None, help="INI config path (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the root seed")
-        p.add_argument("--out", default=None, help="override out_dir")
-        p.add_argument("--data-root", dest="data_root", default=None, help="override data_root")
-        return p
-
-    p = add("gen-data", help="write a synthetic paired EEG/audio dataset")
-    p.add_argument("--n-trials", type=int, default=None)
-    p.add_argument("--duration", type=float, default=None)
-
-    add("split", help="deterministic train/val/test assignment")
-
-    for name in ("preprocess", "extract-eeg-feats", "fit-kpca"):
-        p = add(name)
-        p.add_argument("--subject", type=int, default=None)
-        p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)
-
-    for name in ("train-synth", "eval-synth"):
-        p = add(name)
-        p.add_argument("--subject", type=int, default=None)
-        p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)
-        if name == "train-synth":
-            p.add_argument("--epochs", type=int, default=None)
-
-    p = add("train-regress")
-    p.add_argument("--kind", default="all", choices=("all", *acoustic.FEATURE_LABELS, *acoustic.FEATURE_ORDER),
-                   metavar="KIND", help="feature kind or label fN, or 'all'")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)
-
-    p = add("eval-regress")
-    p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--condition", choices=dataio.CONDITIONS, default=None)
-
-    p = add("export-spectrogram")
-    p.add_argument("--wav", default=None, help="WAV file to analyze")
-    p.add_argument("--trial", default=None, help="trial id from the manifest")
-    p.add_argument("--source", choices=("actual", "predicted"), default="actual")
-
-    add("grad-check", help="finite-difference verification of all layer gradients")
-    return parser
-
-
 _HANDLERS = {
     "gen-data": cmd_gen_data,
     "split": cmd_split,
@@ -418,13 +340,40 @@ _HANDLERS = {
 }
 
 
+def build_parser() -> _Parser:
+    parser = _Parser(prog="eegspeech", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        p.add_argument("--config", help="INI config path (defaults apply if omitted)")
+        p.add_argument("--seed", type=int, help="override the root seed")
+        p.add_argument("--out", help="override out_dir")
+        p.add_argument("--data-root", help="override data_root")
+        for flag, (_, kind) in _COUNT_FLAGS.get(name, {}).items():
+            p.add_argument("--" + flag.replace("_", "-"), type=kind)
+        if name in _FILTERED:
+            p.add_argument("--subject", type=int)
+            p.add_argument("--condition", choices=dataio.CONDITIONS)
+
+    sub.choices["train-regress"].add_argument(
+        "--kind", default="all", choices=("all", *acoustic.FEATURE_LABELS, *acoustic.FEATURE_ORDER),
+        metavar="KIND", help="feature kind or label fN, or 'all'")
+    p = sub.choices["export-spectrogram"]
+    wave = p.add_mutually_exclusive_group(required=True)
+    wave.add_argument("--wav", help="WAV file to analyze")
+    wave.add_argument("--trial", help="trial id from the manifest")
+    p.add_argument("--source", choices=("actual", "predicted"), default="actual")
+    return parser
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        echo_config(cfg, cfg.out_dir)
         _HANDLERS[args.command](cfg, args)
+        # written with the outputs, so a failed command leaves out_dir as it was
+        echo_config(cfg, cfg.out_dir)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

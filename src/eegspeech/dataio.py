@@ -11,7 +11,6 @@ feature sequences) are `serialize` containers, not EEG files.
 
 from __future__ import annotations
 
-import json
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .serialize import atomic_open
+from .serialize import atomic_open, read_json, write_json
 
 EEG_SAMPLE_RATE_HZ = 1000
 EEG_CHANNELS = 31
@@ -263,9 +262,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         }
         for t in manifest.trials
     ]
-    with atomic_open(path) as fh:
-        json.dump(items, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, items)
 
 
 _MANIFEST_KEYS = ("id", "subject", "condition", "eeg_path", "wav_path")
@@ -289,11 +286,7 @@ def _manifest_entry(item, n: int, path: Path) -> TrialRef:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            items = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: cannot read manifest ({exc})") from exc
+    items = read_json(path, "manifest")
     if not isinstance(items, list):
         raise DataError(f"{path}: manifest must be a JSON array")
     root = path.parent
@@ -345,28 +338,17 @@ def make_split(
 
 
 def save_split(split: SplitAssignment, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(
-            {
-                "train_ids": list(split.train_ids),
-                "val_ids": list(split.val_ids),
-                "test_ids": list(split.test_ids),
-                "seed": split.seed,
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(path, {
+        "train_ids": list(split.train_ids),
+        "val_ids": list(split.val_ids),
+        "test_ids": list(split.test_ids),
+        "seed": split.seed,
+    })
 
 
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split written by save_split; a missing or mistyped field is a DataError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except ValueError as exc:
-        raise DataError(f"{path}: cannot read split ({exc})") from exc
+    d = read_json(path, "split")
     if not isinstance(d, dict):
         raise DataError(f"{path}: split must be a JSON object")
     sets = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +11,7 @@ import numpy as np
 from . import dsp
 from .acoustic import FEATURE_ORDER, label_for_kind
 from .errors import DataError
-from .serialize import atomic_open
+from .serialize import atomic_open, write_json
 
 SYNTH_LENGTH_TOLERANCE = 15  # samples; one EEG step of slack before warning
 
@@ -41,16 +40,8 @@ class MetricsReport:
             if row["rmse"] < 0:
                 raise ValueError("negative RMSE in report")
 
-    def to_json(self, path: str | Path | None = None) -> str:
-        doc = json.dumps(
-            {"scope": self.scope, "rows": self.rows, "metadata": self.metadata},
-            sort_keys=True,
-            indent=1,
-        ) + "\n"
-        if path is not None:
-            with atomic_open(path) as fh:
-                fh.write(doc)
-        return doc
+    def to_json(self, path: str | Path) -> None:
+        write_json(path, {"scope": self.scope, "rows": self.rows, "metadata": self.metadata})
 
     def to_csv(self, path: str | Path) -> None:
         cols = ["subject", "condition"] + (["kind", "label"] if self.scope == "acoustic" else []) + ["rmse", "n_trials"]

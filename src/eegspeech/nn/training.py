@@ -77,15 +77,23 @@ def _assemble(pairs, idxs, model: Model, dtype):
     return xb, yb, mask
 
 
+def _slices(xb: np.ndarray) -> list[slice]:
+    """Row slices of a padded batch of at most MICRO_BATCH_STEPS input steps
+    each, and at least one trial."""
+    step = max(1, MICRO_BATCH_STEPS // xb.shape[1])
+    return [slice(lo, lo + step) for lo in range(0, len(xb), step)]
+
+
 def _epoch_loss(model: Model, pairs, batches, dtype) -> float:
-    """Masked MSE over a whole set in inference mode."""
+    """Masked MSE over a whole set in inference mode, run in the training slices."""
     total_sq = 0.0
     total_count = 0.0
     for idxs in batches:
         xb, yb, mask = _assemble(pairs, idxs, model, dtype)
-        pred = model.forward(xb, training=False)
-        diff = (pred.astype(np.float64) - yb) * mask[..., None]
-        total_sq += float(np.sum(diff * diff))
+        for rows in _slices(xb):
+            pred = model.forward(xb[rows], training=False)
+            diff = (pred.astype(np.float64) - yb[rows]) * mask[rows][..., None]
+            total_sq += float(np.sum(diff * diff))
         total_count += float(mask.sum()) * yb.shape[-1]
     return total_sq / total_count
 
@@ -113,10 +121,8 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
             if count == 0:
                 raise ValueError("empty mask")
             model.zero_grad()
-            step = max(1, MICRO_BATCH_STEPS // xb.shape[1])
-            for lo in range(0, len(xb), step):
+            for rows in _slices(xb):
                 # Every slice runs forward, so the dropout draws are those of the whole batch.
-                rows = slice(lo, lo + step)
                 pred = model.forward(xb[rows], training=True)
                 part = float(mask[rows].sum()) * yb.shape[-1]
                 if part == 0:

@@ -57,6 +57,24 @@ def atomic_open(path: str | Path, mode: str = "w"):
         raise
 
 
+def write_json(path: str | Path, doc) -> None:
+    """The canonical JSON artifact: sorted keys, indent 1, a trailing newline,
+    replaced whole through `atomic_open`."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str | Path, what: str):
+    """The parsed JSON document at `path`; an unreadable or malformed file is a
+    DataError naming `what` it should have held."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read {what} ({exc})") from exc
+
+
 def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     entries = []
     blobs = []

@@ -1,6 +1,8 @@
 """Exercise every subcommand end to end on a tiny synthetic dataset."""
 
+import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +10,11 @@ import pytest
 from eegspeech import cli, dataio, eeg, nn, pipeline
 from eegspeech.config import parse_config
 from eegspeech.serialize import load_container
+
+
+# The commands that take --subject/--condition.
+FILTERED = ("preprocess", "extract-eeg-feats", "fit-kpca", "train-synth", "train-regress", "eval-synth",
+            "eval-regress")
 
 
 def run_cli(*args) -> tuple[int, str]:
@@ -36,6 +43,10 @@ def workspace(tmp_path_factory):
         "[training]\nbatch_size = 4\nlearning_rate = 0.003\n"
     )
     return root, config
+
+
+def _tree_bytes(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def summary_of(output: str) -> dict:
@@ -177,19 +188,40 @@ class TestPipelineCommands:
         code, _ = run_cli("train-synth", "--config", str(blowup), "--epochs", "50")
         assert code == 3
 
-    @pytest.mark.parametrize("command, report", [("eval-synth", "synthesis.json"), ("eval-regress", "acoustic.json")])
-    def test_17_empty_test_set_keeps_previous_report(self, workspace, capsys, command, report):
+    @pytest.mark.parametrize("command", FILTERED)
+    def test_17_empty_selection_keeps_every_output(self, workspace, capsys, command):
+        # gen-data cycles subjects 1..4, so subject 9 selects no trial
         root, config = workspace
-        split = json.loads((root / "out" / "split.json").read_text())
-        manifest = {t["id"]: t for t in json.loads((root / "data" / "manifest.json").read_text())}
-        subjects = {manifest[tid]["subject"] for tid in split["test_ids"]}
-        absent = max(subjects) + 1
-        path = root / "out" / "metrics" / report
-        before = path.read_bytes()
-        code, _ = run_cli(command, "--config", str(config), "--subject", str(absent))
+        before = _tree_bytes(root / "out")
+        code, _ = run_cli(command, "--config", str(config), "--subject", "9")
         assert code == 2
-        assert "no test trials after filtering" in capsys.readouterr().err
-        assert path.read_bytes() == before
+        assert "after filtering" in capsys.readouterr().err
+        assert _tree_bytes(root / "out") == before
+
+    @pytest.mark.parametrize("command, missing, stage", [
+        ("extract-eeg-feats", "clean", "preprocess"),
+        ("fit-kpca", "split.json", "split"),
+        ("fit-kpca", "feats_eeg", "extract-eeg-feats"),
+        ("train-synth", "clean", "preprocess"),
+        ("train-regress", "kpca", "fit-kpca"),
+        ("train-regress", "kpca/pooled.kpca", "fit-kpca"),
+        ("train-regress", "feats_eeg", "extract-eeg-feats"),
+        ("eval-synth", "models/synthesis.ckpt", "train-synth"),
+        ("eval-regress", "models/regress_rms.ckpt", "train-regress"),
+        ("export-spectrogram --trial trial_0001 --source predicted", "models/synthesis.ckpt", "train-synth"),
+    ])
+    def test_18_missing_input_names_its_stage(self, workspace, tmp_path, capsys, command, missing, stage):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        target = out / missing
+        if target.is_dir():
+            shutil.rmtree(target)
+        else:
+            target.unlink()
+        code, _ = run_cli(*command.split(), "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert f"run {stage} first" in capsys.readouterr().err
 
 
 class TestGradCheckCommand:
@@ -260,6 +292,13 @@ class TestExitCodes:
         code = cli.main(["train-regress", "--kind", "f99", "--out", str(out), "--data-root", str(tmp_path / "d")])
         assert code == 1
         assert "f99" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--wav", "a.wav", "--trial", "trial_0001"], []])
+    def test_export_spectrogram_needs_exactly_one_source(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main(["export-spectrogram", *argv, "--out", str(out)]) == 1
+        assert "--wav" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):
@@ -336,3 +375,33 @@ class TestIntermediates:
         code = cli.main(["fit-kpca", "--out", str(tmp_path / "o"), "--data-root", str(tmp_path / "data")])
         assert code == 2
         assert "split" in capsys.readouterr().err
+
+
+class TestSpectrogramFromWav:
+    def test_gen_data_wav_gives_csv_and_pgm(self, tmp_path):
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        code, out = run_cli("export-spectrogram", "--wav", str(tmp_path / "data" / "trial_0001.wav"),
+                            "--out", str(tmp_path / "o"))
+        assert code == 0
+        summary = summary_of(out)
+        assert summary["csv"] == str(tmp_path / "o" / "spectrograms" / "trial_0001.csv")
+        assert summary["pgm"] == str(tmp_path / "o" / "spectrograms" / "trial_0001.pgm")
+        assert all((tmp_path / "o" / "spectrograms" / name).stat().st_size > 0
+                   for name in ("trial_0001.csv", "trial_0001.pgm"))
+
+
+def test_parser_surface():
+    """Each subcommand's option strings, so the table-driven parser neither drops nor adds a flag."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--config", "--seed", "--out", "--data-root"}
+    expected = {"gen-data": common | {"--n-trials", "--duration"}, "split": common, "grad-check": common,
+                "export-spectrogram": common | {"--wav", "--trial", "--source"}}
+    expected.update({name: common | {"--subject", "--condition"} for name in FILTERED})
+    expected["train-synth"] |= {"--epochs"}
+    expected["train-regress"] |= {"--epochs", "--kind"}
+    surface = {name: {opt for action in p._actions for opt in action.option_strings}
+               for name, p in sub.choices.items()}
+    assert surface == expected
+    args = parser.parse_args(["gen-data", "--n-trials", "3", "--duration", "0.25"])
+    assert (args.n_trials, args.duration) == (3, 0.25) and type(args.n_trials) is int

@@ -1,0 +1,53 @@
+"""Every module under src/eegspeech uses each name it imports.
+
+Neither `compileall` nor the test suite notices an import that a deletion left
+behind, so this parses each module with `ast` and fails on an imported name the
+module never reads. Names listed in the module's `__all__` count as used
+(re-exports), and `from __future__` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "eegspeech"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line, for every import statement in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _read_names(tree) | _exported_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_finds_an_unused_import():
+    tree = ast.parse("import os\nimport sys\nfrom json import dumps, loads\n__all__ = ['loads']\nsys.exit(0)\n")
+    used = _read_names(tree) | _exported_names(tree)
+    assert {n for n in _imported_names(tree) if n not in used} == {"os", "dumps"}

@@ -272,6 +272,39 @@ class TestMicroBatches:
         assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial epoch is one slice
         assert epoch_peak(12) < 2 * epoch_peak(4)
 
+    def test_validation_loss_runs_in_slices(self, rng, monkeypatch):
+        """Bitwise the whole batch's loss when it fits one slice, within 1e-6 relative otherwise."""
+        lengths = rng.integers(12, 41, size=10)
+        pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        batches = training._bucket_batches(pairs, len(pairs))
+        xb, yb, mask = training._assemble(pairs, batches[0], model, np.float32)
+        diff = (model.forward(xb, training=False).astype(np.float64) - yb) * mask[..., None]
+        whole = float(np.sum(diff * diff)) / (float(mask.sum()) * yb.shape[-1])
+        t_in = int(lengths.max())
+        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 10 * t_in)
+        assert training._epoch_loss(model, pairs, batches, np.float32) == whole
+        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 3 * t_in)
+        assert training._epoch_loss(model, pairs, batches, np.float32) == pytest.approx(whole, rel=1e-6)
+
+    def test_validation_memory_stays_at_one_slice(self, rng):
+        train_pairs = [(rng.standard_normal((200, 31)).astype(np.float32),
+                        0.1 * rng.standard_normal((3000, 1)).astype(np.float32))]
+
+        def epoch_peak(n_val):
+            val_pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+                          0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_val)]
+            model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+            tracemalloc.start()
+            try:
+                nn.train(model, train_pairs, nn.TrainConfig(epochs=1, seed=0), val_pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial validation set is one slice
+        assert epoch_peak(12) < 2 * epoch_peak(4)
+
 
 class TestCheckpoint:
     def test_synthesis_round_trip(self, tmp_path, rng):
