@@ -47,6 +47,8 @@ class CleanEeg:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] != EEG_CHANNELS:
             raise DataError(f"clean EEG must keep {EEG_CHANNELS} channels, got {data.shape}")
+        if data.shape[1] == 0:
+            raise DataError("clean EEG has 0 samples")
         object.__setattr__(self, "data", data)
 
     @property

@@ -1,7 +1,8 @@
 """Sequence layers with explicit forward/backward passes on numpy tensors.
 
 Batches are (batch, time, features). Every layer caches what its backward pass
-needs during forward; backward accumulates parameter gradients in place and
+needs during forward (TcnBlock's inference-only repeated forward caches
+nothing); backward accumulates parameter gradients in place and
 returns the input gradient. A caller that has no use for the input gradient
 (the first layer of a stack) passes need_input_grad=False: the TCN block and
 the GRU then skip their input-gradient GEMM and return None, and the other
@@ -56,6 +57,13 @@ class TcnBlock(Layer):
     Backward shifts the output gradient back into the same layout and forms
     all weight gradients and, when asked for, the input gradient as one GEMM
     each.
+
+    forward(x, repeat=r) is the block applied to x's r-fold time repeat, at
+    inference only (polyphase convolution). Output step r*t + p reads, through
+    tap j, input step t + (p - (k-1-j)*dilation) // r, so the r phases of a
+    step fall into a few groups that read the same offsets. The tap GEMM runs
+    on the T input rows, each group is one shift-add of the tap outputs, and
+    only the out-wide result is expanded to r*T steps.
     """
 
     def __init__(self, in_dim: int, out_dim: int, kernel_size: int = 3, dilation: int = 1,
@@ -76,6 +84,7 @@ class TcnBlock(Layer):
             self.proj = uniform_fan_in(rng, (in_dim, out_dim), in_dim, dtype)
             self.params.append(self.proj)
         self.grads = [np.zeros_like(p) for p in self.params]
+        self._cache = None
 
     def _w_all(self) -> np.ndarray:
         """(in, m*out): the k taps of w side by side, then proj if there is one."""
@@ -88,26 +97,49 @@ class TcnBlock(Layer):
         k, d = self.kernel_size, self.dilation
         return [(j, (k - 1 - j) * d) for j in range(k) if (k - 1 - j) * d < t]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _phases(self, r: int) -> list[tuple[tuple[int, ...], slice]]:
+        """(tap offsets, phases) per group of phases of an r-fold repeat that
+        read the same input steps; repeat 1 is the single plain phase."""
+        k, d = self.kernel_size, self.dilation
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for p in range(r):
+            groups.setdefault(tuple((p - (k - 1 - j) * d) // r for j in range(k)), []).append(p)
+        # Each offset is non-decreasing in p, so every group is a run of phases.
+        return [(offsets, slice(ps[0], ps[-1] + 1)) for offsets, ps in groups.items()]
+
+    def forward(self, x: np.ndarray, training: bool = False, repeat: int = 1) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"TcnBlock expects feature dim {self.in_dim}, got {x.shape[-1]}")
+        if repeat < 1:
+            raise ValueError("repeat must be >= 1")
+        if repeat > 1 and training:
+            raise ValueError("a repeated input is inference only; training runs UpsampleRepeat")
         b, t, n = x.shape
         k, o = self.kernel_size, self.out_dim
         y = (x.reshape(b * t, n) @ self._w_all()).reshape(b, t, -1)
-        z = y[:, :, (k - 1) * o : k * o] + self.b
-        for j, s in self._shifts(t):
-            if s:
-                z[:, s:] += y[:, : t - s, j * o : (j + 1) * o]
-        np.maximum(z, 0.0, out=z)
-        mask = z > 0
-        if self.proj is not None:
-            z += y[:, :, k * o :]
-        elif self.use_residual:
-            z += x
-        self._cache = (x, mask)
-        return z
+        out = np.empty((b, t, repeat, o), dtype=y.dtype) if repeat > 1 else None
+        for offsets, phases in self._phases(repeat):
+            # Tap k-1 reads offset 0 in every phase; the others reach back -offset steps.
+            z = y[:, :, (k - 1) * o : k * o] + self.b
+            for j, off in enumerate(offsets[:-1]):
+                if -off < t:
+                    z[:, -off:] += y[:, : t + off, j * o : (j + 1) * o]
+            np.maximum(z, 0.0, out=z)
+            mask = z > 0 if repeat == 1 else None
+            if self.proj is not None:
+                z += y[:, :, k * o :]
+            elif self.use_residual:
+                z += x
+            if repeat == 1:
+                self._cache = (x, mask)
+                return z
+            out[:, :, phases] = z[:, :, None]
+        self._cache = None
+        return out.reshape(b, t * repeat, o)
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        if self._cache is None:
+            raise RuntimeError("TcnBlock.backward needs a forward with repeat=1 first")
         x, relu_mask = self._cache
         b, t, n = x.shape
         k, o = self.kernel_size, self.out_dim

@@ -6,6 +6,16 @@ audio samples at 15 kHz. The dense map acts on each step alone, so it commutes
 with the repeat: the stack applies it before the x3 upsample, on a third of the
 steps, with the same output up to float32 rounding. Regression: GRU(30->hidden)
 -> dropout -> dense to the target feature dimension, frame for frame.
+
+At inference dropout is the identity, so the second TCN sees five equal copies
+of every EEG step. With kernel k and dilation d, phase p of the five reads,
+through tap j, EEG step t + (p - (k-1-j)*d) // 5: at the paper's kernel 3,
+phases 0 and 1 each reach back one step through different taps and phases 2-4
+read only step t. Each EEG step therefore yields at most three distinct
+outputs, and its 15 audio samples are [a]*3 + [b]*3 + [c]*9.
+SynthesisModel.predict uses this (TcnBlock.forward with repeat=5) and never
+builds the (B, 5T, f1) repeat; Model.forward(training=False) is the
+layer-by-layer reference that the gradient check differentiates.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ class Model:
         self.config = dict(config)
         self.in_dim = in_dim
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
+        """x as a (batch, time, in_dim) batch with at least one time step."""
         x = np.asarray(x)
         if x.ndim == 2:
             x = x[None, ...]
@@ -39,6 +50,12 @@ class Model:
             raise ValueError("input must be (batch, time, features)")
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"{self.kind} expects {self.in_dim} input features, got {x.shape[-1]}")
+        if x.shape[1] == 0:
+            raise ValueError(f"{self.kind} input has 0 time steps")
+        return x
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        x = self._check_input(x)
         for layer in self.layers:
             x = layer.forward(x, training=training)
         return x
@@ -94,6 +111,13 @@ class Model:
 class SynthesisModel(Model):
     kind = "synthesis"
     upsample_factor = 15
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Inference as a polyphase stack: TCN1 at the EEG rate, then TCN2 on
+        the x5 repeat without building it; dropout is the identity here."""
+        tcn1, up5, _, tcn2, dense, up3 = self.layers
+        h = tcn2.forward(tcn1.forward(self._check_input(x)), repeat=up5.k)
+        return up3.forward(dense.forward(h))
 
 
 class RegressionModel(Model):

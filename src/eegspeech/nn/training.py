@@ -85,13 +85,13 @@ def _slices(xb: np.ndarray) -> list[slice]:
 
 
 def _epoch_loss(model: Model, pairs, batches, dtype) -> float:
-    """Masked MSE over a whole set in inference mode, run in the training slices."""
+    """Masked MSE over a whole set through model.predict, run in the training slices."""
     total_sq = 0.0
     total_count = 0.0
     for idxs in batches:
         xb, yb, mask = _assemble(pairs, idxs, model, dtype)
         for rows in _slices(xb):
-            pred = model.forward(xb[rows], training=False)
+            pred = model.predict(xb[rows])
             diff = (pred.astype(np.float64) - yb[rows]) * mask[rows][..., None]
             total_sq += float(np.sum(diff * diff))
         total_count += float(mask.sum()) * yb.shape[-1]

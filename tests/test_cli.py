@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from eegspeech import cli, dataio, eeg, nn, pipeline
+from eegspeech import cli, dataio, eeg, nn, pipeline, serialize
 from eegspeech.config import parse_config
 from eegspeech.serialize import load_container
 
@@ -222,6 +222,17 @@ class TestPipelineCommands:
         code, _ = run_cli(*command.split(), "--config", str(config), "--out", str(out))
         assert code == 2
         assert f"run {stage} first" in capsys.readouterr().err
+
+    def test_19_emptied_clean_eeg_is_data_error(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        test_id = json.loads((out / "split.json").read_text())["test_ids"][0]
+        serialize.save_container(out / "clean" / f"{test_id}.clean", cli.CLEAN_KIND, {},
+                                 {"values": np.zeros((31, 0))})
+        code, _ = run_cli("eval-synth", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "0 samples" in capsys.readouterr().err
 
 
 class TestGradCheckCommand:

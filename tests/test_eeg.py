@@ -235,6 +235,10 @@ class TestExtractStatFeatures:
         with pytest.raises(ValueError, match="shorter"):
             eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, 10))), GRID)
 
+    def test_clean_eeg_without_samples_is_data_error(self):
+        with pytest.raises(DataError, match="0 samples"):
+            eeg.CleanEeg(np.zeros((31, 0)))
+
 
 def brute_force_kpca_projection(x: np.ndarray, out_dim: int, gamma: float, coef0: float, degree: int):
     """Dense-eigendecomposition oracle with explicit centering matrices."""

@@ -87,6 +87,44 @@ class TestSynthesisModel:
             scale = np.abs(ref).max() or 1.0
             assert np.abs(ours - ref).max() <= 1e-5 * scale
 
+    @pytest.mark.parametrize("t", [1000, 2500, 4000])
+    def test_polyphase_predict_matches_stacked_forward(self, rng, t):
+        model = nn.build_synthesis_model(seed=2)
+        x = rng.standard_normal((1, t, 31)).astype(np.float32)
+        assert np.abs(model.predict(x) - model.forward(x, training=False)).max() <= 1e-5
+
+    def test_each_step_gives_three_runs_of_samples(self, rng):
+        # Kernel 3 over the x5 repeat: phase 0 reads steps t-1 (taps 0, 1) and t
+        # (tap 2), phase 1 reads t-1 (tap 0) and t (taps 1, 2), phases 2-4 read
+        # only t. TCN2 therefore gives each step the rows [a, b, c, c, c], and
+        # after the per-step dense head and the x3 repeat its 15 samples are
+        # [a]*3 + [b]*3 + [c]*9. The head's product may round a row by its
+        # position, so the samples are compared to float32 rounding.
+        model = nn.build_synthesis_model(seed=4)
+        tcn1, up5, _, tcn2, _, _ = model.layers
+        x = rng.standard_normal((2, 50, 31)).astype(np.float32)
+        rows = tcn2.forward(tcn1.forward(x), repeat=up5.k).reshape(2, 50, 5, -1)
+        assert np.array_equal(rows, rows[:, :, [0, 1, 2, 2, 2]])
+        assert not np.array_equal(rows[:, :, 0], rows[:, :, 1])
+        assert not np.array_equal(rows[:, :, 1], rows[:, :, 2])
+        for out in (model.predict(x), model.forward(x, training=False)):
+            steps = out[..., 0].reshape(2, 50, 15)
+            runs = np.repeat(steps[:, :, [0, 3, 6]], [3, 3, 9], axis=2)
+            assert np.abs(steps - runs).max() <= 1e-6 * np.abs(steps).max()
+
+    @pytest.mark.parametrize("kind", ["synthesis", "regression"])
+    def test_zero_time_steps_rejected(self, kind):
+        if kind == "synthesis":
+            model, in_dim = nn.build_synthesis_model(seed=0, filters=(8, 4)), 31
+        else:
+            model, in_dim = nn.build_regression_model(out_dim=2, seed=0, hidden=4), 30
+        x = np.zeros((2, 0, in_dim), dtype=np.float32)
+        for run in (model.predict, model.forward):
+            with pytest.raises(ValueError, match="0 time steps"):
+                run(x)
+        with pytest.raises(ValueError, match=f"expects {in_dim} input features"):
+            model.predict(np.zeros((1, 0, in_dim + 1), dtype=np.float32))
+
     def test_init_draws_dense_head_first(self):
         # A seed gives the same initial parameters as the stack has always had:
         # the head is drawn before the two TCN blocks.
@@ -279,13 +317,22 @@ class TestMicroBatches:
         model = nn.build_synthesis_model(seed=6, filters=(8, 4))
         batches = training._bucket_batches(pairs, len(pairs))
         xb, yb, mask = training._assemble(pairs, batches[0], model, np.float32)
-        diff = (model.forward(xb, training=False).astype(np.float64) - yb) * mask[..., None]
+        diff = (model.predict(xb).astype(np.float64) - yb) * mask[..., None]
         whole = float(np.sum(diff * diff)) / (float(mask.sum()) * yb.shape[-1])
         t_in = int(lengths.max())
         monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 10 * t_in)
         assert training._epoch_loss(model, pairs, batches, np.float32) == whole
         monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 3 * t_in)
         assert training._epoch_loss(model, pairs, batches, np.float32) == pytest.approx(whole, rel=1e-6)
+
+    def test_validation_loss_through_predict_matches_forward(self, rng, monkeypatch):
+        lengths = rng.integers(30, 90, size=9)
+        pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
+        model = nn.build_synthesis_model(seed=6, filters=(64, 16))
+        batches = training._bucket_batches(pairs, 4)
+        polyphase = training._epoch_loss(model, pairs, batches, np.float32)
+        monkeypatch.setattr(model, "predict", lambda x: model.forward(x, training=False))
+        assert polyphase == pytest.approx(training._epoch_loss(model, pairs, batches, np.float32), rel=1e-6)
 
     def test_validation_memory_stays_at_one_slice(self, rng):
         train_pairs = [(rng.standard_normal((200, 31)).astype(np.float32),

@@ -6,6 +6,9 @@ the column gradient back into the padded input. TcnBlock multiplies the input
 by all taps at once and shift-adds the narrow tap outputs instead; on the same
 parameters both must give the same output, input gradient and parameter
 gradients up to floating-point rounding.
+
+The polyphase form, forward(x, repeat=r), is checked against the layer applied
+to UpsampleRepeat(r) of x.
 """
 
 import tracemalloc
@@ -140,3 +143,42 @@ def test_no_im2col_buffer_at_paper_scale():
         tracemalloc.stop()
     im2col_bytes = b * t * k * in_dim * np.dtype(np.float32).itemsize
     assert peak < im2col_bytes, (peak, im2col_bytes)
+
+
+# (in, out, residual): 1x1 projection, identity, none.
+RESIDUALS = [(4, 6, True), (5, 5, True), (4, 6, False)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("r", [1, 3, 5])
+@pytest.mark.parametrize("in_dim, out_dim, residual", RESIDUALS)
+def test_polyphase_matches_repeat_then_forward(k, d, r, in_dim, out_dim, residual):
+    rng = np.random.default_rng(100 * k + 10 * d + r)
+    layer = nn.TcnBlock(in_dim, out_dim, k, d, use_residual=residual, rng=rng, dtype=np.float64)
+    layer.b[...] = rng.uniform(-0.5, 0.5, layer.b.shape)
+    for t in (1, 2, 3, 7):
+        x = rng.standard_normal((3, t, in_dim))
+        ref = layer.forward(nn.UpsampleRepeat(r).forward(x))
+        got = layer.forward(x, repeat=r)
+        assert got.shape == ref.shape == (3, r * t, out_dim)
+        assert np.abs(got - ref).max() <= 1e-12, (t, np.abs(got - ref).max())
+
+
+def test_repeat_one_is_plain_forward_bitwise(rng):
+    layer = nn.TcnBlock(6, 4, 3, 2, rng=rng)
+    x = rng.standard_normal((2, 9, 6)).astype(np.float32)
+    assert np.array_equal(layer.forward(x, repeat=1), layer.forward(x))
+
+
+def test_repeated_forward_keeps_no_cache_and_refuses_training(rng):
+    layer = nn.TcnBlock(6, 4, 3, rng=rng)
+    x = rng.standard_normal((2, 9, 6)).astype(np.float32)
+    layer.forward(x, training=True)
+    layer.forward(x, repeat=5)
+    with pytest.raises(RuntimeError, match="repeat=1"):
+        layer.backward(np.ones((2, 45, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="inference only"):
+        layer.forward(x, training=True, repeat=5)
+    with pytest.raises(ValueError, match="repeat"):
+        layer.forward(x, repeat=0)
