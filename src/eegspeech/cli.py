@@ -276,8 +276,12 @@ def cmd_eval_synth(cfg: RunConfig, args) -> None:
 def cmd_eval_regress(cfg: RunConfig, args) -> None:
     manifest = _manifest(cfg)
     test_ids = _select(manifest, _split(cfg).test_ids, args, "test")
-    paths = {kind: Path(cfg.out_dir, "models", f"regress_{kind}.ckpt") for kind in acoustic.FEATURE_ORDER}
-    bundles = {kind: pipeline.RegressorBundle.load(_require(path, "train-regress")) for kind, path in paths.items()}
+    bundles = {}
+    for kind in acoustic.FEATURE_ORDER:
+        path = _require(Path(cfg.out_dir, "models", f"regress_{kind}.ckpt"), "train-regress")
+        bundles[kind] = pipeline.RegressorBundle.load(path)
+        if bundles[kind].kind != kind:
+            raise DataError(f"{path}: holds the {bundles[kind].kind} regressor, not {kind}")
     examples = _regression_examples(cfg, manifest, test_ids)
     report = evaluate_acoustic({kind: b.predict for kind, b in bundles.items()}, examples)
     _write_report(cfg, "eval-regress", report)
@@ -286,7 +290,7 @@ def cmd_eval_regress(cfg: RunConfig, args) -> None:
 def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
     if args.wav is not None:
         clip = dataio.read_wav(args.wav)
-        wave = dsp.resample_poly(clip.samples, clip.sample_rate_hz, cfg.audio_rate_hz)
+        wave = dsp.resample_poly(clip.samples, clip.sample_rate_hz, dataio.AUDIO_RATE_HZ)
         name = Path(args.wav).stem
     else:
         trial = _manifest(cfg).load_trial(args.trial)
@@ -297,7 +301,7 @@ def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
             wave = pipeline.audio_at_rate(trial, cfg)
         name = f"{args.trial}_{args.source}"
     prefix = _stage_dir(cfg, "spectrograms") / name
-    csv_path, pgm_path = spectrogram_export(wave, prefix, fs_hz=cfg.audio_rate_hz)
+    csv_path, pgm_path = spectrogram_export(wave, prefix, pipeline.audio_grid(cfg))
     _summary("export-spectrogram", csv=str(csv_path), pgm=str(pgm_path))
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsp
-from .dataio import EEG_SAMPLE_RATE_HZ
+from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ
 from .errors import ConfigError
-from .nn.models import SynthesisModel
 from .serialize import atomic_open
 
 
@@ -42,12 +41,10 @@ class RunConfig:
     bandpass_order: int = 4
     notch_hz: float = 60.0
     notch_q: float = 30.0
-    zero_phase: bool = True
     use_ica: bool = False
     ica_kurtosis_threshold: float = 8.0
     # features
     frame_rate_hz: float = 31.0
-    audio_rate_hz: int = 15000
     # kpca
     kpca_out_dim: int = 30
     kpca_degree: int = 3
@@ -85,11 +82,9 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
     ("preprocess", "bandpass_order"): ("bandpass_order", "int"),
     ("preprocess", "notch_hz"): ("notch_hz", "float"),
     ("preprocess", "notch_q"): ("notch_q", "float"),
-    ("preprocess", "zero_phase"): ("zero_phase", "bool"),
     ("preprocess", "use_ica"): ("use_ica", "bool"),
     ("preprocess", "ica_kurtosis_threshold"): ("ica_kurtosis_threshold", "float"),
     ("features", "frame_rate_hz"): ("frame_rate_hz", "float"),
-    ("features", "audio_rate_hz"): ("audio_rate_hz", "int"),
     ("kpca", "out_dim"): ("kpca_out_dim", "int"),
     ("kpca", "degree"): ("kpca_degree", "int"),
     ("kpca", "gamma"): ("kpca_gamma", "gamma"),
@@ -147,13 +142,6 @@ def validate_config(cfg: RunConfig) -> None:
         positive(name, getattr(cfg, name))
     positive("learning_rate", cfg.learning_rate)
     positive("duration_s", cfg.duration_s)
-    synth_rate = SynthesisModel.upsample_factor * EEG_SAMPLE_RATE_HZ
-    if cfg.audio_rate_hz != synth_rate:
-        raise ConfigError(
-            f"audio_rate_hz must be {synth_rate}: the synthesis model emits "
-            f"{SynthesisModel.upsample_factor} audio samples per {EEG_SAMPLE_RATE_HZ} Hz EEG sample, "
-            f"got {cfg.audio_rate_hz}"
-        )
     # dsp holds the valid ranges: build the filters and grids the stages will build
     try:
         dsp.design_butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_lo_hz, cfg.bandpass_hi_hz,
@@ -162,7 +150,7 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"[preprocess] {exc}") from exc
     try:
-        for fs in (EEG_SAMPLE_RATE_HZ, cfg.audio_rate_hz):
+        for fs in (EEG_SAMPLE_RATE_HZ, AUDIO_RATE_HZ):
             dsp.frame_grid_for_rate(fs, cfg.frame_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"[features] {exc}") from exc

@@ -22,6 +22,8 @@ from .errors import DataError
 from .serialize import atomic_open, read_json, write_json
 
 EEG_SAMPLE_RATE_HZ = 1000
+# The synthesis model's x5 x3 upsampling emits 15 audio samples per EEG sample.
+AUDIO_RATE_HZ = 15000
 EEG_CHANNELS = 31
 AUDIO_RECORD_RATE_HZ = 16000
 CONDITIONS = ("spoken", "listen")
@@ -53,10 +55,9 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class EegRecording:
-    """Channel-major microvolt matrix, 31 channels at 1000 Hz."""
+    """Channel-major microvolt matrix, 31 channels at EEG_SAMPLE_RATE_HZ."""
 
     data: np.ndarray
-    sample_rate_hz: int = EEG_SAMPLE_RATE_HZ
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -74,7 +75,7 @@ class EegRecording:
 
     @property
     def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
+        return self.n_samples / EEG_SAMPLE_RATE_HZ
 
 
 @dataclass(frozen=True)

@@ -78,21 +78,17 @@ def design_iir_notch(f0_hz: float = 60.0, q: float = 30.0, fs_hz: float = 1000.0
     return IirFilter(sos, f"iir-notch f0={f0_hz}Hz q={q} fs={fs_hz}Hz")
 
 
-def filtfilt(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
+def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Zero-phase forward-backward filtering (squared magnitude response)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[axis] <= 3 * filt.order:
-        raise ValueError(f"signal too short for filtfilt: {x.shape[axis]} <= 3*{filt.order}")
+        raise ValueError(f"signal too short for zero-phase filtering: {x.shape[axis]} <= 3*{filt.order}")
     return sps.sosfiltfilt(filt.sos, x, axis=axis)
 
 
 def lfilter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Causal single-pass filtering."""
+    """Causal single-pass filtering: the reference the zero-phase tests measure against."""
     return sps.sosfilt(filt.sos, np.asarray(x, dtype=np.float64), axis=axis)
-
-
-def apply_filter(filt: IirFilter, x: np.ndarray, zero_phase: bool = True, axis: int = -1) -> np.ndarray:
-    return filtfilt(filt, x, axis=axis) if zero_phase else lfilter(filt, x, axis=axis)
 
 
 def resample_poly(x: np.ndarray, from_hz: int = 16000, to_hz: int = 15000) -> np.ndarray:

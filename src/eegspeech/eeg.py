@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import dsp
-from .dataio import EEG_CHANNELS, EegRecording
+from .dataio import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ, EegRecording
 from .errors import DataError
 from .serialize import load_container, save_container
 
@@ -32,7 +32,6 @@ class PreprocessOptions:
     bandpass_order: int = 4
     notch_hz: float = 60.0
     notch_q: float = 30.0
-    zero_phase: bool = True
     run_ica: bool = False
     ica_kurtosis_threshold: float = 8.0
     ica_seed: int = 0
@@ -40,8 +39,9 @@ class PreprocessOptions:
 
 @dataclass(frozen=True)
 class CleanEeg:
+    """Preprocessed channel-major EEG at EEG_SAMPLE_RATE_HZ."""
+
     data: np.ndarray
-    sample_rate_hz: int = 1000
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -65,27 +65,26 @@ def zscore_channels(data: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def preprocess_eeg(rec: EegRecording, options: PreprocessOptions | None = None) -> CleanEeg:
-    """Band-pass + notch (zero-phase by default), optional ICA cleanup, z-score."""
+    """Zero-phase band-pass + notch, optional ICA cleanup, z-score."""
     options = options or PreprocessOptions()
     data = np.asarray(rec.data, dtype=np.float64)
     if data.shape[0] != EEG_CHANNELS:
         raise DataError(f"expected {EEG_CHANNELS} channels, got {data.shape[0]}")
     if not np.all(np.isfinite(data)):
         raise DataError("NaN or inf in EEG input")
-    fs = rec.sample_rate_hz
 
     bp = dsp.design_butterworth_bandpass(
-        options.bandpass_order, options.bandpass_lo_hz, options.bandpass_hi_hz, fs
+        options.bandpass_order, options.bandpass_lo_hz, options.bandpass_hi_hz, EEG_SAMPLE_RATE_HZ
     )
-    data = dsp.apply_filter(bp, data, zero_phase=options.zero_phase, axis=1)
-    notch = dsp.design_iir_notch(options.notch_hz, options.notch_q, fs)
-    data = dsp.apply_filter(notch, data, zero_phase=options.zero_phase, axis=1)
+    data = dsp.apply_filter(bp, data, axis=1)
+    notch = dsp.design_iir_notch(options.notch_hz, options.notch_q, EEG_SAMPLE_RATE_HZ)
+    data = dsp.apply_filter(notch, data, axis=1)
 
     if options.run_ica:
         result = fast_ica(data, seed=options.ica_seed)
         data, _ = remove_artifact_components(result, options.ica_kurtosis_threshold)
 
-    return CleanEeg(zscore_channels(data), sample_rate_hz=fs)
+    return CleanEeg(zscore_channels(data))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ class StatFeatureSeq:
 
 def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid) -> StatFeatureSeq:
     """Non-overlapping hop-long valid-mode frames; 5 stats per channel, channel-major."""
-    if grid.sample_rate_hz != clean.sample_rate_hz:
+    if grid.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
         raise ValueError("grid sample rate does not match the recording")
     if clean.n_samples < grid.hop:
         raise ValueError("recording shorter than one frame")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,8 +11,6 @@ from . import dsp
 from .acoustic import FEATURE_ORDER, label_for_kind
 from .errors import DataError
 from .serialize import atomic_open, write_json
-
-SYNTH_LENGTH_TOLERANCE = 15  # samples; one EEG step of slack before warning
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -65,12 +62,12 @@ def _grouped_mean(per_trial: list[dict], keys: tuple[str, ...]) -> list[dict]:
     return rows
 
 
-def evaluate_synthesis(predict_fn, test_trials: list[dict], metadata: dict | None = None) -> MetricsReport:
+def evaluate_synthesis(predict_fn, test_trials: list[dict]) -> MetricsReport:
     """Per-trial waveform RMSE, averaged per subject x condition.
 
-    test_trials entries: {id, subject, condition, eeg: (T, 31), audio: (L,)}.
-    predict_fn maps (T, 31) -> (15*T,) or (15*T, 1). Length mismatches beyond
-    15 samples trigger a warning; the overlap is always what gets scored.
+    test_trials entries: {id, subject, condition, eeg: (T, 31), audio: (15*T,)}.
+    predict_fn maps (T, 31) -> (15*T,) or (15*T, 1); a prediction of any other
+    length is a ValueError.
     """
     if not test_trials:
         raise ValueError("empty test set")
@@ -78,22 +75,17 @@ def evaluate_synthesis(predict_fn, test_trials: list[dict], metadata: dict | Non
     for trial in test_trials:
         pred = np.asarray(predict_fn(trial["eeg"]), dtype=np.float64).reshape(-1)
         truth = np.asarray(trial["audio"], dtype=np.float64).reshape(-1)
-        if abs(len(pred) - len(truth)) > SYNTH_LENGTH_TOLERANCE:
-            warnings.warn(
-                f"trial {trial['id']}: prediction length {len(pred)} vs target {len(truth)}; truncating"
-            )
-        n = min(len(pred), len(truth))
         per_trial.append(
             {
                 "subject": trial["subject"],
                 "condition": trial["condition"],
-                "rmse": rmse(pred[:n], truth[:n]),
+                "rmse": rmse(pred, truth),
             }
         )
-    return MetricsReport("synthesis", _grouped_mean(per_trial, ("subject", "condition")), metadata or {})
+    return MetricsReport("synthesis", _grouped_mean(per_trial, ("subject", "condition")))
 
 
-def evaluate_acoustic(predict_fns: dict, test_trials: list[dict], metadata: dict | None = None) -> MetricsReport:
+def evaluate_acoustic(predict_fns: dict, test_trials: list[dict]) -> MetricsReport:
     """Per-kind RMSE pooled over test frames and dimensions, grouped by
     subject x condition and labeled f1..f16.
 
@@ -109,20 +101,19 @@ def evaluate_acoustic(predict_fns: dict, test_trials: list[dict], metadata: dict
         for kind in FEATURE_ORDER:
             pred = np.asarray(predict_fns[kind](trial["features"]), dtype=np.float64)
             truth = np.asarray(trial["targets"][kind], dtype=np.float64)
-            n = min(len(pred), len(truth))
             per_trial.append(
                 {
                     "subject": trial["subject"],
                     "condition": trial["condition"],
                     "kind": kind,
-                    "rmse": rmse(pred[:n], truth[:n]),
+                    "rmse": rmse(pred, truth),
                 }
             )
     rows = _grouped_mean(per_trial, ("subject", "condition", "kind"))
     for row in rows:
         row["label"] = label_for_kind(row["kind"])
     rows.sort(key=lambda r: (r["subject"], r["condition"], FEATURE_ORDER.index(r["kind"])))
-    return MetricsReport("acoustic", rows, metadata or {})
+    return MetricsReport("acoustic", rows)
 
 
 def mean_baseline_rmse(train_targets: list[np.ndarray], test_targets: list[np.ndarray]) -> float:
@@ -151,12 +142,12 @@ def pgm_bytes(image: np.ndarray) -> bytes:
 def spectrogram_export(
     wave: np.ndarray,
     out_prefix: str | Path,
-    fs_hz: int = 15000,
+    grid: dsp.FrameGrid,
     fft_size: int = 1024,
-    hop: int | None = None,
     floor_db: float = -80.0,
 ) -> tuple[Path, Path]:
-    """Write the log-power STFT as CSV and a grayscale PGM (frames x bins).
+    """Write the log-power STFT of `wave` (samples at grid.sample_rate_hz) on
+    `grid` as CSV and a grayscale PGM (frames x bins).
 
     Power is scaled to dB relative to the frame-matrix maximum and clipped at
     floor_db; silence maps to a uniform minimum-value image. Both files are
@@ -164,9 +155,7 @@ def spectrogram_export(
     export leaves the previous pair as it was.
     """
     out_prefix = Path(out_prefix)
-    if hop is None:
-        hop = dsp.frame_grid_for_rate(fs_hz).hop
-    spec = dsp.stft_power(np.asarray(wave, dtype=np.float64), fft_size, hop, fs_hz)
+    spec = dsp.stft_power(np.asarray(wave, dtype=np.float64), fft_size, grid.hop, grid.sample_rate_hz)
     peak = spec.power.max()
     if peak <= 0:
         db = np.full_like(spec.power, floor_db)

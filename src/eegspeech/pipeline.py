@@ -14,7 +14,7 @@ import numpy as np
 
 from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
-from .dataio import EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
+from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
 from .errors import DataError
 from .evaluate import evaluate_synthesis
 from .serialize import load_container, save_container
@@ -27,7 +27,6 @@ def preprocess_options(cfg: RunConfig) -> eeg.PreprocessOptions:
         bandpass_order=cfg.bandpass_order,
         notch_hz=cfg.notch_hz,
         notch_q=cfg.notch_q,
-        zero_phase=cfg.zero_phase,
         run_ica=cfg.use_ica,
         ica_kurtosis_threshold=cfg.ica_kurtosis_threshold,
         ica_seed=stage_seed(cfg.seed, "ica"),
@@ -39,11 +38,11 @@ def eeg_grid(cfg: RunConfig) -> dsp.FrameGrid:
 
 
 def audio_grid(cfg: RunConfig) -> dsp.FrameGrid:
-    return dsp.frame_grid_for_rate(cfg.audio_rate_hz, cfg.frame_rate_hz)
+    return dsp.frame_grid_for_rate(AUDIO_RATE_HZ, cfg.frame_rate_hz)
 
 
 def audio_at_rate(trial: TrialRecord, cfg: RunConfig) -> np.ndarray:
-    return dsp.resample_poly(trial.audio.samples, trial.audio.sample_rate_hz, cfg.audio_rate_hz)
+    return dsp.resample_poly(trial.audio.samples, trial.audio.sample_rate_hz, AUDIO_RATE_HZ)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +95,14 @@ def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dic
     return model, history
 
 
-def evaluate_synthesis_model(model, examples: list[dict], metadata: dict | None = None):
+def evaluate_synthesis_model(model, examples: list[dict]):
     trials = [
         {"id": ex["id"], "subject": ex["subject"], "condition": ex["condition"],
          "eeg": ex["x"], "audio": ex["y"][:, 0]}
         for ex in examples
     ]
     predict = lambda x: model.predict(x.astype(np.float32)[None, ...])[0]
-    return evaluate_synthesis(predict, trials, metadata)
+    return evaluate_synthesis(predict, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +195,29 @@ class RegressorBundle:
 
     @staticmethod
     def load(path: str | Path) -> "RegressorBundle":
+        """The bundle saved at `path`; a DataError naming the file unless its
+        kind, model and scalers agree on the feature dimensions."""
         _, meta, arrays = load_container(path, expect_kind="regressor-bundle")
         try:
-            return RegressorBundle(
-                meta["kind"], nn.restore_model("regression", meta["model"], arrays, path),
+            kind, out_dim = meta["kind"], meta["model"]["out_dim"]
+            if not isinstance(kind, str) or kind not in acoustic.FEATURE_DIMS:
+                raise DataError(f"{path}: unknown feature kind {kind!r}")
+            if acoustic.FEATURE_DIMS[kind] != out_dim:
+                raise DataError(f"{path}: kind {kind} has {acoustic.FEATURE_DIMS[kind]} dims, "
+                                f"but its model predicts {out_dim}")
+            bundle = RegressorBundle(
+                kind, nn.restore_model("regression", meta["model"], arrays, path),
                 Scaler(arrays["in_mean"], arrays["in_std"]),
                 Scaler(arrays["out_mean"], arrays["out_std"]),
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: incomplete regressor bundle ({exc!r})") from exc
+        for side, scaler, dim in (("in", bundle.in_scaler, bundle.model.in_dim),
+                                  ("out", bundle.out_scaler, out_dim)):
+            for name, values in (("mean", scaler.mean), ("std", scaler.std)):
+                if values.shape != (dim,):
+                    raise DataError(f"{path}: {side}_{name} has shape {values.shape}, expected ({dim},)")
+        return bundle
 
 
 def regression_example(trial_id: str, subject: int, condition: str,

@@ -8,7 +8,7 @@ file must keep its bytes and no temporary file may be left beside it.
 import numpy as np
 import pytest
 
-from eegspeech import dataio, nn, serialize
+from eegspeech import dataio, dsp, nn, serialize
 from eegspeech.config import RunConfig, echo_config
 from eegspeech.errors import DataError
 from eegspeech.evaluate import MetricsReport, spectrogram_export
@@ -86,7 +86,8 @@ def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
 def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeypatch):
     """Whichever of the two files fails, the CSV and the PGM both keep their old bytes."""
     prefix = tmp_path / "spec"
-    spectrogram_export(np.random.default_rng(1).standard_normal(3000), prefix)
+    grid = dsp.frame_grid_for_rate(15000)
+    spectrogram_export(np.random.default_rng(1).standard_normal(3000), prefix, grid)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     real_open = open
 
@@ -96,7 +97,7 @@ def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeyp
 
     monkeypatch.setattr(serialize, "open", failing_open, raising=False)
     with pytest.raises(DataError, match="disk full"):
-        spectrogram_export(np.random.default_rng(2).standard_normal(3000), prefix)
+        spectrogram_export(np.random.default_rng(2).standard_normal(3000), prefix, grid)
     for other in (".csv", ".pgm"):
         target = prefix.with_suffix(other)
         assert target.read_bytes() == before[target.name]

@@ -234,6 +234,21 @@ class TestPipelineCommands:
         assert code == 2
         assert "0 samples" in capsys.readouterr().err
 
+    def test_20_swapped_regressors_name_the_file(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        # both kinds are 1-dim, so each file is a consistent bundle under the wrong name
+        rms, zcr = out / "models" / "regress_rms.ckpt", out / "models" / "regress_zcr.ckpt"
+        rms_bytes = rms.read_bytes()
+        rms.write_bytes(zcr.read_bytes())
+        zcr.write_bytes(rms_bytes)
+        before = _tree_bytes(out)
+        code, _ = run_cli("eval-regress", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "regress_rms.ckpt: holds the zcr regressor, not rms" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
 
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
@@ -399,6 +414,17 @@ class TestSpectrogramFromWav:
         assert summary["pgm"] == str(tmp_path / "o" / "spectrograms" / "trial_0001.pgm")
         assert all((tmp_path / "o" / "spectrograms" / name).stat().st_size > 0
                    for name in ("trial_0001.csv", "trial_0001.pgm"))
+
+    def test_frame_rate_sets_the_hop(self, tmp_path):
+        # 0.5 s at 15 kHz is 7500 samples; a 25 Hz grid hops 600 of them
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        config = tmp_path / "rate.ini"
+        config.write_text("[features]\nframe_rate_hz = 25\n")
+        code, _ = run_cli("export-spectrogram", "--config", str(config), "--out", str(tmp_path / "o"),
+                          "--wav", str(tmp_path / "data" / "trial_0001.wav"))
+        assert code == 0
+        matrix = np.loadtxt(tmp_path / "o" / "spectrograms" / "trial_0001.csv", delimiter=",")
+        assert matrix.shape[0] == 1 + 7500 // 600
 
 
 def test_parser_surface():

@@ -1,8 +1,13 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegspeech.config import (
+    _SCHEMA,
     RunConfig,
     config_hash,
     parse_config,
@@ -118,12 +123,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ratios"):
             parse_config(path)
 
-    @pytest.mark.parametrize("rate", ["16000", "14999", "30000", "0"])
+    # The audio rate is dataio.AUDIO_RATE_HZ, not a setting: every value is an unknown key.
+    @pytest.mark.parametrize("rate", ["16000", "14999", "30000", "0", "15000"])
     def test_audio_rate_other_than_synthesis_rate_rejected(self, tmp_path, rate):
         path = tmp_path / "a.ini"
         path.write_text(f"[features]\naudio_rate_hz = {rate}\n")
-        with pytest.raises(ConfigError, match="audio_rate_hz must be 15000"):
+        with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
+
+    def test_zero_phase_key_rejected(self, tmp_path):
+        path = tmp_path / "z.ini"
+        path.write_text("[preprocess]\nzero_phase = true\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(path)
+
+
+def test_schema_names_each_field_once():
+    names = [field_name for field_name, _ in _SCHEMA.values()]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    assert parse_config(path).seed == 7
 
 
 class TestStageSeed:

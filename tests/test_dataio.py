@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegspeech import dataio, dsp
+from eegspeech import dataio, dsp, nn
 from eegspeech.errors import DataError
 
 from conftest import sine
+
+
+def test_audio_rate_is_the_synthesis_output_rate():
+    assert dataio.AUDIO_RATE_HZ == nn.SynthesisModel.upsample_factor * dataio.EEG_SAMPLE_RATE_HZ
 
 
 class TestWavIo:
@@ -264,7 +268,7 @@ class TestSyntheticDataset:
         assert len(manifest.trials) == 20
         trial = manifest.load_trial(manifest.trials[0])
         assert trial.eeg.data.shape == (31, 500)
-        assert trial.eeg.sample_rate_hz == 1000
+        assert trial.eeg.duration_s == 0.5
         assert trial.audio.sample_rate_hz == 16000
         assert {t.subject for t in manifest.trials} == {1, 2, 3, 4}
         assert {t.condition for t in manifest.trials} == {"spoken", "listen"}

@@ -79,11 +79,10 @@ class TestEvaluateSynthesis:
         assert keys == {(1, "spoken"), (2, "listen")}
         assert all(r["n_trials"] == 4 for r in report.rows)
 
-    def test_length_mismatch_warns_and_truncates(self, rng):
+    def test_prediction_of_another_length_rejected(self, rng):
         trials = _synth_trials(rng, n=2)
-        with pytest.warns(UserWarning, match="truncating"):
-            report = evaluate_synthesis(lambda x: np.zeros(150 + 30), trials)
-        assert len(report.rows) == 2
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evaluate_synthesis(lambda x: np.zeros(150 - 15), trials)
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +148,8 @@ class TestMeanBaseline:
 class TestReport:
     def test_json_round_trip(self, tmp_path, rng):
         trials = _synth_trials(rng, n=2)
-        report = evaluate_synthesis(lambda x: np.zeros(150), trials, {"seed": 1, "config_hash": "abc"})
+        report = evaluate_synthesis(lambda x: np.zeros(150), trials)
+        report.metadata = {"seed": 1, "config_hash": "abc"}
         path = tmp_path / "m.json"
         report.to_json(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -171,9 +171,12 @@ class TestReport:
         assert len(lines) == 1 + len(report.rows)
 
 
+GRID = dsp.frame_grid_for_rate(15000)
+
+
 class TestSpectrogramExport:
     def test_silence_uniform_minimum_image(self, tmp_path):
-        csv_path, pgm_path = spectrogram_export(np.zeros(15000), tmp_path / "silent")
+        csv_path, pgm_path = spectrogram_export(np.zeros(15000), tmp_path / "silent", GRID)
         matrix = np.loadtxt(csv_path, delimiter=",")
         assert np.all(matrix == -80.0)
         raw = pgm_path.read_bytes()
@@ -186,7 +189,7 @@ class TestSpectrogramExport:
         t = np.arange(2 * fs) / fs
         f0, f1 = 100.0, 5000.0
         chirp = np.sin(2 * np.pi * (f0 * t + (f1 - f0) / (2 * t[-1]) * t**2))
-        csv_path, _ = spectrogram_export(chirp, tmp_path / "chirp")
+        csv_path, _ = spectrogram_export(chirp, tmp_path / "chirp", GRID)
         matrix = np.loadtxt(csv_path, delimiter=",")
         ridge = np.argmax(matrix, axis=1)
         inner = ridge[2:-2]
@@ -195,7 +198,6 @@ class TestSpectrogramExport:
 
     def test_csv_dimensions_match_frame_formula(self, tmp_path, rng):
         n = 20000
-        csv_path, _ = spectrogram_export(rng.standard_normal(n), tmp_path / "noise")
+        csv_path, _ = spectrogram_export(rng.standard_normal(n), tmp_path / "noise", GRID)
         matrix = np.loadtxt(csv_path, delimiter=",")
-        hop = dsp.frame_grid_for_rate(15000).hop
-        assert matrix.shape == (1 + n // hop, 1024 // 2 + 1)
+        assert matrix.shape == (1 + n // GRID.hop, 1024 // 2 + 1)

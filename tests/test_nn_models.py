@@ -390,6 +390,21 @@ class TestCheckpoint:
         x = rng.standard_normal((11, 30))
         assert np.array_equal(bundle.predict(x), back.predict(x))
 
+    @pytest.mark.parametrize("kind, model_out, in_dim, out_dim, match", [
+        ("tonnetz", 6, 29, 6, "in_mean has shape \\(29,\\), expected \\(30,\\)"),
+        ("tonnetz", 6, 30, 5, "out_mean has shape \\(5,\\), expected \\(6,\\)"),
+        ("mel", 12, 30, 12, "kind mel has 128 dims, but its model predicts 12"),
+        ("nonsense", 6, 30, 6, "unknown feature kind 'nonsense'"),
+    ])
+    def test_inconsistent_bundle_is_data_error(self, tmp_path, rng, kind, model_out, in_dim, out_dim, match):
+        model = nn.build_regression_model(out_dim=model_out, seed=3, hidden=8)
+        bundle = pipeline.RegressorBundle(kind, model, pipeline.Scaler.fit(rng.standard_normal((20, in_dim))),
+                                          pipeline.Scaler.fit(rng.standard_normal((20, out_dim))))
+        path = tmp_path / "regress.ckpt"
+        bundle.save(path)
+        with pytest.raises(DataError, match=f"{path.name}: {match}"):
+            pipeline.RegressorBundle.load(path)
+
     def test_missing_param_array_is_data_error(self, tmp_path):
         # A checkpoint laid out for another layer order (the dense head at
         # layer05) has no layer04 arrays.
