@@ -17,8 +17,8 @@ import numpy as np
 from . import acoustic, dataio, dsp, eeg, nn, pipeline
 from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
-from .evaluate import MetricsReport, evaluate_acoustic, spectrogram_export
-from .serialize import atomic_open, load_container, save_container, write_json
+from .evaluate import MetricsReport, evaluate_acoustic, evaluate_synthesis, spectrogram_export
+from .serialize import load_container, save_container, write_csv, write_json
 
 # Container kinds of the per-trial intermediates under out_dir.
 CLEAN_KIND = "clean-eeg"
@@ -222,11 +222,9 @@ def cmd_fit_kpca(cfg: RunConfig, args) -> None:
     for key, model in models.items():
         eeg.save_kpca(model, kdir / f"{key}.kpca")
         curves[key] = eeg.explained_variance_curve(model)
-    with atomic_open(kdir / "explained_variance.csv") as fh:
-        fh.write("scope,component,cumulative_fraction\n")
-        for key in sorted(curves):
-            for i, frac in enumerate(curves[key], start=1):
-                fh.write(f"{key},{i},{frac:.9g}\n")
+    write_csv(kdir / "explained_variance.csv", ("scope", "component", "cumulative_fraction"),
+              ((key, str(i), f"{frac:.9g}") for key in sorted(curves)
+               for i, frac in enumerate(curves[key], start=1)))
     _summary("fit-kpca", scopes=sorted(models), out_dim=cfg.kpca_out_dim, out=str(kdir),
              effective_rank={key: model.effective_rank for key, model in models.items()},
              explained_variance={key: float(curve[-1]) for key, curve in curves.items()})
@@ -270,7 +268,8 @@ def cmd_eval_synth(cfg: RunConfig, args) -> None:
     model = _synthesis_model(cfg)
     cleans = {tid: _load_clean(cfg, tid) for tid in test_ids}
     examples = pipeline.build_synthesis_dataset(manifest, test_ids, cfg, cleans)
-    _write_report(cfg, "eval-synth", pipeline.evaluate_synthesis_model(model, examples))
+    predict = lambda x: model.predict(x.astype(np.float32)[None, ...])[0]
+    _write_report(cfg, "eval-synth", evaluate_synthesis(predict, examples))
 
 
 def cmd_eval_regress(cfg: RunConfig, args) -> None:
@@ -288,6 +287,8 @@ def cmd_eval_regress(cfg: RunConfig, args) -> None:
 
 
 def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
+    if args.wav is not None and args.source == "predicted":
+        raise ConfigError("--source predicted needs --trial: a WAV has no EEG to predict from")
     if args.wav is not None:
         clip = dataio.read_wav(args.wav)
         wave = dsp.resample_poly(clip.samples, clip.sample_rate_hz, dataio.AUDIO_RATE_HZ)

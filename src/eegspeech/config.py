@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsp
-from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ
+from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, SYNTH_DURATION_RANGE_S
 from .errors import ConfigError
 from .serialize import atomic_open
 
@@ -141,7 +141,9 @@ def validate_config(cfg: RunConfig) -> None:
                  "batch_size"):
         positive(name, getattr(cfg, name))
     positive("learning_rate", cfg.learning_rate)
-    positive("duration_s", cfg.duration_s)
+    lo, hi = SYNTH_DURATION_RANGE_S
+    if not (lo <= cfg.duration_s <= hi):
+        raise ConfigError(f"duration_s must be in [{lo:g}, {hi:g}], got {cfg.duration_s}")
     # dsp holds the valid ranges: build the filters and grids the stages will build
     try:
         dsp.design_butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_lo_hz, cfg.bandpass_hi_hz,

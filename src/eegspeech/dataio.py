@@ -252,21 +252,12 @@ def write_eeg(path: str | Path, rec: EegRecording) -> None:
 # ---------------------------------------------------------------------------
 # Manifest
 
-def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    items = [
-        {
-            "id": t.id,
-            "subject": t.subject,
-            "condition": t.condition,
-            "eeg_path": t.eeg_path,
-            "wav_path": t.wav_path,
-        }
-        for t in manifest.trials
-    ]
-    write_json(path, items)
-
-
+# A manifest entry's keys, in TrialRef field order.
 _MANIFEST_KEYS = ("id", "subject", "condition", "eeg_path", "wav_path")
+
+
+def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
+    write_json(path, [{key: getattr(t, key) for key in _MANIFEST_KEYS} for t in manifest.trials])
 
 
 def _manifest_entry(item, n: int, path: Path) -> TrialRef:
@@ -338,13 +329,12 @@ def make_split(
     )
 
 
+# A split file's id lists, in SplitAssignment field order.
+_SPLIT_ID_KEYS = ("train_ids", "val_ids", "test_ids")
+
+
 def save_split(split: SplitAssignment, path: str | Path) -> None:
-    write_json(path, {
-        "train_ids": list(split.train_ids),
-        "val_ids": list(split.val_ids),
-        "test_ids": list(split.test_ids),
-        "seed": split.seed,
-    })
+    write_json(path, {**{key: list(getattr(split, key)) for key in _SPLIT_ID_KEYS}, "seed": split.seed})
 
 
 def load_split(path: str | Path) -> SplitAssignment:
@@ -353,7 +343,7 @@ def load_split(path: str | Path) -> SplitAssignment:
     if not isinstance(d, dict):
         raise DataError(f"{path}: split must be a JSON object")
     sets = []
-    for key in ("train_ids", "val_ids", "test_ids"):
+    for key in _SPLIT_ID_KEYS:
         ids = d.get(key)
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise DataError(f"{path}: {key!r} must be a list of trial ids")
@@ -379,6 +369,8 @@ SYNTH_HARMONIC_TILT = np.array([0.0, 0.8, 1.2, 1.6, 2.0])
 SYNTH_AUDIO_SCALE = 0.5
 SYNTH_EEG_COUPLED_HARMONICS = 3
 SYNTH_MICROVOLT_SCALE = 20.0
+# Trial lengths the generator writes; validate_config rejects others up front.
+SYNTH_DURATION_RANGE_S = (0.5, 10.0)
 
 
 def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -457,8 +449,9 @@ def generate_synthetic_dataset(
     """Write n_trials paired EEG/audio files plus manifest.json; deterministic in seed."""
     if n_trials < 1:
         raise DataError("n_trials must be >= 1")
-    if not (0.5 <= duration_s <= 10.0):
-        raise DataError("duration_s must be in [0.5, 10]")
+    lo, hi = SYNTH_DURATION_RANGE_S
+    if not (lo <= duration_s <= hi):
+        raise DataError(f"duration_s must be in [{lo:g}, {hi:g}]")
     if eeg_format not in ("csv", "f32"):
         raise DataError(f"unknown eeg_format {eeg_format!r}")
     out_dir = Path(out_dir)

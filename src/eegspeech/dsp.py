@@ -1,7 +1,8 @@
 """Shared signal-processing primitives.
 
 IIR design and zero-phase filtering, polyphase resampling, the power STFT, and
-the ~31 Hz frame grid used by both the EEG and audio feature extractors.
+the frame grid used by both the EEG and audio feature extractors. Rates and
+filter/grid settings have no defaults here: they live in `dataio` and the config.
 Filter design and filtering are backed by scipy.signal; the STFT is computed
 directly so the frame-count contract is explicit.
 """
@@ -49,9 +50,7 @@ class IirFilter:
         return bool(np.all(self.pole_magnitudes() < 1.0))
 
 
-def design_butterworth_bandpass(
-    order: int = 4, lo_hz: float = 0.1, hi_hz: float = 70.0, fs_hz: float = 1000.0
-) -> IirFilter:
+def design_butterworth_bandpass(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> IirFilter:
     """Butterworth band-pass: analog low-pass prototype of `order`, band-transformed.
 
     The digital filter has 2*order poles (order sections); the -3 dB points sit
@@ -67,7 +66,7 @@ def design_butterworth_bandpass(
     return IirFilter(sos, desc)
 
 
-def design_iir_notch(f0_hz: float = 60.0, q: float = 30.0, fs_hz: float = 1000.0) -> IirFilter:
+def design_iir_notch(f0_hz: float, q: float, fs_hz: float) -> IirFilter:
     """Second-order notch with a true zero at f0_hz; -3 dB bandwidth f0/q."""
     if not (0 < f0_hz < fs_hz / 2):
         raise ValueError(f"invalid notch frequency {f0_hz} for fs={fs_hz}")
@@ -91,7 +90,7 @@ def lfilter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     return sps.sosfilt(filt.sos, np.asarray(x, dtype=np.float64), axis=axis)
 
 
-def resample_poly(x: np.ndarray, from_hz: int = 16000, to_hz: int = 15000) -> np.ndarray:
+def resample_poly(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
     """Polyphase rational resampling by to/from after gcd reduction.
 
     Output length is round(len(x) * to / from); the anti-aliasing low-pass is
@@ -112,14 +111,14 @@ def resample_poly(x: np.ndarray, from_hz: int = 16000, to_hz: int = 15000) -> np
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Analysis grid realizing a ~31 Hz frame rate with an integer hop.
+    """Analysis grid realizing a target frame rate (stock ~31 Hz) with an integer hop.
 
     Frame statistics (the EEG stats, audio rms and zcr) use hop-long windows.
     """
 
     sample_rate_hz: int
     hop: int
-    target_rate_hz: float = 31.0
+    target_rate_hz: float
 
     def __post_init__(self):
         if self.hop < 1:
@@ -130,7 +129,7 @@ class FrameGrid:
             )
 
 
-def frame_grid_for_rate(fs_hz: int, target_rate: float = 31.0) -> FrameGrid:
+def frame_grid_for_rate(fs_hz: int, target_rate: float) -> FrameGrid:
     """Integer-hop grid closest to target_rate: hop = round(fs / target)."""
     if not (target_rate > 0):
         raise ValueError(f"frame rate must be positive, got {target_rate}")
@@ -199,7 +198,7 @@ class PowerSpectrogram:
         return self.power.shape[0]
 
 
-def stft_power(x: np.ndarray, fft_size: int, hop: int, fs_hz: int = 15000) -> PowerSpectrogram:
+def stft_power(x: np.ndarray, fft_size: int, hop: int, fs_hz: int) -> PowerSpectrogram:
     """Power STFT |DFT|^2 with periodic Hann window and reflection center-padding.
 
     Frame count is 1 + floor(len(x)/hop): the signal is padded by fft_size/2 on

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp
+from . import acoustic, dsp
 from .acoustic import FEATURE_ORDER, label_for_kind
 from .errors import DataError
-from .serialize import atomic_open, write_json
+from .serialize import atomic_open, write_csv, write_json
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -42,10 +42,7 @@ class MetricsReport:
 
     def to_csv(self, path: str | Path) -> None:
         cols = ["subject", "condition"] + (["kind", "label"] if self.scope == "acoustic" else []) + ["rmse", "n_trials"]
-        with atomic_open(path) as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+        write_csv(path, cols, ([str(row.get(c, "")) for c in cols] for row in self.rows))
 
 
 def _grouped_mean(per_trial: list[dict], keys: tuple[str, ...]) -> list[dict]:
@@ -65,16 +62,17 @@ def _grouped_mean(per_trial: list[dict], keys: tuple[str, ...]) -> list[dict]:
 def evaluate_synthesis(predict_fn, test_trials: list[dict]) -> MetricsReport:
     """Per-trial waveform RMSE, averaged per subject x condition.
 
-    test_trials entries: {id, subject, condition, eeg: (T, 31), audio: (15*T,)}.
-    predict_fn maps (T, 31) -> (15*T,) or (15*T, 1); a prediction of any other
-    length is a ValueError.
+    test_trials entries are `pipeline.synthesis_example` records: {id, subject,
+    condition, x: (T, 31) EEG, y: (15*T, 1) waveform}. predict_fn maps
+    (T, 31) -> (15*T,) or (15*T, 1); a prediction of any other length is a
+    ValueError.
     """
     if not test_trials:
         raise ValueError("empty test set")
     per_trial = []
     for trial in test_trials:
-        pred = np.asarray(predict_fn(trial["eeg"]), dtype=np.float64).reshape(-1)
-        truth = np.asarray(trial["audio"], dtype=np.float64).reshape(-1)
+        pred = np.asarray(predict_fn(trial["x"]), dtype=np.float64).reshape(-1)
+        truth = np.asarray(trial["y"], dtype=np.float64).reshape(-1)
         per_trial.append(
             {
                 "subject": trial["subject"],
@@ -139,31 +137,30 @@ def pgm_bytes(image: np.ndarray) -> bytes:
     return header + img.astype(np.uint8).tobytes()
 
 
-def spectrogram_export(
-    wave: np.ndarray,
-    out_prefix: str | Path,
-    grid: dsp.FrameGrid,
-    fft_size: int = 1024,
-    floor_db: float = -80.0,
-) -> tuple[Path, Path]:
+# The spectrogram figure's dB floor, relative to its loudest bin.
+SPECTROGRAM_FLOOR_DB = -80.0
+
+
+def spectrogram_export(wave: np.ndarray, out_prefix: str | Path, grid: dsp.FrameGrid) -> tuple[Path, Path]:
     """Write the log-power STFT of `wave` (samples at grid.sample_rate_hz) on
     `grid` as CSV and a grayscale PGM (frames x bins).
 
-    Power is scaled to dB relative to the frame-matrix maximum and clipped at
-    floor_db; silence maps to a uniform minimum-value image. Both files are
-    written out whole before either replaces its previous version, so a failed
-    export leaves the previous pair as it was.
+    The STFT is the acoustic features' (`acoustic.FFT_SIZE` points). Power is
+    scaled to dB relative to the frame-matrix maximum and clipped at
+    SPECTROGRAM_FLOOR_DB; silence maps to a uniform minimum-value image. Both
+    files are written out whole before either replaces its previous version, so
+    a failed export leaves the previous pair as it was.
     """
     out_prefix = Path(out_prefix)
-    spec = dsp.stft_power(np.asarray(wave, dtype=np.float64), fft_size, grid.hop, grid.sample_rate_hz)
+    spec = dsp.stft_power(np.asarray(wave, dtype=np.float64), acoustic.FFT_SIZE, grid.hop, grid.sample_rate_hz)
     peak = spec.power.max()
     if peak <= 0:
-        db = np.full_like(spec.power, floor_db)
+        db = np.full_like(spec.power, SPECTROGRAM_FLOOR_DB)
     else:
-        db = 10.0 * np.log10(np.maximum(spec.power / peak, 10.0 ** (floor_db / 10.0)))
+        db = 10.0 * np.log10(np.maximum(spec.power / peak, 10.0 ** (SPECTROGRAM_FLOOR_DB / 10.0)))
     csv_path = out_prefix.with_suffix(".csv")
     pgm_path = out_prefix.with_suffix(".pgm")
-    image = np.round((db - floor_db) / (-floor_db) * 255.0)
+    image = np.round((db - SPECTROGRAM_FLOOR_DB) / -SPECTROGRAM_FLOOR_DB * 255.0)
     try:
         with atomic_open(csv_path) as csv_fh, atomic_open(pgm_path, "wb") as pgm_fh:
             np.savetxt(csv_fh, db, fmt="%.6g", delimiter=",")

@@ -110,7 +110,6 @@ class Model:
 
 class SynthesisModel(Model):
     kind = "synthesis"
-    upsample_factor = 15
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference as a polyphase stack: TCN1 at the EEG rate, then TCN2 on
@@ -211,7 +210,10 @@ def restore_model(kind: str, config: dict, arrays: dict, source: str | Path = "c
             raise DataError(f"{source}: unknown model kind {kind!r}")
     except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{source}: bad {kind} model config ({exc!r})") from exc
-    model.load_params(arrays)
+    try:
+        model.load_params(arrays)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
     return model
 
 

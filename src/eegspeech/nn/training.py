@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import NumericError
-from ..serialize import atomic_open
+from ..serialize import write_csv
 from .layers import Adam, mse_loss
 from .models import Model
 
@@ -44,14 +44,10 @@ class TrainHistory:
         return self.epochs[-1]["train_loss"]
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        with atomic_open(path) as fh:
-            if meta:
-                fields = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-                fh.write(f"# {fields}\n")
-            fh.write("epoch,train_loss,val_loss\n")
-            for row in self.epochs:
-                val = "" if row["val_loss"] is None else f"{row['val_loss']:.9g}"
-                fh.write(f"{row['epoch']},{row['train_loss']:.9g},{val}\n")
+        comment = " ".join(f"{k}={meta[k]}" for k in sorted(meta)) if meta else None
+        rows = ((str(row["epoch"]), f"{row['train_loss']:.9g}",
+                 "" if row["val_loss"] is None else f"{row['val_loss']:.9g}") for row in self.epochs)
+        write_csv(path, ("epoch", "train_loss", "val_loss"), rows, comment)
 
 
 def _bucket_batches(pairs, batch_size: int) -> list[list[int]]:

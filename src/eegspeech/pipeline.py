@@ -1,5 +1,5 @@
 """Glue between the modules: dataset assembly for the two tasks, KPCA scoping,
-per-kind regression bundles with their scalers, and evaluation wiring.
+and per-kind regression bundles with their scalers.
 
 The CLI drives these functions stage by stage through files; tests can call
 them directly on in-memory objects.
@@ -16,7 +16,6 @@ from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
 from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
 from .errors import DataError
-from .evaluate import evaluate_synthesis
 from .serialize import load_container, save_container
 
 
@@ -54,7 +53,7 @@ def synthesis_example(trial: TrialRecord, clean: eeg.CleanEeg, cfg: RunConfig) -
     The target is the recorded audio resampled to 15 kHz; both sides are
     truncated so the output is exactly 15x the input length.
     """
-    factor = nn.SynthesisModel.upsample_factor
+    factor = AUDIO_RATE_HZ // EEG_SAMPLE_RATE_HZ
     x = clean.data.T
     y = audio_at_rate(trial, cfg)
     t_in = min(len(x), len(y) // factor)
@@ -93,16 +92,6 @@ def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dic
     val_pairs = [(ex["x"], ex["y"]) for ex in val_examples] if val_examples else None
     history = nn.train(model, pairs, train_cfg, val_pairs)
     return model, history
-
-
-def evaluate_synthesis_model(model, examples: list[dict]):
-    trials = [
-        {"id": ex["id"], "subject": ex["subject"], "condition": ex["condition"],
-         "eeg": ex["x"], "audio": ex["y"][:, 0]}
-        for ex in examples
-    ]
-    predict = lambda x: model.predict(x.astype(np.float32)[None, ...])[0]
-    return evaluate_synthesis(predict, trials)
 
 
 # ---------------------------------------------------------------------------

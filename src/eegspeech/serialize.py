@@ -12,11 +12,12 @@ the next: `preprocess` writes `clean/<id>.clean` (kind "clean-eeg") and
 `extract-eeg-feats` writes `feats_eeg/<id>.feats` (kind "eeg-features"), so a
 file-driven run computes the same numbers as the in-memory pipeline.
 
-Every file the pipeline writes (containers, JSON, CSV, the resolved config,
-gen-data's EEG and WAV files and the spectrogram CSV and PGM) goes through
-`atomic_open`: the bytes go to a temporary file beside the target, which is
-renamed over it only once they are all written, so an interrupted write never
-leaves a truncated file under the target's name.
+Every file the pipeline writes (containers, JSON, the report tables of
+`write_csv`, the resolved config, gen-data's EEG and WAV files and the
+spectrogram CSV and PGM) goes through `atomic_open`: the bytes go to a
+temporary file beside the target, which is renamed over it only once they are
+all written, so an interrupted write never leaves a truncated file under the
+target's name.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def write_json(path: str | Path, doc) -> None:
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path: str | Path, header, rows, comment: str | None = None) -> None:
+    """The one report-table format: an optional `# comment` line, the header
+    row, then one line per row of cells the caller has already formatted as
+    strings, replaced whole through `atomic_open`."""
+    with atomic_open(path) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def read_json(path: str | Path, what: str):

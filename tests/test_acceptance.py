@@ -303,7 +303,7 @@ def test_criterion_feature_golden_suite():
     """440 Hz -> chroma class A; 200 Hz sawtooth pitch within 2 Hz; full-scale
     sine loudness -3.01 +/-0.1 dBFS; alternating +/-1 kurtosis -2; white-noise
     rolloff 6375 Hz +/-5%; 120 BPM clicks -> tempogram lag 15-16; total 571."""
-    grid = dsp.frame_grid_for_rate(FS_AUDIO)
+    grid = dsp.frame_grid_for_rate(FS_AUDIO, 31.0)
 
     def features(x):
         return acoustic.extract_acoustic_set(x, grid).features

@@ -86,7 +86,7 @@ def test_failed_write_keeps_previous_file(name, tmp_path, monkeypatch):
 def test_failed_spectrogram_export_keeps_previous_file(suffix, tmp_path, monkeypatch):
     """Whichever of the two files fails, the CSV and the PGM both keep their old bytes."""
     prefix = tmp_path / "spec"
-    grid = dsp.frame_grid_for_rate(15000)
+    grid = dsp.frame_grid_for_rate(15000, 31.0)
     spectrogram_export(np.random.default_rng(1).standard_normal(3000), prefix, grid)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     real_open = open

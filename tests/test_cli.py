@@ -250,6 +250,21 @@ class TestPipelineCommands:
         assert _tree_bytes(out) == before
 
 
+    def test_21_misfit_checkpoint_names_the_file(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        # the arrays stay those of an 8-unit GRU, the saved config now says 9
+        path = out / "models" / "regress_rms.ckpt"
+        kind, meta, arrays = load_container(path)
+        meta["model"]["hidden"] = 9
+        serialize.save_container(path, kind, meta, arrays)
+        before = _tree_bytes(out)
+        code, _ = run_cli("eval-regress", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert f"{path}: checkpoint shape mismatch at layer 0" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))
@@ -293,6 +308,15 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
         assert not out.exists() and not (tmp_path / "d").exists()
 
+    def test_duration_outside_the_generator_range_is_usage_error(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        out, data = tmp_path / "o", tmp_path / "d"
+        code = cli.main(["gen-data", "--duration", "20", "--config", str(config), "--out", str(out),
+                         "--data-root", str(data)])
+        assert code == 1
+        assert "duration_s must be in [0.5, 10], got 20.0" in capsys.readouterr().err
+        assert not out.exists() and not data.exists()
+
     @pytest.mark.parametrize("command, lines", [
         ("extract-eeg-feats", "[features]\nframe_rate_hz = 0"),
         ("extract-eeg-feats", "[features]\nframe_rate_hz = -5"),
@@ -325,6 +349,15 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.main(["export-spectrogram", *argv, "--out", str(out)]) == 1
         assert "--wav" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predicted_spectrogram_of_a_wav_is_usage_error(self, tmp_path, capsys):
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        out = tmp_path / "o"
+        code = cli.main(["export-spectrogram", "--wav", str(tmp_path / "data" / "trial_0001.wav"),
+                         "--source", "predicted", "--out", str(out)])
+        assert code == 1
+        assert "a WAV has no EEG to predict from" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_manifest_is_data_error(self, tmp_path):

@@ -46,6 +46,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="synth_epochs"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", ["0.25", "20", "0"])
+    def test_duration_outside_the_generator_range_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[dataset]\nduration_s = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape("duration_s must be in [0.5, 10]")):
+            parse_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[training]\nbatch_sz = 10\n")

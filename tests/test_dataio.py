@@ -14,7 +14,8 @@ from conftest import sine
 
 
 def test_audio_rate_is_the_synthesis_output_rate():
-    assert dataio.AUDIO_RATE_HZ == nn.SynthesisModel.upsample_factor * dataio.EEG_SAMPLE_RATE_HZ
+    model = nn.build_synthesis_model(seed=0, filters=(2, 2))
+    assert dataio.AUDIO_RATE_HZ == model.output_length(1) * dataio.EEG_SAMPLE_RATE_HZ
 
 
 class TestWavIo:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,27 +213,47 @@ class TestStftPower:
 
 class TestFrameGrid:
     def test_eeg_rate(self):
-        grid = dsp.frame_grid_for_rate(1000)
+        grid = dsp.frame_grid_for_rate(1000, 31.0)
         assert grid.hop == 32
         assert grid.sample_rate_hz / grid.hop == pytest.approx(31.25)
 
     def test_audio_rate(self):
-        grid = dsp.frame_grid_for_rate(15000)
+        grid = dsp.frame_grid_for_rate(15000, 31.0)
         assert grid.hop == 484
         assert grid.sample_rate_hz / grid.hop == pytest.approx(30.99, abs=0.01)
 
     def test_identity_rate(self):
-        assert dsp.frame_grid_for_rate(31).hop == 1
+        assert dsp.frame_grid_for_rate(31, 31.0).hop == 1
 
     def test_too_small_rate_rejected(self):
         with pytest.raises(ValueError):
-            dsp.frame_grid_for_rate(20)
+            dsp.frame_grid_for_rate(20, 31.0)
 
     def test_incompatible_rate_rejected(self):
         with pytest.raises(ValueError):
-            dsp.frame_grid_for_rate(100)
+            dsp.frame_grid_for_rate(100, 31.0)
 
     @pytest.mark.parametrize("target", [0.0, -5.0])
     def test_non_positive_target_rejected(self, target):
         with pytest.raises(ValueError, match="frame rate must be positive"):
             dsp.frame_grid_for_rate(1000, target)
+
+
+# Parameters that take a rate or a filter/grid setting, per dsp callable.
+SETTING_PARAMS = {
+    "design_butterworth_bandpass": ("order", "lo_hz", "hi_hz", "fs_hz"),
+    "design_iir_notch": ("f0_hz", "q", "fs_hz"),
+    "resample_poly": ("from_hz", "to_hz"),
+    "stft_power": ("fs_hz",),
+    "FrameGrid": ("target_rate_hz",),
+    "frame_grid_for_rate": ("target_rate",),
+}
+
+
+@pytest.mark.parametrize("name", SETTING_PARAMS)
+def test_rates_and_filter_settings_have_no_stock_default(name):
+    """The rates live in dataio and the filter and grid settings in the run
+    config; dsp keeps no second, silent copy of them."""
+    signature = inspect.signature(getattr(dsp, name)).parameters
+    defaults = {param: signature[param].default for param in SETTING_PARAMS[name]}
+    assert defaults == dict.fromkeys(SETTING_PARAMS[name], inspect.Parameter.empty)

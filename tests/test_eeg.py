@@ -8,7 +8,7 @@ from eegspeech.errors import DataError
 
 from conftest import sine
 
-GRID = dsp.frame_grid_for_rate(1000)
+GRID = dsp.frame_grid_for_rate(1000, 31.0)
 # FastICA on Gaussian input has no independent directions to converge to
 GAUSSIAN_ICA = pytest.mark.filterwarnings("ignore:FastICA did not converge")
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegspeech import acoustic, dsp
+from eegspeech import acoustic, dataio, dsp, eeg, pipeline
+from eegspeech.config import RunConfig
 from eegspeech.errors import DataError
 from eegspeech.evaluate import (
     MetricsReport,
@@ -47,11 +48,11 @@ class TestRmse:
 def _synth_trials(rng, n=6):
     trials = []
     for i in range(n):
-        eeg = rng.standard_normal((10, 31))
-        audio = rng.standard_normal(150)
+        x = rng.standard_normal((10, 31))
+        y = rng.standard_normal(150)
         trials.append(
             {"id": f"t{i}", "subject": (i % 2) + 1, "condition": ("spoken", "listen")[i % 2],
-             "eeg": eeg, "audio": audio}
+             "x": x, "y": y}
         )
     return trials
 
@@ -59,15 +60,15 @@ def _synth_trials(rng, n=6):
 class TestEvaluateSynthesis:
     def test_oracle_predictor_scores_zero(self, rng):
         trials = _synth_trials(rng)
-        answers = {t["id"]: t["audio"] for t in trials}
-        by_key = {id(t["eeg"]): t["id"] for t in trials}
+        answers = {t["id"]: t["y"] for t in trials}
+        by_key = {id(t["x"]): t["id"] for t in trials}
         report = evaluate_synthesis(lambda x: answers[by_key[id(x)]], trials)
         assert all(row["rmse"] == 0.0 for row in report.rows)
 
     def test_zero_predictor_on_unit_rms_targets(self, rng):
         trials = _synth_trials(rng)
         for t in trials:
-            t["audio"] = t["audio"] / np.sqrt(np.mean(t["audio"] ** 2))
+            t["y"] = t["y"] / np.sqrt(np.mean(t["y"] ** 2))
         report = evaluate_synthesis(lambda x: np.zeros(150), trials)
         for row in report.rows:
             assert row["rmse"] == pytest.approx(1.0, abs=1e-9)
@@ -87,6 +88,16 @@ class TestEvaluateSynthesis:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
             evaluate_synthesis(lambda x: x, [])
+
+    def test_reads_synthesis_example_records(self, tmp_path):
+        cfg = RunConfig()
+        manifest = dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        trial = manifest.load_trial(manifest.trials[0])
+        example = pipeline.synthesis_example(
+            trial, eeg.preprocess_eeg(trial.eeg, pipeline.preprocess_options(cfg)), cfg)
+        report = evaluate_synthesis(lambda x: np.zeros((15 * len(x), 1)), [example])
+        assert [(r["subject"], r["condition"], r["n_trials"]) for r in report.rows] == [(1, "spoken", 1)]
+        assert report.rows[0]["rmse"] == pytest.approx(float(np.sqrt(np.mean(example["y"] ** 2))), rel=1e-12)
 
 
 def _acoustic_trials(rng, n=4):
@@ -170,8 +181,19 @@ class TestReport:
         assert lines[0].startswith("subject,condition")
         assert len(lines) == 1 + len(report.rows)
 
+    @pytest.mark.parametrize("scope, text", [
+        ("synthesis", "subject,condition,rmse,n_trials\n1,spoken,0.25,2\n2,listen,0.1,1\n"),
+        ("acoustic", "subject,condition,kind,label,rmse,n_trials\n1,spoken,rms,f1,0.25,2\n2,listen,zcr,f2,0.1,1\n"),
+    ])
+    def test_csv_bytes(self, tmp_path, scope, text):
+        rows = [{"subject": 1, "condition": "spoken", "kind": "rms", "label": "f1", "rmse": 0.25, "n_trials": 2},
+                {"subject": 2, "condition": "listen", "kind": "zcr", "label": "f2", "rmse": 0.1, "n_trials": 1}]
+        path = tmp_path / "m.csv"
+        MetricsReport(scope, rows).to_csv(path)
+        assert path.read_text(encoding="utf-8") == text
 
-GRID = dsp.frame_grid_for_rate(15000)
+
+GRID = dsp.frame_grid_for_rate(15000, 31.0)
 
 
 class TestSpectrogramExport:
@@ -200,4 +222,10 @@ class TestSpectrogramExport:
         n = 20000
         csv_path, _ = spectrogram_export(rng.standard_normal(n), tmp_path / "noise", GRID)
         matrix = np.loadtxt(csv_path, delimiter=",")
-        assert matrix.shape == (1 + n // GRID.hop, 1024 // 2 + 1)
+        assert matrix.shape == (1 + n // GRID.hop, acoustic.FFT_SIZE // 2 + 1)
+
+    def test_uses_the_acoustic_stft_size(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(acoustic, "FFT_SIZE", 512)
+        csv_path, pgm_path = spectrogram_export(np.ones(3000), tmp_path / "ones", GRID)
+        assert np.loadtxt(csv_path, delimiter=",").shape == (1 + 3000 // GRID.hop, 512 // 2 + 1)
+        assert pgm_path.read_bytes().startswith(b"P5\n257 7\n255\n")

@@ -1,4 +1,5 @@
-"""Every module under src/eegspeech uses each name it imports.
+"""Every module under src/eegspeech uses each name it imports, and only the
+file-format modules open artifacts for writing.
 
 Neither `compileall` nor the test suite notices an import that a deletion left
 behind, so this parses each module with `ast` and fails on an imported name the
@@ -51,3 +52,25 @@ def test_finds_an_unused_import():
     tree = ast.parse("import os\nimport sys\nfrom json import dumps, loads\n__all__ = ['loads']\nsys.exit(0)\n")
     used = _read_names(tree) | _exported_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"os", "dumps"}
+
+
+def _names_atomic_open(tree: ast.Module) -> bool:
+    """Whether the module imports `atomic_open` or reads it as an attribute."""
+    return any((isinstance(node, ast.alias) and node.name == "atomic_open")
+               or (isinstance(node, ast.Attribute) and node.attr == "atomic_open")
+               for node in ast.walk(tree))
+
+
+def test_only_the_file_formats_open_artifacts():
+    """Artifact formats live in serialize (containers, JSON, write_csv tables)
+    plus the input-format writers of config and dataio and evaluate's
+    spectrogram figure; every other module writes through those."""
+    users = {str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             if _names_atomic_open(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
+    assert users == {"config.py", "dataio.py", "evaluate.py"}
+
+
+def test_finds_atomic_open_by_import_or_attribute():
+    assert _names_atomic_open(ast.parse("from .serialize import atomic_open as a\n"))
+    assert _names_atomic_open(ast.parse("from . import serialize\nserialize.atomic_open('x')\n"))
+    assert not _names_atomic_open(ast.parse("from .serialize import write_csv\nwrite_csv('x', [], [])\n"))

@@ -244,6 +244,15 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("meta, head", [(None, ""), ({}, ""), (
+        {"learning_rate": 0.003, "epochs": 2, "batch_size": 4}, "# batch_size=4 epochs=2 learning_rate=0.003\n")])
+    def test_history_csv_bytes(self, tmp_path, meta, head):
+        history = nn.TrainHistory([{"epoch": 1, "train_loss": 0.5, "val_loss": None},
+                                   {"epoch": 2, "train_loss": 1 / 3, "val_loss": 0.125}])
+        path = tmp_path / "history.csv"
+        history.to_csv(path, meta)
+        assert path.read_text(encoding="utf-8") == head + "epoch,train_loss,val_loss\n1,0.5,\n2,0.333333333,0.125\n"
+
 
 class TestModelBackward:
     @pytest.mark.parametrize("kind", ["synthesis", "regression"])

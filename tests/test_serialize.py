@@ -1,5 +1,7 @@
-"""The binary container: exact round trips and a closed failure on every malformed file."""
+"""The binary container: exact round trips and a closed failure on every malformed
+file; and the report-table writer's exact bytes."""
 
+import csv
 import json
 
 import numpy as np
@@ -115,3 +117,15 @@ def test_fuzz_damaged_containers_raise_only_data_error(cut, flips, tail, tmp_pat
         serialize.load_container(path)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("comment, head", [(None, b""), ("batch_size=4 epochs=2", b"# batch_size=4 epochs=2\n")],
+                         ids=["plain", "commented"])
+def test_write_csv_round_trip(tmp_path, comment, head):
+    path = tmp_path / "table.csv"
+    header, rows = ("scope", "component", "cumulative_fraction"), [("pooled", "1", "0.25"), ("pooled", "2", "")]
+    serialize.write_csv(path, header, iter(rows), comment)
+    assert path.read_bytes() == head + b"scope,component,cumulative_fraction\npooled,1,0.25\npooled,2,\n"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# ") == (comment is not None)
+    assert list(csv.reader(lines[comment is not None:])) == [list(header), *map(list, rows)]
