@@ -156,16 +156,27 @@ def mel_filterbank(n_mels: int, freqs: np.ndarray, lo_hz: float = 0.0, hi_hz: fl
     return fb
 
 
+@functools.lru_cache(maxsize=4)
+def _spectral_weights(fft_size: int, sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (12, bins) band weights and (128, bins) mel filterbank on
+    the STFT bins of `dsp.PowerSpectrogram` at this size and rate."""
+    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate_hz)
+    weights = (_band_weights(freqs), mel_filterbank(128, freqs))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # Spectral families
 
 def band_power_12(spec: dsp.PowerSpectrogram) -> FeatureSequence:
-    values = spec.power @ _band_weights(spec.freqs_hz).T
-    return FeatureSequence("band_power", values)
+    bands, _ = _spectral_weights(spec.fft_size, spec.sample_rate_hz)
+    return FeatureSequence("band_power", spec.power @ bands.T)
 
 
 def mel_spectrogram_128(spec: dsp.PowerSpectrogram) -> FeatureSequence:
-    fb = mel_filterbank(128, spec.freqs_hz)
+    _, fb = _spectral_weights(spec.fft_size, spec.sample_rate_hz)
     return FeatureSequence("mel", spec.power @ fb.T)
 
 

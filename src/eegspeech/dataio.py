@@ -12,6 +12,7 @@ feature sequences) are `serialize` containers, not EEG files.
 from __future__ import annotations
 
 import struct
+import warnings
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -188,14 +189,38 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 # ---------------------------------------------------------------------------
 # EEG input I/O: CSV (ch01..ch31 header) and raw float32 binary
 
+_EEG_CSV_HEADER = ",".join(f"ch{c + 1:02d}" for c in range(EEG_CHANNELS))
+
+
 def write_eeg_csv(path: str | Path, rec: EegRecording) -> None:
     """One row per time sample, 9 significant digits (lossless to that precision)."""
-    header = ",".join(f"ch{c + 1:02d}" for c in range(EEG_CHANNELS))
     with atomic_open(path) as fh:
-        np.savetxt(fh, rec.data.T, fmt="%.9g", delimiter=",", header=header, comments="")
+        np.savetxt(fh, rec.data.T, fmt="%.9g", delimiter=",", header=_EEG_CSV_HEADER, comments="")
 
 
 def read_eeg_csv(path: str | Path) -> EegRecording:
+    """Header line ch01..ch31, then one row of 31 numbers per time sample.
+
+    The file is parsed once by `np.loadtxt`. Only when that fails or gives the
+    wrong shape does the line scan of `_scan_eeg_csv` run, to name the fault or
+    to read what loadtxt rejects (a whitespace-only or leading blank line).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().strip() == _EEG_CSV_HEADER:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a header-only file reads as (0, 1)
+                    rows = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+                if rows.shape[1] == EEG_CHANNELS:
+                    return EegRecording(rows.T)
+    except ValueError:  # UnicodeDecodeError included
+        pass
+    return EegRecording(_scan_eeg_csv(path).T)
+
+
+def _scan_eeg_csv(path: str | Path) -> np.ndarray:
+    """Line by line: (samples, 31) rows of a file, or a DataError naming the
+    first faulty line; blank and whitespace-only lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -207,13 +232,14 @@ def read_eeg_csv(path: str | Path) -> EegRecording:
         n_cells = ln.count(",") + 1
         if n_cells != EEG_CHANNELS:
             raise DataError(f"{path}:{i}: wrong column count ({n_cells}, expected {EEG_CHANNELS})")
+        if i == 1 and ln != _EEG_CSV_HEADER:
+            raise DataError(f"{path}:1: header must be ch01..ch31")
     if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
     try:
-        rows = np.loadtxt(lines[1:], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(lines[1:], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell ({exc})") from exc
-    return EegRecording(rows.T)
 
 
 def write_eeg_binary(path: str | Path, rec: EegRecording) -> None:

@@ -18,7 +18,10 @@ from scipy import signal as sps
 
 @dataclass(frozen=True)
 class IirFilter:
-    """Cascade of second-order sections, coefficient layout (b0,b1,b2,1,a1,a2)."""
+    """Cascade of second-order sections, coefficient layout (b0,b1,b2,1,a1,a2).
+
+    `sos` is read-only, so one designed filter can be shared between calls.
+    """
 
     sos: np.ndarray
     description: str = ""
@@ -31,6 +34,7 @@ class IirFilter:
             raise ValueError("non-finite filter coefficients")
         # normalize a0 to 1 per section
         sos = sos / sos[:, 3:4]
+        sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         if not self.is_stable():
             raise ValueError(f"unstable filter: {self.description}")
@@ -82,12 +86,13 @@ def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[axis] <= 3 * filt.order:
         raise ValueError(f"signal too short for zero-phase filtering: {x.shape[axis]} <= 3*{filt.order}")
-    return sps.sosfiltfilt(filt.sos, x, axis=axis)
+    # scipy's filters reject a read-only sos array, so each call gets a copy
+    return sps.sosfiltfilt(filt.sos.copy(), x, axis=axis)
 
 
 def lfilter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Causal single-pass filtering: the reference the zero-phase tests measure against."""
-    return sps.sosfilt(filt.sos, np.asarray(x, dtype=np.float64), axis=axis)
+    return sps.sosfilt(filt.sos.copy(), np.asarray(x, dtype=np.float64), axis=axis)
 
 
 def resample_poly(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:

@@ -149,6 +149,27 @@ class TestCqtNoteEnergies:
         assert not any(b.flags.writeable for b in blocks)
 
 
+class TestSpectralWeightCache:
+    def test_weights_are_cached_read_only_and_small(self):
+        weights = acoustic._spectral_weights(acoustic.FFT_SIZE, FS)
+        assert acoustic._spectral_weights(acoustic.FFT_SIZE, FS) is weights
+        bins = acoustic.FFT_SIZE // 2 + 1
+        assert [w.shape for w in weights] == [(12, bins), (128, bins)]
+        assert sum(w.nbytes for w in weights) < 2**20
+        for w in weights:
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("fft_size, fs", [(1024, FS), (512, 16000), (1024, 16000)])
+    def test_matches_weights_built_on_the_spectrogram_bins(self, fft_size, fs, rng):
+        # the cache key is (fft_size, rate): each pair gets the weights of its own bins
+        spec = dsp.stft_power(rng.standard_normal(6000), fft_size, 160, fs)
+        bands = acoustic.band_power_12(spec).values
+        mel = acoustic.mel_spectrogram_128(spec).values
+        assert np.array_equal(bands, spec.power @ acoustic._band_weights(spec.freqs_hz).T)
+        assert np.array_equal(mel, spec.power @ acoustic.mel_filterbank(128, spec.freqs_hz).T)
+
+
 class TestChromaCens:
     def test_sustained_c4_argmax(self, grid):
         seq = family("chroma_cens", sine(261.63, FS, 1.0), grid)

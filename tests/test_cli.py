@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eegspeech
 from eegspeech import cli, dataio, eeg, nn, pipeline, serialize
 from eegspeech.config import parse_config
 from eegspeech.serialize import load_container
@@ -475,3 +480,47 @@ def test_parser_surface():
     assert surface == expected
     args = parser.parse_args(["gen-data", "--n-trials", "3", "--duration", "0.25"])
     assert (args.n_trials, args.duration) == (3, 0.25) and type(args.n_trials) is int
+
+
+def _cli_process(root: Path, *steps: list[str]) -> None:
+    """Run `steps` through cli.main in one fresh interpreter at one BLAS thread."""
+    paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = ("from eegspeech import cli\n"
+              f"for step in {[list(step) for step in steps]!r}:\n"
+              "    assert cli.main(step + ['--config', 'run.ini']) == 0, step\n")
+    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True, timeout=300,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_artifacts_are_byte_identical_across_processes(tmp_path):
+    """Front-end artifacts do not depend on what a process computed before:
+    a fresh process whose filter and weight caches are cold at a later trial
+    writes the same .clean bytes, and a second run writes the same files."""
+    def front_end(tag: str) -> Path:
+        root = tmp_path / tag
+        root.mkdir()
+        (root / "run.ini").write_text(
+            "[paths]\ndata_root = data\nout_dir = out\n[run]\nseed = 9\n"
+            "[dataset]\nn_trials = 12\nduration_s = 0.5\n[kpca]\nscope = pooled\n"
+        )
+        _cli_process(root, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"])
+        return root
+
+    first, second = front_end("a1"), front_end("a2")
+    for suffix in (".feats", ".kpca", ".json"):
+        files = sorted(p.relative_to(first) for p in first.rglob(f"*{suffix}"))
+        assert files and files == sorted(p.relative_to(second) for p in second.rglob(f"*{suffix}"))
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), f"byte mismatch in {name}"
+
+    manifest = dataio.load_manifest(first / "data" / "manifest.json")
+    subject3 = [t.id for t in manifest.trials if t.subject == 3]
+    assert subject3 and subject3[0] != manifest.trials[0].id
+    paths = {tid: first / "out" / "clean" / f"{tid}.clean" for tid in subject3}
+    cleans = {tid: path.read_bytes() for tid, path in paths.items()}
+    for path in paths.values():
+        path.unlink()
+    _cli_process(first, ["preprocess", "--subject", "3"])
+    for tid, path in paths.items():
+        assert path.read_bytes() == cleans[tid], f"byte mismatch in {tid}.clean"

@@ -171,6 +171,37 @@ class TestEegCsv:
         cells = np.array([[float(c) for c in ln.split(",")] for ln in oracle[1:]])
         assert np.array_equal(dataio.read_eeg_csv(path).data, cells.T)
 
+    def test_headerless_file_is_refused(self, tmp_path, rng):
+        path = tmp_path / "headless.csv"
+        path.write_text("\n".join(",".join(f"{v:.9g}" for v in row) for row in rng.standard_normal((5, 31))) + "\n")
+        with pytest.raises(DataError, match=r"headless\.csv:1: header must be ch01\.\.ch31"):
+            dataio.read_eeg_csv(path)
+
+    def test_uniform_short_rows_name_the_first_data_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(f"ch{c:02d}" for c in range(1, 32)) + "\n" + (",".join(["0"] * 30) + "\n") * 3)
+        with pytest.raises(DataError, match=r"bad\.csv:2: wrong column count \(30, expected 31\)"):
+            dataio.read_eeg_csv(path)
+
+    @pytest.mark.parametrize("layout", ["blank line", "whitespace-only line", "leading blank line", "crlf",
+                                        "trailing spaces"])
+    def test_loose_layouts_read_the_same_values(self, layout, tmp_path, rng):
+        path = tmp_path / "eeg.csv"
+        dataio.write_eeg_csv(path, dataio.EegRecording(rng.standard_normal((31, 6)) * 40))
+        want = dataio.read_eeg_csv(path).data
+        lines = path.read_text().splitlines()
+        if layout == "blank line":
+            lines.insert(3, "")
+        elif layout == "whitespace-only line":
+            lines.insert(3, " \t ")
+        elif layout == "leading blank line":
+            lines.insert(0, "")
+        elif layout == "trailing spaces":
+            lines = [ln + "  " for ln in lines]
+        newline = "\r\n" if layout == "crlf" else "\n"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert np.array_equal(dataio.read_eeg_csv(path).data, want)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         row = ["0"] * 31

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from eegspeech import dataio, dsp, eeg, serialize
 from eegspeech.dataio import EegRecording
@@ -68,6 +69,37 @@ class TestPreprocess:
     def test_wrong_channel_count_rejected(self):
         with pytest.raises(Exception, match="channels"):
             EegRecording(np.zeros((30, 1000)))
+
+
+class TestPreprocessFilterCache:
+    """preprocess_eeg designs its filters once per option set and shares them read-only."""
+
+    def test_one_design_per_option_set(self, rng, monkeypatch):
+        calls = []
+        design = dsp.design_butterworth_bandpass
+        monkeypatch.setattr(dsp, "design_butterworth_bandpass", lambda *a: calls.append(a) or design(*a))
+        eeg._preprocess_filters.cache_clear()
+        for _ in range(3):
+            eeg.preprocess_eeg(EegRecording(rng.standard_normal((31, 1000))))
+        assert len(calls) == 1
+
+    def test_second_option_set_matches_a_fresh_design(self, rng):
+        data = rng.standard_normal((31, 2000)) * 30
+        stock = eeg.preprocess_eeg(EegRecording(data)).data
+        narrow = eeg.preprocess_eeg(EegRecording(data), eeg.PreprocessOptions(bandpass_hi_hz=40)).data
+        bp = dsp.design_butterworth_bandpass(4, 0.1, 40.0, 1000)
+        notch = dsp.design_iir_notch(60.0, 30.0, 1000)
+        fresh = eeg.zscore_channels(dsp.apply_filter(notch, dsp.apply_filter(bp, data, axis=1), axis=1))
+        assert np.array_equal(narrow, fresh)
+        assert not np.array_equal(narrow, stock)
+
+    def test_shared_filters_refuse_writes(self, rng):
+        data = rng.standard_normal((31, 2000)) * 30
+        before = eeg.preprocess_eeg(EegRecording(data)).data
+        for filt in eeg._preprocess_filters(eeg.PreprocessOptions()):
+            with pytest.raises(ValueError, match="read-only"):
+                filt.sos[0, 0] = 0.0
+        assert np.array_equal(eeg.preprocess_eeg(EegRecording(data)).data, before)
 
 
 class TestFastIca:
@@ -159,6 +191,21 @@ class TestRemoveArtifacts:
         result = eeg.fast_ica(x, seed=5)
         _, removed = eeg.remove_artifact_components(result, 8.0)
         assert removed == []
+
+
+class TestExcessKurtosis:
+    """Against scipy's biased Fisher kurtosis, on 32-sample frames as the stats use."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_scipy(self, rng, offset):
+        frames = rng.standard_normal((200, 32)) * 40.0 + offset
+        frames[:100] = rng.laplace(size=(100, 32)) * 40.0 + offset
+        want = scipy.stats.kurtosis(frames, axis=1, fisher=True, bias=True)
+        np.testing.assert_allclose(eeg.excess_kurtosis(frames, axis=1), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("value", [0.0, -7.25, 1e3 + 0.1])
+    def test_constant_frames_are_exactly_zero(self, value):
+        assert np.all(eeg.excess_kurtosis(np.full((4, 32), value), axis=1) == 0.0)
 
 
 class TestFrameStats:
