@@ -310,11 +310,12 @@ def cmd_grad_check(cfg: RunConfig, args) -> None:
     """finite-difference verification of all layer gradients"""
     rng = np.random.default_rng(stage_seed(cfg.seed, "grad-check"))
     results = {}
-    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), kernel_size=3, dtype=np.float64)
+    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), kernel_size=3, dropout_rate=0.0,
+                                     dtype=np.float64)
     x = rng.standard_normal((2, 6, 31))
     y = rng.standard_normal((2, 90, 1))
     results["synthesis"] = nn.finite_diff_grad_check(synth, x, y, seed=0)
-    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dtype=np.float64)
+    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
     x = rng.standard_normal((2, 6, 30))
     y = rng.standard_normal((2, 6, 7))
     results["regression"] = nn.finite_diff_grad_check(regress, x, y, seed=0)

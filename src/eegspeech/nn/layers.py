@@ -1,13 +1,16 @@
 """Sequence layers with explicit forward/backward passes on numpy tensors.
 
-Batches are (batch, time, features). Every layer caches what its backward pass
-needs during forward (TcnBlock's inference-only repeated forward caches
-nothing); backward accumulates parameter gradients in place and
-returns the input gradient. A caller that has no use for the input gradient
-(the first layer of a stack) passes need_input_grad=False: the TCN block and
-the GRU then skip their input-gradient GEMM and return None, and the other
-layers ignore the flag. Training arithmetic is float32 by default; gradient
-verification builds float64 stacks.
+Batches are (batch, time, features). Every forward sets the layer's one
+backward record, `_cache`: a training forward stores exactly what backward
+reads, an inference forward stores None. backward takes the record through
+Layer._take_cache, which releases it and raises RuntimeError when there is
+none, so each training forward allows one backward and no layer holds
+activations between passes. backward accumulates parameter gradients in place
+and returns the input gradient. A caller that has no use for the input
+gradient (the first layer of a stack) passes need_input_grad=False: the TCN
+block and the GRU then skip their input-gradient GEMM and return None, and the
+other layers ignore the flag. Training arithmetic is float32 by default;
+gradient verification builds float64 stacks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ class Layer:
     def __init__(self):
         self.params: list[np.ndarray] = []
         self.grads: list[np.ndarray] = []
+        self._cache = None
+
+    def _take_cache(self):
+        """The last training forward's backward record, released."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a training forward "
+                               "(one backward per training forward)")
+        return cache
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -84,7 +96,6 @@ class TcnBlock(Layer):
             self.proj = uniform_fan_in(rng, (in_dim, out_dim), in_dim, dtype)
             self.params.append(self.proj)
         self.grads = [np.zeros_like(p) for p in self.params]
-        self._cache = None
 
     def _w_all(self) -> np.ndarray:
         """(in, m*out): the k taps of w side by side, then proj if there is one."""
@@ -125,22 +136,18 @@ class TcnBlock(Layer):
                 if -off < t:
                     z[:, -off:] += y[:, : t + off, j * o : (j + 1) * o]
             np.maximum(z, 0.0, out=z)
-            mask = z > 0 if repeat == 1 else None
+            self._cache = (x, z > 0) if training else None
             if self.proj is not None:
                 z += y[:, :, k * o :]
             elif self.use_residual:
                 z += x
             if repeat == 1:
-                self._cache = (x, mask)
                 return z
             out[:, :, phases] = z[:, :, None]
-        self._cache = None
         return out.reshape(b, t * repeat, o)
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        if self._cache is None:
-            raise RuntimeError("TcnBlock.backward needs a forward with repeat=1 first")
-        x, relu_mask = self._cache
+        x, relu_mask = self._take_cache()
         b, t, n = x.shape
         k, o = self.kernel_size, self.out_dim
 
@@ -174,12 +181,13 @@ class UpsampleRepeat(Layer):
         self.k = k
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._in_time = x.shape[1]
+        self._cache = () if training else None
         return np.repeat(x, self.k, axis=1)
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
+        self._take_cache()
         b, tk, f = grad_out.shape
-        return grad_out.reshape(b, self._in_time, self.k, f).sum(axis=2)
+        return grad_out.reshape(b, tk // self.k, self.k, f).sum(axis=2)
 
     def output_length(self, t: int) -> int:
         return self.k * t
@@ -211,7 +219,8 @@ class Dropout(Layer):
 
     The keep mask is drawn as integer words (see _keep_mask) and cached as
     booleans with the 1/keep scale applied to the product, so a step never
-    holds a float copy of the mask.
+    holds a float copy of the mask. At rate 0 a training forward draws nothing
+    and records an empty cache: the layer's generator never advances.
     """
 
     def __init__(self, rate: float = 0.2, seed: int = 0):
@@ -220,23 +229,25 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = np.random.default_rng(seed)
-        self._mask = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:
-            self._mask = None
+            self._cache = () if training else None
             return x
-        self._mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate)
-        self._scale = x.dtype.type(1.0) / (1.0 - self.rate)
-        y = x * self._mask
-        y *= self._scale
+        mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate)
+        scale = x.dtype.type(1.0) / (1.0 - self.rate)
+        self._cache = (mask, scale)
+        y = x * mask
+        y *= scale
         return y
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
-        if self._mask is None:
+        cache = self._take_cache()
+        if not cache:
             return grad_out
-        g = grad_out * self._mask
-        g *= self._scale
+        mask, scale = cache
+        g = grad_out * mask
+        g *= scale
         return g
 
 
@@ -256,12 +267,13 @@ class TimeDistributedDense(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"dense expects feature dim {self.in_dim}, got {x.shape[-1]}")
-        self._x = x
+        self._cache = x if training else None
         return x @ self.w + self.b
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray:
-        b, t, _ = self._x.shape
-        self.grads[0] += self._x.reshape(b * t, -1).T @ grad_out.reshape(b * t, -1)
+        x = self._take_cache()
+        b, t, _ = x.shape
+        self.grads[0] += x.reshape(b * t, -1).T @ grad_out.reshape(b * t, -1)
         self.grads[1] += grad_out.sum(axis=(0, 1))
         return grad_out @ self.w.T
 
@@ -323,11 +335,11 @@ class GruLayer(Layer):
             np.multiply(r, h, out=rh[step])
             hc = hcs[step] = np.tanh(a[step, :, 2 * hd :] + rh[step] @ self.u_h)
             hs[step + 1] = (1.0 - z) * h + z * hc
-        self._cache = (xs, w, zr, hcs, hs, rh)
+        self._cache = (xs, w, zr, hcs, hs, rh) if training else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        xs, w, zr, hcs, hs, rh = self._cache
+        xs, w, zr, hcs, hs, rh = self._take_cache()
         t, b, _ = xs.shape
         hd = self.hidden
         (gw_z, gw_r, gw_h, gu_z, gu_r, gu_h, gb_z, gb_r, gb_h) = self.grads

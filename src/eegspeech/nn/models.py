@@ -15,7 +15,12 @@ read only step t. Each EEG step therefore yields at most three distinct
 outputs, and its 15 audio samples are [a]*3 + [b]*3 + [c]*9.
 SynthesisModel.predict uses this (TcnBlock.forward with repeat=5) and never
 builds the (B, 5T, f1) repeat; Model.forward(training=False) is the
-layer-by-layer reference that the gradient check differentiates.
+layer-by-layer reference it is tested against.
+
+Model.backward differentiates the last forward(training=True): each layer
+reads and releases the record that forward left (see layers.py), so an
+inference pass leaves no activations behind and a backward without a training
+forward raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -60,11 +65,12 @@ class Model:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate every parameter gradient; the flag goes to the first layer only."""
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate every parameter gradient of the last training forward; the
+        first layer's input gradient is never formed."""
         for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return self.layers[0].backward(grad_out, need_input_grad=need_input_grad)
+        self.layers[0].backward(grad_out, need_input_grad=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference mode: dropout off, deterministic."""

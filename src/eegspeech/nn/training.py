@@ -1,5 +1,10 @@
 """Training loop (seeded shuffling, length-bucketed padded batches run in
-micro-batches, masked MSE, Adam) plus the finite-difference gradient verifier."""
+micro-batches, masked MSE, Adam) plus the finite-difference gradient verifier.
+
+Each micro-batch runs forward(training=True) and then backward, which releases
+the layers' backward records, and the validation loss runs through predict,
+which keeps none: between steps and after train returns, a model holds no
+activations."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 
 from ..errors import NumericError
 from ..serialize import write_csv
-from .layers import Adam, mse_loss
+from .layers import Adam, Dropout, mse_loss
 from .models import Model
 
 # Input time steps per forward/backward pass: a padded batch is run in slices of
@@ -129,7 +134,7 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
                 sq_sum += loss * part
                 count_sum += part
                 grad *= grad.dtype.type(part / count)
-                model.backward(grad, need_input_grad=False)
+                model.backward(grad)
             optimizer.step(model.grads())
         val_loss = _epoch_loss(model, val_pairs, val_batches, dtype) if val_batches else None
         history.epochs.append(
@@ -148,18 +153,23 @@ def finite_diff_grad_check(
 ) -> float:
     """Max relative error of analytic parameter gradients vs central differences.
 
-    Run on float64 models; the loss path is inference-mode (dropout off) so the
-    objective is deterministic.
+    Run on float64 models. The analytic gradients come from the training pass,
+    forward(training=True) then backward; the model must have no dropout
+    (rate 0), so that pass is the deterministic function the central
+    differences evaluate through the inference forward.
     """
+    if any(isinstance(layer, Dropout) and layer.rate != 0.0 for layer in model.layers):
+        raise ValueError("finite_diff_grad_check needs a model without dropout (rate 0)")
+
     def loss_of() -> float:
         pred = model.forward(x, training=False)
         loss, _ = mse_loss(pred, y)
         return loss
 
     model.zero_grad()
-    pred = model.forward(x, training=False)
+    pred = model.forward(x, training=True)
     _, grad = mse_loss(pred, y)
-    model.backward(grad, need_input_grad=False)
+    model.backward(grad)
     analytic = [g.copy() for g in model.grads()]
 
     coords = [(pi, flat) for pi, p in enumerate(model.params()) for flat in range(p.size)]

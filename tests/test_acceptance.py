@@ -49,10 +49,10 @@ def test_criterion_gradient_suite():
         up = nn.UpsampleRepeat(int(rng.integers(1, 5)))
         check_layer_grads(up, rng.standard_normal((2, int(rng.integers(2, 5)), 3)), rng)
 
-        drop = nn.Dropout(0.3, seed=trial)  # inference path is the identity
+        drop = nn.Dropout(0.3, seed=trial)  # backward applies the training pass's mask and scale
         x = rng.standard_normal((2, 4, 3))
-        drop.forward(x, training=False)
-        assert np.array_equal(drop.backward(x), x)
+        y = drop.forward(x, training=True)
+        assert np.array_equal(drop.backward(np.ones_like(x)) * x, y)
 
         pred = rng.standard_normal((2, 5, 3))
         target = rng.standard_normal((2, 5, 3))
@@ -70,12 +70,13 @@ def test_criterion_gradient_suite():
             worst = max(worst, rel)
             assert rel < 1e-4
 
-    # whole-model checks mirror the CLI grad-check command
+    # whole-model checks mirror the CLI grad-check command: rate-0 dropout, so
+    # the training pass the checker differentiates is deterministic
     rng = np.random.default_rng(0)
-    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), dtype=np.float64)
+    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), dropout_rate=0.0, dtype=np.float64)
     err_s = nn.finite_diff_grad_check(synth, rng.standard_normal((2, 6, 31)),
                                       rng.standard_normal((2, 90, 1)), seed=0)
-    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dtype=np.float64)
+    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
     err_r = nn.finite_diff_grad_check(regress, rng.standard_normal((2, 6, 30)),
                                       rng.standard_normal((2, 6, 7)), seed=0)
     assert err_s < 1e-4 and err_r < 1e-4

@@ -494,21 +494,25 @@ def _cli_process(root: Path, *steps: list[str]) -> None:
 
 
 def test_artifacts_are_byte_identical_across_processes(tmp_path):
-    """Front-end artifacts do not depend on what a process computed before:
-    a fresh process whose filter and weight caches are cold at a later trial
-    writes the same .clean bytes, and a second run writes the same files."""
-    def front_end(tag: str) -> Path:
+    """Artifacts do not depend on what a process computed before: two fresh
+    processes at one BLAS thread write the same front-end, model, history and
+    metrics files, and a fresh process whose filter and weight caches are cold
+    at a later trial writes the same .clean bytes."""
+    def run(tag: str) -> Path:
         root = tmp_path / tag
         root.mkdir()
         (root / "run.ini").write_text(
             "[paths]\ndata_root = data\nout_dir = out\n[run]\nseed = 9\n"
-            "[dataset]\nn_trials = 12\nduration_s = 0.5\n[kpca]\nscope = pooled\n"
+            "[dataset]\nn_trials = 12\nduration_s = 0.5\n[kpca]\nscope = pooled\nout_dim = 8\n"
+            "[synthesis]\nfilters1 = 8\nfilters2 = 4\nepochs = 1\n[regression]\nhidden = 8\nepochs = 1\n"
         )
-        _cli_process(root, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"])
+        _cli_process(root, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
+                     ["train-synth"], ["train-regress", "--kind", "all"], ["eval-synth"], ["eval-regress"])
         return root
 
-    first, second = front_end("a1"), front_end("a2")
-    for suffix in (".feats", ".kpca", ".json"):
+    first, second = run("a1"), run("a2")
+    assert len(list(first.rglob("*.ckpt"))) == 17
+    for suffix in (".feats", ".kpca", ".ckpt", ".json", ".csv"):
         files = sorted(p.relative_to(first) for p in first.rglob(f"*{suffix}"))
         assert files and files == sorted(p.relative_to(second) for p in second.rglob(f"*{suffix}"))
         for name in files:

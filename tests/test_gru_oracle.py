@@ -143,10 +143,10 @@ def test_gradients_accumulate_across_backward_calls():
     layer = nn.GruLayer(3, 5, rng=rng, dtype=np.float64)
     x = rng.standard_normal((2, 4, 3))
     grad_out = rng.standard_normal((2, 4, 5))
-    layer.forward(x)
+    layer.forward(x, training=True)
     layer.backward(grad_out)
     once = [g.copy() for g in layer.grads]
-    layer.forward(x)
+    layer.forward(x, training=True)
     layer.backward(grad_out)
     for g, g1 in zip(layer.grads, once):
         assert np.allclose(g, 2.0 * g1, rtol=1e-14, atol=0.0)

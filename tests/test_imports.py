@@ -99,3 +99,50 @@ def test_no_integer_power_through_pow(path):
 def test_finds_an_integer_power():
     tree = ast.parse("a = x ** 4\nx **= 3\nb = x ** 2\nc = 2 ** 24\nd = x ** 0.5\ne = x ** k\nf = (x + 1) ** 1\n")
     assert _slow_powers(tree) == [1, 2, 7]
+
+
+def _forward_state(tree: ast.Module) -> list[tuple[str, int]]:
+    """(attribute, line) for every `self.<attr>` other than `_cache` that a
+    method named `forward` assigns: a layer's backward state lives only in the
+    one record that backward takes and releases."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "forward"):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self" and sub.attr != "_cache"):
+                        found.append((sub.attr, sub.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_layer_forwards_keep_state_only_in_the_cache():
+    path = SRC / "nn" / "layers.py"
+    found = _forward_state(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not found, f"layers.py: forward assigns self attributes other than _cache: {found}"
+
+
+def test_finds_forward_state():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.w = 1\n"
+        "    def forward(self, x):\n"
+        "        self._cache = x\n"
+        "        self._x = x\n"
+        "        self._mask, y = x, x\n"
+        "        self.n += 1\n"
+        "        other.z = x\n"
+        "        return y\n"
+        "    def backward(self, g):\n"
+        "        self._seen = g\n"
+    )
+    assert _forward_state(tree) == [("_x", 6), ("_mask", 7), ("n", 8)]

@@ -47,7 +47,7 @@ def check_layer_grads(layer, x, rng, tol=1e-4):
     grad_out_shape = layer.forward(x, training=False).shape
     grad_out = rng.standard_normal(grad_out_shape)
     layer.zero_grad()
-    layer.forward(x, training=False)
+    layer.forward(x, training=True)
     analytic_x = layer.backward(grad_out)
     numeric_x = numeric_input_grad(layer, x.copy(), grad_out)
     def rel(a, n):
@@ -63,12 +63,59 @@ def assert_skipped_input_grad_keeps_param_grads(layer, x, rng):
     grads = []
     for need in (True, False):
         layer.zero_grad()
-        layer.forward(x)
+        layer.forward(x, training=True)
         gx = layer.backward(grad_out, need_input_grad=need)
         assert (gx is None) == (not need)
         grads.append([g.copy() for g in layer.grads])
     for full, skipped in zip(*grads):
         assert np.array_equal(full, skipped)
+
+
+def _small_layers():
+    """One of each layer that keeps a backward record, with a (2, 5, 3) input."""
+    rng = np.random.default_rng(0)
+    return {
+        "tcn": nn.TcnBlock(3, 4, 3, rng=rng, dtype=np.float64),
+        "upsample": nn.UpsampleRepeat(3),
+        "dropout": nn.Dropout(0.3, seed=1),
+        "dropout0": nn.Dropout(0.0),
+        "dense": nn.TimeDistributedDense(3, 2, rng=rng, dtype=np.float64),
+        "gru": nn.GruLayer(3, 4, rng=rng, dtype=np.float64),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_small_layers()))
+class TestBackwardRecord:
+    """Only a training forward leaves what backward reads, and backward releases it."""
+
+    x = np.random.default_rng(1).standard_normal((2, 5, 3))
+
+    def _grad_out(self, layer):
+        return np.ones_like(layer.forward(self.x, training=False))
+
+    def test_backward_after_inference_forward_raises(self, name):
+        layer = _small_layers()[name]
+        grad_out = self._grad_out(layer)
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(grad_out)
+
+    def test_second_backward_raises(self, name):
+        layer = _small_layers()[name]
+        grad_out = self._grad_out(layer)
+        layer.forward(self.x, training=True)
+        layer.backward(grad_out)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(grad_out)
+
+    def test_inference_forward_drops_the_training_record(self, name):
+        layer = _small_layers()[name]
+        grad_out = self._grad_out(layer)
+        layer.forward(self.x, training=True)
+        layer.forward(self.x, training=False)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="training forward"):
+            layer.backward(grad_out)
 
 
 class TestTcnBlock:
@@ -136,7 +183,7 @@ class TestUpsampleRepeat:
         rng = np.random.default_rng(100 + trial)
         layer = nn.UpsampleRepeat(int(rng.integers(1, 6)))
         x = rng.standard_normal((2, int(rng.integers(2, 6)), int(rng.integers(1, 4))))
-        grad_out = rng.standard_normal(layer.forward(x).shape)
+        grad_out = rng.standard_normal(layer.forward(x, training=True).shape)
         analytic = layer.backward(grad_out)
         numeric = numeric_input_grad(layer, x.copy(), grad_out, eps=0.5)
         assert np.max(np.abs(analytic - numeric)) < 1e-10
@@ -147,6 +194,12 @@ class TestDropout:
         layer = nn.Dropout(0.0)
         x = rng.standard_normal((2, 5, 3))
         assert np.array_equal(layer.forward(x, training=True), x)
+        assert np.array_equal(layer.backward(x), x)
+
+    def test_rate_zero_draws_nothing(self):
+        layer = nn.Dropout(0.0, seed=3)
+        layer.forward(np.ones((2, 5, 3)), training=True)
+        assert layer.rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
     def test_inference_identity(self, rng):
         layer = nn.Dropout(0.5, seed=1)

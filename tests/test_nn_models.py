@@ -64,8 +64,9 @@ class TestSynthesisModel:
         # paper's [..., up3, dense] order, built from the same layer objects,
         # agrees to float32 rounding: BLAS may round a row differently by its
         # position in the product, so the paper order itself can give the
-        # three copies of one step different last bits.
-        model = nn.build_synthesis_model(seed=5, filters=filters)
+        # three copies of one step different last bits. Rate-0 dropout lets
+        # both orders backpropagate the same training pass.
+        model = nn.build_synthesis_model(seed=5, filters=filters, dropout_rate=0.0)
         tcn1, up5, drop, tcn2, dense, up3 = model.layers
         assert isinstance(dense, nn.TimeDistributedDense) and up3.k == 3
         paper = nn.Model([tcn1, up5, drop, tcn2, up3, dense], model.config, 31)
@@ -80,8 +81,10 @@ class TestSynthesisModel:
         grads = []
         for stack in (model, paper):
             stack.zero_grad()
-            stack.forward(x, training=False)
-            gx = stack.backward(grad_out)
+            stack.forward(x, training=True)
+            gx = grad_out
+            for layer in reversed(stack.layers):
+                gx = layer.backward(gx)
             grads.append([gx] + [g.copy() for g in stack.grads()])
         for ours, ref in zip(*grads):
             scale = np.abs(ref).max() or 1.0
@@ -257,22 +260,36 @@ class TestTrain:
 class TestModelBackward:
     @pytest.mark.parametrize("kind", ["synthesis", "regression"])
     def test_skipped_input_grad_keeps_param_grads(self, rng, kind):
+        """Model.backward returns nothing and gives the parameter gradients of a
+        layer-by-layer backward that also forms layer 0's input gradient."""
         if kind == "synthesis":
-            model = nn.build_synthesis_model(seed=3, filters=(6, 4), dtype=np.float64)
+            model = nn.build_synthesis_model(seed=3, filters=(6, 4), dropout_rate=0.0, dtype=np.float64)
             x = rng.standard_normal((2, 9, 31))
         else:
-            model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, dtype=np.float64)
+            model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, dropout_rate=0.0,
+                                              dtype=np.float64)
             x = rng.standard_normal((2, 9, 30))
         grad_out = rng.standard_normal(model.forward(x).shape)
-        grads = []
-        for need in (True, False):
-            model.zero_grad()
-            model.forward(x)
-            gx = model.backward(grad_out, need_input_grad=need)
-            assert (gx is None) == (not need)
-            grads.append([g.copy() for g in model.grads()])
-        for full, skipped in zip(*grads):
-            assert np.array_equal(full, skipped)
+        model.zero_grad()
+        model.forward(x, training=True)
+        assert model.backward(grad_out) is None
+        skipped = [g.copy() for g in model.grads()]
+        model.zero_grad()
+        model.forward(x, training=True)
+        g = grad_out
+        for layer in reversed(model.layers):
+            g = layer.backward(g)
+        assert g.shape == x.shape
+        for full, part in zip(model.grads(), skipped):
+            assert np.array_equal(full, part)
+
+    def test_backward_after_predict_raises(self, rng):
+        model = nn.build_synthesis_model(seed=3, filters=(6, 4))
+        x = rng.standard_normal((1, 9, 31)).astype(np.float32)
+        model.forward(x, training=True)
+        out = model.predict(x)
+        with pytest.raises(RuntimeError, match="training forward"):
+            model.backward(np.ones_like(out))
 
 
 class TestMicroBatches:
@@ -360,6 +377,28 @@ class TestMicroBatches:
 
         assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial validation set is one slice
         assert epoch_peak(12) < 2 * epoch_peak(4)
+
+    def test_model_holds_no_activations_after_train_or_predict(self, rng):
+        """Memory allocated by nn.train and by predict that the model still holds
+        once they return: the layers' backward records only."""
+        def pair():
+            return (rng.standard_normal((2000, 31)).astype(np.float32),
+                    0.1 * rng.standard_normal((30000, 1)).astype(np.float32))
+
+        train_pairs, val_pairs = [pair() for _ in range(4)], [pair() for _ in range(2)]
+        x = train_pairs[0][0][None]
+        model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+        tracemalloc.start()
+        try:
+            history = nn.train(model, train_pairs, nn.TrainConfig(epochs=1, seed=0), val_pairs)
+            after_train = tracemalloc.get_traced_memory()[0]
+            model.predict(x)
+            after_predict = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert history.epochs[0]["val_loss"] is not None
+        assert after_train < 2**20 and after_predict < 2**20, (after_train, after_predict)
+        assert all(layer._cache is None for layer in model.layers)
 
 
 class TestCheckpoint:
@@ -492,16 +531,22 @@ class TestCheckpoint:
 
 class TestFiniteDiffCheck:
     def test_tiny_synthesis_model(self, rng):
-        model = nn.build_synthesis_model(seed=1, filters=(4, 2), dtype=np.float64)
+        model = nn.build_synthesis_model(seed=1, filters=(4, 2), dropout_rate=0.0, dtype=np.float64)
         x = rng.standard_normal((2, 6, 31))
         y = rng.standard_normal((2, 90, 1))
         assert nn.finite_diff_grad_check(model, x, y, seed=0) < 1e-4
 
     def test_tiny_regression_model(self, rng):
-        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, dtype=np.float64)
+        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
         x = rng.standard_normal((2, 7, 30))
         y = rng.standard_normal((2, 7, 6))
         assert nn.finite_diff_grad_check(model, x, y, seed=0) < 1e-4
+
+    def test_refuses_a_model_with_dropout(self, rng):
+        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, dropout_rate=0.2, dtype=np.float64)
+        x = rng.standard_normal((2, 7, 30))
+        with pytest.raises(ValueError, match="dropout"):
+            nn.finite_diff_grad_check(model, x, rng.standard_normal((2, 7, 6)), seed=0)
 
     def test_linear_only_model_high_precision(self, rng):
         dense = nn.TimeDistributedDense(5, 3, rng=np.random.default_rng(2), dtype=np.float64)
