@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.sparse.linalg
 
 from . import dsp
@@ -302,7 +303,9 @@ def kpca_fit(
     coef0: float = 1.0,
 ) -> KpcaModel:
     """Fit polynomial-kernel PCA: double-centered kernel, top-out_dim eigenpairs
-    by Lanczos iteration (ARPACK `eigsh`), in descending order.
+    by Lanczos iteration (ARPACK `eigsh`), in descending order. The Lanczos
+    operator is the symmetric matrix-vector product (BLAS `dsymv`) on one
+    triangle of the centered kernel, read in place.
 
     Coefficients are eigenvectors scaled by 1/sqrt(eigenvalue) so the implicit
     principal directions have unit feature-space norm. Rank deficiency yields
@@ -314,7 +317,7 @@ def kpca_fit(
         raise ValueError("training features must be 2-D")
     n, d = x.shape
     if n < out_dim + 1:
-        raise ValueError(f"need at least out_dim+1={out_dim + 1} training rows, got {n}")
+        raise DataError(f"KPCA needs more training frames than out_dim={out_dim}, got {n} frames")
     if gamma is None:
         gamma = 1.0 / d
 
@@ -338,7 +341,13 @@ def kpca_fit(
         # a fixed start vector keeps the fit deterministic; it must not be
         # constant, since the constant vector is in the centered kernel's null space
         v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = scipy.sparse.linalg.eigsh(kc, k=out_dim, which="LA", v0=v0)
+        # dsymv reads one triangle per step, so the operator is exactly
+        # symmetric; kc.T is the Fortran-order view of the C-order kernel,
+        # which BLAS reads in place (handed kc, scipy copies it on every call)
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda v: scipy.linalg.blas.dsymv(1.0, kc.T, v), dtype=np.float64
+        )
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=out_dim, which="LA", v0=v0)
         order = np.argsort(vals)[::-1]
         vals, vecs = np.maximum(vals[order], 0.0), vecs[:, order]
     tol = 1e-10 * max(vals[0], abs(grand_mean))

@@ -482,10 +482,10 @@ def test_parser_surface():
     assert (args.n_trials, args.duration) == (3, 0.25) and type(args.n_trials) is int
 
 
-def _cli_process(root: Path, *steps: list[str]) -> None:
-    """Run `steps` through cli.main in one fresh interpreter at one BLAS thread."""
+def _cli_process(root: Path, threads: str, *steps: list[str]) -> None:
+    """Run `steps` through cli.main in one fresh interpreter at `threads` BLAS threads."""
     paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     script = ("from eegspeech import cli\n"
               f"for step in {[list(step) for step in steps]!r}:\n"
               "    assert cli.main(step + ['--config', 'run.ini']) == 0, step\n")
@@ -493,11 +493,12 @@ def _cli_process(root: Path, *steps: list[str]) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def test_artifacts_are_byte_identical_across_processes(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_artifacts_are_byte_identical_across_processes(tmp_path, threads):
     """Artifacts do not depend on what a process computed before: two fresh
-    processes at one BLAS thread write the same front-end, model, history and
-    metrics files, and a fresh process whose filter and weight caches are cold
-    at a later trial writes the same .clean bytes."""
+    processes at the same BLAS thread count write the same front-end, model,
+    history and metrics files, and a fresh process whose filter and weight
+    caches are cold at a later trial writes the same .clean bytes."""
     def run(tag: str) -> Path:
         root = tmp_path / tag
         root.mkdir()
@@ -506,7 +507,7 @@ def test_artifacts_are_byte_identical_across_processes(tmp_path):
             "[dataset]\nn_trials = 12\nduration_s = 0.5\n[kpca]\nscope = pooled\nout_dim = 8\n"
             "[synthesis]\nfilters1 = 8\nfilters2 = 4\nepochs = 1\n[regression]\nhidden = 8\nepochs = 1\n"
         )
-        _cli_process(root, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
+        _cli_process(root, threads, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
                      ["train-synth"], ["train-regress", "--kind", "all"], ["eval-synth"], ["eval-regress"])
         return root
 
@@ -525,6 +526,6 @@ def test_artifacts_are_byte_identical_across_processes(tmp_path):
     cleans = {tid: path.read_bytes() for tid, path in paths.items()}
     for path in paths.values():
         path.unlink()
-    _cli_process(first, ["preprocess", "--subject", "3"])
+    _cli_process(first, threads, ["preprocess", "--subject", "3"])
     for tid, path in paths.items():
         assert path.read_bytes() == cleans[tid], f"byte mismatch in {tid}.clean"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -321,6 +323,31 @@ class TestKpca:
             assert cos > 0.999, f"component {j}: |cos|={cos}"
         assert np.allclose(model.eigenvalues, oracle_vals, rtol=1e-8, atol=1e-6)
 
+    def test_matches_dense_eigendecomposition_oracle_at_restart_scale(self, rng):
+        # the 61-vector Lanczos basis spans a tenth of this space, so the fit
+        # rests on several implicit restarts; tolerances are tighter than above
+        x = rng.standard_normal((600, 155))
+        model = eeg.kpca_fit(x, out_dim=30)
+        fitted = eeg.kpca_transform(model, x)
+        oracle, oracle_vals = brute_force_kpca_projection(x, 30, 1.0 / 155, 1.0, 3)
+        assert np.allclose(model.eigenvalues, oracle_vals, rtol=1e-10, atol=0.0)
+        cos = np.abs(np.sum(fitted * oracle, axis=0)) / (
+            np.linalg.norm(fitted, axis=0) * np.linalg.norm(oracle, axis=0))
+        assert np.all(cos >= 1.0 - 1e-9), cos
+
+    def test_fit_makes_no_second_kernel(self, rng):
+        # the kernel itself is n²·8 bytes; a copy of it (say, one handed to
+        # BLAS in the wrong memory order) would put the peak near 2 n²·8
+        n = 1500
+        x = rng.standard_normal((n, 155))
+        tracemalloc.start()
+        try:
+            eeg.kpca_fit(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
+
     def test_duplicated_rows_have_rank_one_centered_kernel(self, rng):
         a, b = rng.standard_normal(155), rng.standard_normal(155)
         x = np.vstack([a] * 16 + [b] * 16)
@@ -397,7 +424,7 @@ class TestKpca:
             eeg.load_kpca(path)
 
     def test_too_few_rows(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="out_dim=30, got 20 frames"):
             eeg.kpca_fit(rng.standard_normal((20, 155)), out_dim=30)
 
     def test_all_identical_rows_rank_deficiency_reported(self, rng):
