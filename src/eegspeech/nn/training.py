@@ -1,5 +1,6 @@
-"""Training loop (seeded shuffling, length-bucketed padded batches run in
-micro-batches, masked MSE, Adam) plus the finite-difference gradient verifier.
+"""Training loop (seeded shuffling, length-bucketed batches padded once per
+run and run in micro-batches of whole trials sized by their output steps,
+masked MSE, Adam) plus the finite-difference gradient verifier.
 
 Each micro-batch runs forward(training=True) and then backward, which releases
 the layers' backward records, and the validation loss runs through predict,
@@ -18,11 +19,13 @@ from ..serialize import write_csv
 from .layers import Adam, Dropout, mse_loss
 from .models import Model
 
-# Input time steps per forward/backward pass: a padded batch is run in slices of
-# whole trials that each stay at or below this (4 two-second trials), with the
-# gradients accumulated into one optimizer step. A slice's activations then stay
-# in the hundreds of MiB whatever the batch size.
-MICRO_BATCH_STEPS = 8000
+# Output (target) time steps per forward/backward pass: a padded batch is run in
+# slices of whole trials that each stay at or below this, with the gradients
+# accumulated into one optimizer step. 30000 is one 2 s trial at 15 kHz, so a
+# synthesis slice's widest tensor, (1, 10000, 256) float32, is ~10 MiB, under
+# glibc's 32 MiB mmap ceiling; a regression batch of up to 100 x 62 frames is
+# one slice.
+MICRO_BATCH_OUTPUT_STEPS = 30000
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,6 @@ class TrainHistory:
         write_csv(path, ("epoch", "train_loss", "val_loss"), rows, comment)
 
 
-def _bucket_batches(pairs, batch_size: int) -> list[list[int]]:
-    """Indices grouped into batches of near-equal input length."""
-    order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i][0]), i))
-    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
-
-
 def _assemble(pairs, idxs, model: Model, dtype):
     """Pad a batch and build the validity mask on the output grid."""
     xs = [np.asarray(pairs[i][0], dtype=dtype) for i in idxs]
@@ -78,24 +75,34 @@ def _assemble(pairs, idxs, model: Model, dtype):
     return xb, yb, mask
 
 
-def _slices(xb: np.ndarray) -> list[slice]:
-    """Row slices of a padded batch of at most MICRO_BATCH_STEPS input steps
-    each, and at least one trial."""
-    step = max(1, MICRO_BATCH_STEPS // xb.shape[1])
-    return [slice(lo, lo + step) for lo in range(0, len(xb), step)]
+def _padded_batches(pairs, batch_size: int, model: Model, dtype) -> list[tuple]:
+    """A set in batches of near-equal input length, each padded once:
+    (xb, yb, mask, count), where count is the number of valid output values."""
+    order = sorted(range(len(pairs)), key=lambda i: (len(pairs[i][0]), i))
+    padded = []
+    for lo in range(0, len(order), batch_size):
+        xb, yb, mask = _assemble(pairs, order[lo : lo + batch_size], model, dtype)
+        padded.append((xb, yb, mask, float(mask.sum()) * yb.shape[-1]))
+    return padded
 
 
-def _epoch_loss(model: Model, pairs, batches, dtype) -> float:
-    """Masked MSE over a whole set through model.predict, run in the training slices."""
+def _slices(yb: np.ndarray) -> list[slice]:
+    """Row slices of a padded target batch of at most MICRO_BATCH_OUTPUT_STEPS
+    output steps each, and at least one trial."""
+    step = max(1, MICRO_BATCH_OUTPUT_STEPS // yb.shape[1])
+    return [slice(lo, lo + step) for lo in range(0, len(yb), step)]
+
+
+def _epoch_loss(model: Model, padded) -> float:
+    """Masked MSE over a whole padded set through model.predict, run in the training slices."""
     total_sq = 0.0
     total_count = 0.0
-    for idxs in batches:
-        xb, yb, mask = _assemble(pairs, idxs, model, dtype)
-        for rows in _slices(xb):
+    for xb, yb, mask, count in padded:
+        for rows in _slices(yb):
             pred = model.predict(xb[rows])
             diff = (pred.astype(np.float64) - yb[rows]) * mask[rows][..., None]
             total_sq += float(np.sum(diff * diff))
-        total_count += float(mask.sum()) * yb.shape[-1]
+        total_count += count
     return total_sq / total_count
 
 
@@ -107,8 +114,8 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     if not train_pairs:
         raise ValueError("empty training set")
     dtype = model.params()[0].dtype if model.params() else np.float32
-    batches = _bucket_batches(train_pairs, config.batch_size)
-    val_batches = _bucket_batches(val_pairs, config.batch_size) if val_pairs else None
+    batches = _padded_batches(train_pairs, config.batch_size, model, dtype)
+    val_batches = _padded_batches(val_pairs, config.batch_size, model, dtype) if val_pairs else None
     optimizer = Adam(model.params(), lr=config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     history = TrainHistory()
@@ -117,12 +124,11 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
         sq_sum = 0.0
         count_sum = 0.0
         for bi in rng.permutation(len(batches)):
-            xb, yb, mask = _assemble(train_pairs, batches[bi], model, dtype)
-            count = float(mask.sum()) * yb.shape[-1]
+            xb, yb, mask, count = batches[bi]
             if count == 0:
                 raise ValueError("empty mask")
             model.zero_grad()
-            for rows in _slices(xb):
+            for rows in _slices(yb):
                 # Every slice runs forward, so the dropout draws are those of the whole batch.
                 pred = model.forward(xb[rows], training=True)
                 part = float(mask[rows].sum()) * yb.shape[-1]
@@ -136,7 +142,7 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
                 grad *= grad.dtype.type(part / count)
                 model.backward(grad)
             optimizer.step(model.grads())
-        val_loss = _epoch_loss(model, val_pairs, val_batches, dtype) if val_batches else None
+        val_loss = _epoch_loss(model, val_batches) if val_batches else None
         history.epochs.append(
             {"epoch": epoch, "train_loss": sq_sum / count_sum, "val_loss": val_loss}
         )

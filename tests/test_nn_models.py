@@ -293,12 +293,12 @@ class TestModelBackward:
 
 
 class TestMicroBatches:
-    """A batch longer than MICRO_BATCH_STEPS is run in slices whose gradients
-    add up to the whole batch's."""
+    """A batch longer than MICRO_BATCH_OUTPUT_STEPS is run in slices whose
+    gradients add up to the whole batch's."""
 
     @staticmethod
     def _one_step_grads(kind, dtype, pairs, steps, monkeypatch):
-        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", steps)
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", steps)
         if kind == "synthesis":
             model = nn.build_synthesis_model(seed=6, filters=(8, 4), dtype=dtype)
         else:
@@ -314,51 +314,82 @@ class TestMicroBatches:
             pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
         else:
             pairs = [(rng.standard_normal((n, 30)), rng.standard_normal((n, 2))) for n in lengths]
-        t_in = int(lengths.max())
-        whole, whole_loss = self._one_step_grads(kind, dtype, pairs, 10 * t_in, monkeypatch)
-        sliced, sliced_loss = self._one_step_grads(kind, dtype, pairs, 3 * t_in, monkeypatch)
+        t_out = (15 if kind == "synthesis" else 1) * int(lengths.max())
+        whole, whole_loss = self._one_step_grads(kind, dtype, pairs, 10 * t_out, monkeypatch)
+        sliced, sliced_loss = self._one_step_grads(kind, dtype, pairs, 3 * t_out, monkeypatch)
         for w, s in zip(whole, sliced):
             assert np.max(np.abs(w - s)) <= tol * np.max(np.abs(w))
         assert sliced_loss == pytest.approx(whole_loss, rel=tol)
 
-    def test_stock_batch_memory_stays_at_one_slice(self, rng):
-        def epoch_peak(n_trials):
-            pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
-                      0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_trials)]
-            model = nn.build_synthesis_model(seed=1, filters=(256, 32))
-            tracemalloc.start()
-            try:
-                nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=n_trials, seed=0))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def _stock_epoch_peak(rng, n_trials):
+        """tracemalloc peak of one 256/32 synthesis epoch on one batch of 2 s trials."""
+        pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+                  0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_trials)]
+        model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+        tracemalloc.start()
+        try:
+            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=n_trials, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial epoch is one slice
-        assert epoch_peak(12) < 2 * epoch_peak(4)
+    def test_stock_batch_memory_stays_at_one_slice(self, rng):
+        assert training.MICRO_BATCH_OUTPUT_STEPS == 15 * 2000  # one 2 s trial per slice
+        assert self._stock_epoch_peak(rng, 12) < 2 * self._stock_epoch_peak(rng, 4)
+
+    def test_stock_slice_is_one_trial(self, rng):
+        """Four 2 s trials run as four one-trial slices: the epoch peaks near a one-trial epoch's."""
+        assert self._stock_epoch_peak(rng, 4) < 1.5 * self._stock_epoch_peak(rng, 1)
+
+    @pytest.mark.parametrize("shape, n_slices", [
+        ((4, 30000, 1), 4),  # 2 s synthesis trials: one per slice
+        ((4, 15000, 1), 2),
+        ((100, 62, 2), 1),  # the largest stock regression batch
+        ((40, 62, 384), 1),
+    ])
+    def test_slices_count_output_steps(self, shape, n_slices):
+        slices = training._slices(np.zeros(shape, dtype=np.float32))
+        assert len(slices) == n_slices
+        assert [i for rows in slices for i in range(shape[0])[rows]] == list(range(shape[0]))
+
+    def test_stock_regression_batch_is_one_pass(self, rng, monkeypatch):
+        """100 trials x 62 frames train bitwise as with an unbounded slice budget."""
+        pairs = [(rng.standard_normal((62, 30)), rng.standard_normal((62, 2))) for _ in range(100)]
+
+        def trained(steps):
+            monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", steps)
+            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8)
+            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=100, seed=3))
+            return model.params()
+
+        stock = trained(training.MICRO_BATCH_OUTPUT_STEPS)
+        for a, b in zip(stock, trained(10**9)):
+            assert np.array_equal(a, b)
 
     def test_validation_loss_runs_in_slices(self, rng, monkeypatch):
         """Bitwise the whole batch's loss when it fits one slice, within 1e-6 relative otherwise."""
         lengths = rng.integers(12, 41, size=10)
         pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
         model = nn.build_synthesis_model(seed=6, filters=(8, 4))
-        batches = training._bucket_batches(pairs, len(pairs))
-        xb, yb, mask = training._assemble(pairs, batches[0], model, np.float32)
+        padded = training._padded_batches(pairs, len(pairs), model, np.float32)
+        xb, yb, mask, count = padded[0]
         diff = (model.predict(xb).astype(np.float64) - yb) * mask[..., None]
-        whole = float(np.sum(diff * diff)) / (float(mask.sum()) * yb.shape[-1])
-        t_in = int(lengths.max())
-        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 10 * t_in)
-        assert training._epoch_loss(model, pairs, batches, np.float32) == whole
-        monkeypatch.setattr(training, "MICRO_BATCH_STEPS", 3 * t_in)
-        assert training._epoch_loss(model, pairs, batches, np.float32) == pytest.approx(whole, rel=1e-6)
+        whole = float(np.sum(diff * diff)) / count
+        t_out = 15 * int(lengths.max())
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 10 * t_out)
+        assert training._epoch_loss(model, padded) == whole
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 3 * t_out)
+        assert training._epoch_loss(model, padded) == pytest.approx(whole, rel=1e-6)
 
     def test_validation_loss_through_predict_matches_forward(self, rng, monkeypatch):
         lengths = rng.integers(30, 90, size=9)
         pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
         model = nn.build_synthesis_model(seed=6, filters=(64, 16))
-        batches = training._bucket_batches(pairs, 4)
-        polyphase = training._epoch_loss(model, pairs, batches, np.float32)
+        padded = training._padded_batches(pairs, 4, model, np.float32)
+        polyphase = training._epoch_loss(model, padded)
         monkeypatch.setattr(model, "predict", lambda x: model.forward(x, training=False))
-        assert polyphase == pytest.approx(training._epoch_loss(model, pairs, batches, np.float32), rel=1e-6)
+        assert polyphase == pytest.approx(training._epoch_loss(model, padded), rel=1e-6)
 
     def test_validation_memory_stays_at_one_slice(self, rng):
         train_pairs = [(rng.standard_normal((200, 31)).astype(np.float32),
@@ -375,7 +406,7 @@ class TestMicroBatches:
             finally:
                 tracemalloc.stop()
 
-        assert training.MICRO_BATCH_STEPS == 4 * 2000  # the 4-trial validation set is one slice
+        assert training.MICRO_BATCH_OUTPUT_STEPS == 15 * 2000  # one 2 s trial per slice
         assert epoch_peak(12) < 2 * epoch_peak(4)
 
     def test_model_holds_no_activations_after_train_or_predict(self, rng):
