@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic, dataio, dsp, eeg, nn, pipeline
-from .config import RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
+from .config import FIELD_TYPES, RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import MetricsReport, evaluate_acoustic, evaluate_synthesis, spectrogram_export
 from .serialize import load_container, save_container, write_csv, write_json
@@ -30,11 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Per command: count flag -> (the config field it overrides, its type).
+# Per command: count flag -> the config field it overrides, and whose type it parses as.
 _COUNT_FLAGS = {
-    "gen-data": {"n_trials": ("n_trials", int), "duration": ("duration_s", float)},
-    "train-synth": {"epochs": ("synth_epochs", int)},
-    "train-regress": {"epochs": ("regress_epochs", int)},
+    "gen-data": {"n_trials": "n_trials", "duration": "duration_s"},
+    "train-synth": {"epochs": "synth_epochs"},
+    "train-regress": {"epochs": "regress_epochs"},
 }
 # The commands that take the --subject/--condition trial filters.
 _FILTERED = ("preprocess", "extract-eeg-feats", "fit-kpca", "train-synth", "train-regress",
@@ -48,9 +48,9 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.data_root:
+    if args.data_root is not None:
         cfg.data_root = args.data_root
-    for flag, (field_name, _) in _COUNT_FLAGS.get(args.command, {}).items():
+    for flag, field_name in _COUNT_FLAGS.get(args.command, {}).items():
         value = getattr(args, flag)
         if value is not None:
             setattr(cfg, field_name, value)
@@ -355,8 +355,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="override the root seed")
         p.add_argument("--out", help="override out_dir")
         p.add_argument("--data-root", help="override data_root")
-        for flag, (_, kind) in _COUNT_FLAGS.get(name, {}).items():
-            p.add_argument("--" + flag.replace("_", "-"), type=kind)
+        for flag, field_name in _COUNT_FLAGS.get(name, {}).items():
+            p.add_argument("--" + flag.replace("_", "-"), type=FIELD_TYPES[field_name])
         if name in _FILTERED:
             p.add_argument("--subject", type=int)
             p.add_argument("--condition", choices=dataio.CONDITIONS)

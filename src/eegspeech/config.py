@@ -1,18 +1,18 @@
-"""Run configuration: stock defaults, INI-style config files, seed derivation.
+"""Run configuration: INI-style config files, seed derivation.
 
-Every field carries the stock pipeline default (0.1/70 Hz band,
-60 Hz notch, 31 Hz grid, 155->30 KPCA with degree 3, 256/32 filters, x5 x3
-upsampling, dropout 0.2, 128 GRU units, 5000/500 epochs, batch 100). Unknown
-keys are rejected; missing keys take the defaults; the resolved config is
-echoed next to the outputs for provenance.
+Each RunConfig field declares the `[section] key` a config file sets it by
+and carries the stock pipeline default. Unknown keys are rejected; missing
+keys take the defaults; the resolved config is echoed next to the outputs for
+provenance.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 from . import dsp
@@ -21,126 +21,93 @@ from .errors import ConfigError
 from .serialize import atomic_open
 
 
-@dataclass
+def _key(section: str, key: str, default):
+    """A field that a config file sets as `key` under `[section]`."""
+    return dataclasses.field(default=default, metadata={"ini": (section, key)})
+
+
+@dataclasses.dataclass
 class RunConfig:
-    # paths
-    data_root: str = "data"
-    out_dir: str = "out"
-    # run
-    seed: int = 0
-    # dataset (synthetic generator + split)
-    n_trials: int = 50
-    duration_s: float = 2.0
-    train_ratio: float = 0.8
-    val_ratio: float = 0.1
-    test_ratio: float = 0.1
-    eeg_format: str = "csv"  # EEG file format gen-data writes: "csv" or "f32"
-    # preprocess
-    bandpass_lo_hz: float = 0.1
-    bandpass_hi_hz: float = 70.0
-    bandpass_order: int = 4
-    notch_hz: float = 60.0
-    notch_q: float = 30.0
-    use_ica: bool = False
-    ica_kurtosis_threshold: float = 8.0
-    # features
-    frame_rate_hz: float = 31.0
-    # kpca
-    kpca_out_dim: int = 30
-    kpca_degree: int = 3
-    kpca_gamma: float | None = None  # None = 1/feature_dim
-    kpca_coef0: float = 1.0
-    kpca_scope: str = "per-subject"  # or "pooled"
-    kpca_max_train_frames: int = 4000
-    # synthesis model
-    synth_filters1: int = 256
-    synth_filters2: int = 32
-    synth_kernel: int = 3
-    synth_epochs: int = 5000
-    # regression model
-    gru_hidden: int = 128
-    regress_epochs: int = 500
-    # training
-    batch_size: int = 100
-    learning_rate: float = 1e-3
-    dropout: float = 0.2
+    data_root: str = _key("paths", "data_root", "data")
+    out_dir: str = _key("paths", "out_dir", "out")
+    seed: int = _key("run", "seed", 0)
+    n_trials: int = _key("dataset", "n_trials", 50)
+    duration_s: float = _key("dataset", "duration_s", 2.0)
+    train_ratio: float = _key("dataset", "train_ratio", 0.8)
+    val_ratio: float = _key("dataset", "val_ratio", 0.1)
+    test_ratio: float = _key("dataset", "test_ratio", 0.1)
+    eeg_format: str = _key("dataset", "eeg_format", "csv")  # EEG file format gen-data writes: "csv" or "f32"
+    bandpass_lo_hz: float = _key("preprocess", "bandpass_lo_hz", 0.1)
+    bandpass_hi_hz: float = _key("preprocess", "bandpass_hi_hz", 70.0)
+    bandpass_order: int = _key("preprocess", "bandpass_order", 4)
+    notch_hz: float = _key("preprocess", "notch_hz", 60.0)
+    notch_q: float = _key("preprocess", "notch_q", 30.0)
+    use_ica: bool = _key("preprocess", "use_ica", False)
+    ica_kurtosis_threshold: float = _key("preprocess", "ica_kurtosis_threshold", 8.0)
+    frame_rate_hz: float = _key("features", "frame_rate_hz", 31.0)
+    kpca_out_dim: int = _key("kpca", "out_dim", 30)
+    kpca_degree: int = _key("kpca", "degree", 3)
+    kpca_gamma: float | None = _key("kpca", "gamma", None)  # None (auto) = 1/feature_dim
+    kpca_coef0: float = _key("kpca", "coef0", 1.0)
+    kpca_scope: str = _key("kpca", "scope", "per-subject")  # or "pooled"
+    kpca_max_train_frames: int = _key("kpca", "max_train_frames", 4000)
+    synth_filters1: int = _key("synthesis", "filters1", 256)
+    synth_filters2: int = _key("synthesis", "filters2", 32)
+    synth_kernel: int = _key("synthesis", "kernel_size", 3)
+    synth_epochs: int = _key("synthesis", "epochs", 5000)
+    gru_hidden: int = _key("regression", "hidden", 128)
+    regress_epochs: int = _key("regression", "epochs", 500)
+    batch_size: int = _key("training", "batch_size", 100)
+    learning_rate: float = _key("training", "learning_rate", 1e-3)
+    dropout: float = _key("training", "dropout", 0.2)
 
 
-# (section, key) -> (field name, type tag)
-_SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
-    ("paths", "data_root"): ("data_root", "str"),
-    ("paths", "out_dir"): ("out_dir", "str"),
-    ("run", "seed"): ("seed", "int"),
-    ("dataset", "n_trials"): ("n_trials", "int"),
-    ("dataset", "duration_s"): ("duration_s", "float"),
-    ("dataset", "train_ratio"): ("train_ratio", "float"),
-    ("dataset", "val_ratio"): ("val_ratio", "float"),
-    ("dataset", "test_ratio"): ("test_ratio", "float"),
-    ("dataset", "eeg_format"): ("eeg_format", "str"),
-    ("preprocess", "bandpass_lo_hz"): ("bandpass_lo_hz", "float"),
-    ("preprocess", "bandpass_hi_hz"): ("bandpass_hi_hz", "float"),
-    ("preprocess", "bandpass_order"): ("bandpass_order", "int"),
-    ("preprocess", "notch_hz"): ("notch_hz", "float"),
-    ("preprocess", "notch_q"): ("notch_q", "float"),
-    ("preprocess", "use_ica"): ("use_ica", "bool"),
-    ("preprocess", "ica_kurtosis_threshold"): ("ica_kurtosis_threshold", "float"),
-    ("features", "frame_rate_hz"): ("frame_rate_hz", "float"),
-    ("kpca", "out_dim"): ("kpca_out_dim", "int"),
-    ("kpca", "degree"): ("kpca_degree", "int"),
-    ("kpca", "gamma"): ("kpca_gamma", "gamma"),
-    ("kpca", "coef0"): ("kpca_coef0", "float"),
-    ("kpca", "scope"): ("kpca_scope", "str"),
-    ("kpca", "max_train_frames"): ("kpca_max_train_frames", "int"),
-    ("synthesis", "filters1"): ("synth_filters1", "int"),
-    ("synthesis", "filters2"): ("synth_filters2", "int"),
-    ("synthesis", "kernel_size"): ("synth_kernel", "int"),
-    ("synthesis", "epochs"): ("synth_epochs", "int"),
-    ("regression", "hidden"): ("gru_hidden", "int"),
-    ("regression", "epochs"): ("regress_epochs", "int"),
-    ("training", "batch_size"): ("batch_size", "int"),
-    ("training", "learning_rate"): ("learning_rate", "float"),
-    ("training", "dropout"): ("dropout", "float"),
+# field name -> declared type: int, float, bool, str, or float | None (a float or auto)
+FIELD_TYPES: dict[str, object] = typing.get_type_hints(RunConfig)
+# (section, key) -> (field name, declared type), in field order
+_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
+    f.metadata["ini"]: (f.name, FIELD_TYPES[f.name]) for f in dataclasses.fields(RunConfig)
 }
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _convert(section: str, key: str, raw: str, tag: str):
+def _convert(section: str, key: str, raw: str, kind):
     raw = raw.strip()
     try:
-        if tag == "int":
+        if kind is int:
             return int(raw)
-        if tag == "gamma" and raw.lower() in ("auto", "none", ""):
-            return None
-        if tag in ("float", "gamma"):
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(raw)
-            return value
-        if tag == "bool":
+        if kind is bool:
             low = raw.lower()
             if low in _BOOL_TRUE:
                 return True
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(raw)
-        return raw
+        if kind is str:
+            return raw
+        if kind is not float and raw.lower() in ("auto", "none", ""):  # float | None
+            return None
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {tag}") from exc
+        name = getattr(kind, "__name__", "float or auto")
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {name}") from exc
 
 
 def validate_config(cfg: RunConfig) -> None:
-    def positive(name, value):
-        if value <= 0:
+    # every count (an int setting other than the seed) is positive; no str setting is empty
+    for name, kind in FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if kind is int and name != "seed" and value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
-
-    for name in ("n_trials", "bandpass_order", "kpca_out_dim", "kpca_degree",
-                 "kpca_max_train_frames", "synth_filters1", "synth_filters2",
-                 "synth_kernel", "synth_epochs", "gru_hidden", "regress_epochs",
-                 "batch_size"):
-        positive(name, getattr(cfg, name))
-    positive("learning_rate", cfg.learning_rate)
+        if kind is str and value == "":
+            raise ConfigError(f"{name} must not be empty")
+    if cfg.learning_rate <= 0:
+        raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
     lo, hi = SYNTH_DURATION_RANGE_S
     if not (lo <= cfg.duration_s <= hi):
         raise ConfigError(f"duration_s must be in [{lo:g}, {hi:g}], got {cfg.duration_s}")
@@ -185,36 +152,41 @@ def parse_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+    # configparser would copy [DEFAULT] keys into every section, or drop them with no section
+    if parser.defaults():
+        raise ConfigError(f"config keys under [DEFAULT] are not allowed: {', '.join(parser.defaults())}")
     for section in parser.sections():
         for key, raw in parser.items(section):
             if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            field_name, tag = _SCHEMA[(section, key)]
-            setattr(cfg, field_name, _convert(section, key, raw, tag))
+            field_name, kind = _SCHEMA[(section, key)]
+            setattr(cfg, field_name, _convert(section, key, raw, kind))
     validate_config(cfg)
     return cfg
 
 
+def _render_value(value, kind) -> str:
+    if value is None:
+        return "auto"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind in (int, str):
+        return str(value)
+    return repr(float(value))
+
+
+def _render_sections(cfg: RunConfig) -> dict[str, str]:
+    """section -> its INI text, sections and keys in field order."""
+    lines: dict[str, list[str]] = {}
+    for (section, key), (field_name, kind) in _SCHEMA.items():
+        text = _render_value(getattr(cfg, field_name), kind)
+        lines.setdefault(section, [f"[{section}]"]).append(f"{key} = {text}")
+    return {section: "\n".join(block) + "\n" for section, block in lines.items()}
+
+
 def render_config(cfg: RunConfig) -> str:
     """Resolved config as INI text; parse_config(render) is a fixpoint."""
-    by_section: dict[str, list[tuple[str, str]]] = {}
-    for (section, key), (field_name, tag) in _SCHEMA.items():
-        value = getattr(cfg, field_name)
-        if tag == "gamma":
-            text = "auto" if value is None else repr(value)
-        elif tag == "bool":
-            text = "true" if value else "false"
-        elif tag == "float":
-            text = repr(float(value))
-        else:
-            text = str(value)
-        by_section.setdefault(section, []).append((key, text))
-    lines = []
-    for section in by_section:
-        lines.append(f"[{section}]")
-        lines.extend(f"{key} = {text}" for key, text in by_section[section])
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(_render_sections(cfg).values())
 
 
 def echo_config(cfg: RunConfig, out_dir: str | Path) -> Path:
@@ -227,7 +199,9 @@ def echo_config(cfg: RunConfig, out_dir: str | Path) -> Path:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()[:16]
+    """Hash of the resolved config without [paths]: where a run lives shapes no result."""
+    text = "\n".join(block for section, block in _render_sections(cfg).items() if section != "paths")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def stage_seed(root_seed: int, stage: str) -> int:

@@ -270,6 +270,18 @@ class TestPipelineCommands:
         assert f"{path}: checkpoint shape mismatch at layer 0" in capsys.readouterr().err
         assert _tree_bytes(out) == before
 
+    def test_22_moved_run_writes_the_same_metrics(self, workspace, tmp_path):
+        # config_hash leaves out [paths], so only the echoed config names the new out_dir
+        root, config = workspace
+        moved = tmp_path / "moved"
+        shutil.copytree(root / "out", moved)
+        for command in ("eval-synth", "eval-regress"):
+            assert run_cli(command, "--config", str(config), "--out", str(moved))[0] == 0
+        after, before = _tree_bytes(moved), _tree_bytes(root / "out")
+        assert {Path("metrics", "synthesis.json"), Path("metrics", "acoustic.json")} <= after.keys()
+        assert after.pop(Path("resolved_config.ini")) != before.pop(Path("resolved_config.ini"))
+        assert after == before
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))
@@ -341,6 +353,29 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 5\nbogus = 1\n", "[kpca]\ngamma = 0.5\n[DEFAULT]\nx = 1\n"])
+    def test_default_section_keys_are_usage_error(self, tmp_path, capsys, text):
+        config = tmp_path / "default.ini"
+        config.write_text(text)
+        out, data = tmp_path / "o", tmp_path / "d"
+        code = cli.main(["gen-data", "--n-trials", "1", "--duration", "0.5", "--config", str(config),
+                         "--out", str(out), "--data-root", str(data)])
+        assert code == 1
+        assert "[DEFAULT]" in capsys.readouterr().err
+        assert not out.exists() and not data.exists()
+
+    @pytest.mark.parametrize("out_dir, flags", [("", []), ("o", ["--out", ""]), ("o", ["--data-root", ""])])
+    def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, out_dir, flags):
+        # an empty out_dir would put split.json and resolved_config.ini into the working directory
+        dataio.generate_synthetic_dataset(2, 0.5, seed=0, out_dir=tmp_path / "data")
+        config = tmp_path / "run.ini"
+        config.write_text(f"[paths]\ndata_root = data\nout_dir = {out_dir}\n")
+        monkeypatch.chdir(tmp_path)
+        before = _tree_bytes(tmp_path)
+        assert cli.main(["split", "--config", str(config), *flags]) == 1
+        assert "must not be empty" in capsys.readouterr().err
+        assert _tree_bytes(tmp_path) == before
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -15,6 +16,70 @@ from eegspeech.config import (
     stage_seed,
 )
 from eegspeech.errors import ConfigError
+
+
+# render_config(RunConfig()), byte for byte: the keys, their order and the value formats.
+STOCK_RENDER = """\
+[paths]
+data_root = data
+out_dir = out
+
+[run]
+seed = 0
+
+[dataset]
+n_trials = 50
+duration_s = 2.0
+train_ratio = 0.8
+val_ratio = 0.1
+test_ratio = 0.1
+eeg_format = csv
+
+[preprocess]
+bandpass_lo_hz = 0.1
+bandpass_hi_hz = 70.0
+bandpass_order = 4
+notch_hz = 60.0
+notch_q = 30.0
+use_ica = false
+ica_kurtosis_threshold = 8.0
+
+[features]
+frame_rate_hz = 31.0
+
+[kpca]
+out_dim = 30
+degree = 3
+gamma = auto
+coef0 = 1.0
+scope = per-subject
+max_train_frames = 4000
+
+[synthesis]
+filters1 = 256
+filters2 = 32
+kernel_size = 3
+epochs = 5000
+
+[regression]
+hidden = 128
+epochs = 500
+
+[training]
+batch_size = 100
+learning_rate = 0.001
+dropout = 0.2
+"""
+
+
+def _render_with(**lines) -> str:
+    """STOCK_RENDER with the lines `key = value` of the given keys replaced."""
+    out = []
+    for line in STOCK_RENDER.splitlines(keepends=True):
+        key = line.split(" = ")[0]
+        out.append(f"{key} = {lines.pop(key)}\n" if key in lines else line)
+    assert not lines
+    return "".join(out)
 
 
 class TestParseConfig:
@@ -144,10 +209,62 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, keys", [
+        ("[DEFAULT]\nseed = 5\nbogus = 1\n", "seed, bogus"),
+        ("[kpca]\ngamma = 0.5\n[DEFAULT]\nx = 1\n", "x"),
+    ])
+    def test_default_section_keys_rejected(self, tmp_path, text, keys):
+        # configparser would drop them, or copy them into every other section
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config keys under [DEFAULT] are not allowed: {keys}")):
+            parse_config(path)
+
+    def test_empty_default_section_is_accepted(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\n[run]\nseed = 5\n")
+        assert parse_config(path).seed == 5
+
+    @pytest.mark.parametrize("key", ["data_root", "out_dir"])
+    def test_empty_path_rejected(self, tmp_path, key):
+        path = tmp_path / "empty.ini"
+        path.write_text(f"[paths]\n{key} =\n")
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            parse_config(path)
+
 
 def test_schema_names_each_field_once():
     names = [field_name for field_name, _ in _SCHEMA.values()]
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+class TestRenderConfig:
+    def test_stock_render(self):
+        assert render_config(RunConfig()) == STOCK_RENDER
+
+    def test_non_stock_render(self):
+        cfg = RunConfig(data_root="/d", out_dir="o2", seed=-3, n_trials=7, duration_s=1.25, train_ratio=0.7,
+                        val_ratio=0.2, eeg_format="f32", notch_hz=50, use_ica=True, kpca_gamma=0.015,
+                        kpca_scope="pooled", learning_rate=3e-4, dropout=0.0)
+        expected = _render_with(data_root="/d", out_dir="o2", seed="-3", n_trials="7", duration_s="1.25",
+                                train_ratio="0.7", val_ratio="0.2", eeg_format="f32", notch_hz="50.0",
+                                use_ica="true", gamma="0.015", scope="pooled", learning_rate="0.0003",
+                                dropout="0.0")
+        assert render_config(cfg) == expected
+        auto = render_config(dataclasses.replace(cfg, kpca_gamma=None))
+        assert auto == expected.replace("gamma = 0.015\n", "gamma = auto\n")
+
+
+class TestConfigHash:
+    def test_hashes_the_render_without_paths(self):
+        without_paths = STOCK_RENDER.split("\n\n", 1)[1]
+        assert without_paths.startswith("[run]\n")
+        assert config_hash(RunConfig()) == hashlib.sha256(without_paths.encode("utf-8")).hexdigest()[:16]
+
+    def test_paths_do_not_change_the_hash(self):
+        cfg = RunConfig(seed=3)
+        assert config_hash(dataclasses.replace(cfg, data_root="/a/data", out_dir="b/out")) == config_hash(cfg)
+        assert config_hash(dataclasses.replace(cfg, seed=4)) != config_hash(cfg)
 
 
 def test_readme_example_config_parses(tmp_path):
