@@ -99,13 +99,19 @@ def _convert(section: str, key: str, raw: str, kind):
 
 
 def validate_config(cfg: RunConfig) -> None:
-    # every count (an int setting other than the seed) is positive; no str setting is empty
+    # Every count (an int setting other than the seed) is positive and every number finite.
+    # A str setting is what a config file line gives back: not empty, one line, no
+    # surrounding whitespace.
     for name, kind in FIELD_TYPES.items():
         value = getattr(cfg, name)
         if kind is int and name != "seed" and value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
         if kind is str and value == "":
             raise ConfigError(f"{name} must not be empty")
+        if kind is str and ("\n" in value or "\r" in value or value != value.strip()):
+            raise ConfigError(f"{name} must be one line without surrounding whitespace, got {value!r}")
     if cfg.learning_rate <= 0:
         raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
     lo, hi = SYNTH_DURATION_RANGE_S

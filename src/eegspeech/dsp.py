@@ -54,6 +54,12 @@ class IirFilter:
         return bool(np.all(self.pole_magnitudes() < 1.0))
 
 
+# The design's arrays grow with the order, and at the stock band it overflows
+# from order ~240 (near the band's limits, from ~50): a larger order is refused
+# before any design.
+MAX_BANDPASS_ORDER = 200
+
+
 def design_butterworth_bandpass(order: int, lo_hz: float, hi_hz: float, fs_hz: float) -> IirFilter:
     """Butterworth band-pass: analog low-pass prototype of `order`, band-transformed.
 
@@ -62,7 +68,14 @@ def design_butterworth_bandpass(order: int, lo_hz: float, hi_hz: float, fs_hz: f
     """
     if not (0 < lo_hz < hi_hz < fs_hz / 2):
         raise ValueError(f"invalid band edges lo={lo_hz} hi={hi_hz} for fs={fs_hz}")
-    sos = sps.butter(order, [lo_hz, hi_hz], btype="bandpass", fs=fs_hz, output="sos")
+    if not (1 <= order <= MAX_BANDPASS_ORDER):
+        raise ValueError(f"band-pass order must be in [1, {MAX_BANDPASS_ORDER}], got {order}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sos = sps.butter(order, [lo_hz, hi_hz], btype="bandpass", fs=fs_hz, output="sos")
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"butterworth band-pass of order {order} overflows in its design "
+                         f"for lo={lo_hz}Hz hi={hi_hz}Hz") from exc
     desc = (
         f"butterworth-bandpass order={order} (analog prototype, {2 * order} digital poles) "
         f"lo={lo_hz}Hz hi={hi_hz}Hz fs={fs_hz}Hz"

@@ -5,11 +5,12 @@ backward record, `_cache`: a training forward stores exactly what backward
 reads, an inference forward stores None. backward takes the record through
 Layer._take_cache, which releases it and raises RuntimeError when there is
 none, so each training forward allows one backward and no layer holds
-activations between passes. backward accumulates parameter gradients in place
-and returns the input gradient. A caller that has no use for the input
-gradient (the first layer of a stack) passes need_input_grad=False: the TCN
-block and the GRU then skip their input-gradient GEMM and return None, and the
-other layers ignore the flag. Training arithmetic is float32 by default;
+activations between passes. backward accumulates parameter gradients in place,
+adding to each gradient element once per call, and returns the input gradient;
+Dropout forms it in place of the gradient it is given. A caller that has no use
+for the input gradient (the first layer of a stack) passes
+need_input_grad=False: the TCN block and the GRU then skip their input-gradient
+GEMM and return None, and the other layers ignore the flag. Training arithmetic is float32 by default;
 gradient verification builds float64 stacks.
 """
 
@@ -159,6 +160,7 @@ class TcnBlock(Layer):
             g[:, :, k * o :] = grad_out
         g2 = g.reshape(b * t, -1)
         gw = x.reshape(b * t, n).T @ g2
+        del x  # the cached input is read no further: release it before gx is allocated
         self.grads[0] += gw[:, : k * o].reshape(n, k, o).transpose(1, 0, 2).reshape(k * n, o)
         self.grads[1] += gz.sum(axis=(0, 1))
         if self.proj is not None:
@@ -220,7 +222,10 @@ class Dropout(Layer):
     The keep mask is drawn as integer words (see _keep_mask) and cached as
     booleans with the 1/keep scale applied to the product, so a step never
     holds a float copy of the mask. At rate 0 a training forward draws nothing
-    and records an empty cache: the layer's generator never advances.
+    and records an empty cache: the layer's generator never advances. backward
+    masks and scales the incoming gradient in place and returns it. forward
+    does not work in place: its input may be a view of another layer's
+    backward record (the GRU's output at batch 1).
     """
 
     def __init__(self, rate: float = 0.2, seed: int = 0):
@@ -246,9 +251,9 @@ class Dropout(Layer):
         if not cache:
             return grad_out
         mask, scale = cache
-        g = grad_out * mask
-        g *= scale
-        return g
+        grad_out *= mask
+        grad_out *= scale
+        return grad_out
 
 
 class TimeDistributedDense(Layer):

@@ -2,13 +2,29 @@
 run and run in micro-batches of whole trials sized by their output steps,
 masked MSE, Adam) plus the finite-difference gradient verifier.
 
-Each micro-batch runs forward(training=True) and then backward, which releases
-the layers' backward records, and the validation loss runs through predict,
-which keeps none: between steps and after train returns, a model holds no
-activations."""
+Each micro-batch (slice) runs forward(training=True) and then backward, which
+releases the layers' backward records, and the validation loss runs through
+predict, which keeps none: between steps and after train returns, a model holds
+no activations.
+
+The slices of a batch run on up to one runner per CPU this process may use:
+the main thread, on the model's own layers, and threads of a pool that lives
+for one train call, each on copies of the layers that share the parameter
+arrays and dropout generators. Every slice starts from zeroed gradients, the
+dropout masks are drawn in slice order, and the main thread adds the slices'
+gradients and losses in slice order, so the step is bitwise that of running
+the slices one after another. While two or more runners share a batch, each
+pins its own BLAS calls to one thread."""
 
 from __future__ import annotations
 
+import copy
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +32,7 @@ import numpy as np
 
 from ..errors import NumericError
 from ..serialize import write_csv
-from .layers import Adam, Dropout, mse_loss
+from .layers import Adam, Dropout, Layer, mse_loss
 from .models import Model
 
 # Output (target) time steps per forward/backward pass: a padded batch is run in
@@ -82,6 +98,7 @@ def _padded_batches(pairs, batch_size: int, model: Model, dtype) -> list[tuple]:
     padded = []
     for lo in range(0, len(order), batch_size):
         xb, yb, mask = _assemble(pairs, order[lo : lo + batch_size], model, dtype)
+        model._check_input(xb)
         padded.append((xb, yb, mask, float(mask.sum()) * yb.shape[-1]))
     return padded
 
@@ -106,8 +123,204 @@ def _epoch_loss(model: Model, padded) -> float:
     return total_sq / total_count
 
 
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's setter of the calling thread's BLAS thread count (OpenBLAS >=
+    0.3.27), looked up through numpy's own BLAS; None for any other BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def _worker_count(n_slices: int) -> int:
+    """Runners for a batch of n_slices: one per CPU this process may run on, at
+    most one per slice, and only one where BLAS cannot be pinned per thread."""
+    if _blas_thread_setter() is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_slices))
+
+
+@contextmanager
+def _one_blas_thread():
+    """The calling thread's BLAS calls run on one thread while inside.
+
+    An OpenMP OpenBLAS keeps this count per thread; a pthreads build (such as
+    numpy's wheels) sets the process-wide count, so the main thread holds its
+    pin until every worker of the batch has restored its own.
+    """
+    setter = _blas_thread_setter()
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+def _view(layers: list[Layer], own: bool) -> list[Layer]:
+    """The layers one slice trains on, with zeroed gradients: the model's own
+    (main thread), or copies that share the parameter arrays and dropout
+    generators and own their backward records."""
+    view = layers if own else [copy.copy(layer) for layer in layers]
+    for layer in view:
+        layer._cache = None
+        layer.grads = [np.zeros_like(p) for p in layer.params]
+    return view
+
+
+class _Aborted(Exception):
+    """A slice given up because another slice of its batch failed."""
+
+
+class _BatchRun:
+    """The slices of one padded batch on their runners.
+
+    Runners claim slices in index order. The dropout layers draw their masks by
+    ticket, in slice order and layer order within a slice, so the shared
+    generators give each slice the mask a sequential run gives it. A failed
+    slice fails the batch: no slice is claimed after it, and a draw waiting for
+    its ticket gives up.
+    """
+
+    def __init__(self, model: Model, batch, epoch: int):
+        self.layers = model.layers
+        self.xb, self.yb, self.mask, self.count = batch
+        self.slices = _slices(self.yb)
+        self.epoch = epoch
+        self.n_drops = sum(isinstance(layer, Dropout) for layer in self.layers)
+        # Per slice, from trained until folded: (loss * part, part, gradients), or
+        # what it raised.
+        self.results: list = [None] * len(self.slices)
+        self.losses: list[tuple[float, float]] = []
+        self._folded = 0
+        self._cond = threading.Condition()
+        self._claimed = 0
+        self._drawn = 0
+        self._failed = False
+
+    def _claim(self) -> int | None:
+        with self._cond:
+            if self._failed or self._claimed == len(self.slices):
+                return None
+            self._claimed += 1
+            return self._claimed - 1
+
+    @contextmanager
+    def _turn(self, ticket: int):
+        with self._cond:
+            self._cond.wait_for(lambda: self._drawn == ticket or self._failed)
+            if self._failed:
+                raise _Aborted
+            yield
+            self._drawn += 1
+            self._cond.notify_all()
+
+    def fail(self) -> None:
+        with self._cond:
+            self._failed = True
+            self._cond.notify_all()
+
+    def _train_slice(self, i: int, layers: list[Layer]):
+        rows = self.slices[i]
+        x = self.xb[rows]
+        ticket = i * self.n_drops
+        for layer in layers:
+            if isinstance(layer, Dropout):
+                with self._turn(ticket):
+                    x = layer.forward(x, training=True)
+                ticket += 1
+            else:
+                x = layer.forward(x, training=True)
+        # Every slice runs forward, so the dropout draws are those of the whole batch.
+        part = float(self.mask[rows].sum()) * self.yb.shape[-1]
+        if part == 0:
+            for layer in layers:
+                layer._cache = None
+            return 0.0, 0.0, None
+        loss, grad = mse_loss(x, self.yb[rows], self.mask[rows])
+        if not np.isfinite(loss):
+            raise NumericError(f"loss diverged (NaN/inf) at epoch {self.epoch}")
+        grad *= grad.dtype.type(part / self.count)
+        for layer in reversed(layers[1:]):
+            grad = layer.backward(grad)
+        layers[0].backward(grad, need_input_grad=False)
+        return loss * part, part, [g for layer in layers for g in layer.grads]
+
+    def run(self, totals: list[np.ndarray] | None = None) -> None:
+        """Train claimed slices until none is left or the batch has failed. The
+        main thread passes the model's gradient arrays as totals: it trains on
+        the model's own layers and adds up the finished slices as it goes."""
+        while (i := self._claim()) is not None:
+            try:
+                self.results[i] = self._train_slice(i, _view(self.layers, totals is not None))
+            except BaseException as exc:
+                self.results[i] = exc
+                self.fail()
+            if totals is not None:
+                self.fold(totals)
+
+    def run_pinned(self) -> None:
+        """A worker's run, its BLAS calls on one thread."""
+        with _one_blas_thread():
+            self.run()
+
+    def fold(self, totals: list[np.ndarray]) -> None:
+        """Add the finished slices' gradients into totals and their losses to
+        self.losses, in slice order, up to the first slice not finished."""
+        while self._folded < len(self.results) and isinstance(self.results[self._folded], tuple):
+            sq, part, grads = self.results[self._folded]
+            self.results[self._folded] = None
+            self._folded += 1
+            if grads is not None:
+                for total, g in zip(totals, grads):
+                    total += g
+                self.losses.append((sq, part))
+
+    def failure(self) -> BaseException | None:
+        """The exception of the first slice that failed, not counting slices
+        given up because of it."""
+        errors = [r for r in self.results if isinstance(r, BaseException)]
+        return next((e for e in errors if not isinstance(e, _Aborted)), errors[0]) if errors else None
+
+
+def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> list[tuple[float, float]]:
+    """Sum one padded batch's gradients into model.grads(); returns each slice's
+    (loss * part, part), in slice order, for the slices with valid outputs."""
+    run = _BatchRun(model, batch, epoch)
+    runners = _worker_count(len(run.slices))
+    model.zero_grad()
+    own_grads = [layer.grads for layer in model.layers]
+    with _one_blas_thread() if runners > 1 else nullcontext():
+        futures = [pool.submit(run.run_pinned) for _ in range(runners - 1)]
+        try:
+            run.run(model.grads())
+        except BaseException:
+            run.fail()
+            raise
+        finally:
+            wait(futures)
+            for layer, grads in zip(model.layers, own_grads):
+                layer.grads = grads
+                layer._cache = None  # left by a slice that failed between forward and backward
+    for future in futures:
+        future.result()
+    error = run.failure()
+    if error is not None:
+        raise error
+    run.fold(model.grads())
+    return run.losses
+
+
 def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> TrainHistory:
-    """Run the epoch loop; deterministic given the config seed.
+    """Run the epoch loop; deterministic given the config seed, and bitwise the
+    same for any number of runners.
 
     Raises NumericError if the loss diverges to NaN/inf.
     """
@@ -119,33 +332,23 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     optimizer = Adam(model.params(), lr=config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     history = TrainHistory()
+    runners = max(_worker_count(len(_slices(yb))) for _, yb, _, _ in batches)
 
-    for epoch in range(1, config.epochs + 1):
-        sq_sum = 0.0
-        count_sum = 0.0
-        for bi in rng.permutation(len(batches)):
-            xb, yb, mask, count = batches[bi]
-            if count == 0:
-                raise ValueError("empty mask")
-            model.zero_grad()
-            for rows in _slices(yb):
-                # Every slice runs forward, so the dropout draws are those of the whole batch.
-                pred = model.forward(xb[rows], training=True)
-                part = float(mask[rows].sum()) * yb.shape[-1]
-                if part == 0:
-                    continue
-                loss, grad = mse_loss(pred, yb[rows], mask[rows])
-                if not np.isfinite(loss):
-                    raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
-                sq_sum += loss * part
-                count_sum += part
-                grad *= grad.dtype.type(part / count)
-                model.backward(grad)
-            optimizer.step(model.grads())
-        val_loss = _epoch_loss(model, val_batches) if val_batches else None
-        history.epochs.append(
-            {"epoch": epoch, "train_loss": sq_sum / count_sum, "val_loss": val_loss}
-        )
+    with ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train") as pool:
+        for epoch in range(1, config.epochs + 1):
+            sq_sum = 0.0
+            count_sum = 0.0
+            for bi in rng.permutation(len(batches)):
+                if batches[bi][3] == 0:
+                    raise ValueError("empty mask")
+                for sq, part in _train_batch(model, batches[bi], pool, epoch):
+                    sq_sum += sq
+                    count_sum += part
+                optimizer.step(model.grads())
+            val_loss = _epoch_loss(model, val_batches) if val_batches else None
+            history.epochs.append(
+                {"epoch": epoch, "train_loss": sq_sum / count_sum, "val_loss": val_loss}
+            )
     return history
 
 

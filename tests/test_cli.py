@@ -325,6 +325,23 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
         assert not out.exists() and not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_multi_line_path_is_usage_error(self, tmp_path, capsys, source):
+        """A continuation line in the config file, or a line break in --out, is exit 1 before any work."""
+        run = tmp_path / "run"
+        run.mkdir()
+        config = run / "multi.ini"
+        if source == "file":
+            config.write_text(f"[paths]\ndata_root = {run / 'd'}\nout_dir = {run / 'o'}\n  sub\n")
+            flags = []
+        else:
+            config.write_text(f"[paths]\ndata_root = {run / 'd'}\n")
+            flags = ["--out", f"{run / 'o'}\nsub"]
+        code = cli.main(["gen-data", "--config", str(config), "--n-trials", "2", *flags])
+        assert code == 1
+        assert "out_dir must be one line without surrounding whitespace" in capsys.readouterr().err
+        assert [p.name for p in run.iterdir()] == ["multi.ini"]
+
     def test_duration_outside_the_generator_range_is_usage_error(self, workspace, tmp_path, capsys):
         _, config = workspace
         out, data = tmp_path / "o", tmp_path / "d"

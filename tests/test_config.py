@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from eegspeech.config import (
     _SCHEMA,
+    FIELD_TYPES,
     RunConfig,
     config_hash,
     parse_config,
     render_config,
     stage_seed,
+    validate_config,
 )
 from eegspeech.errors import ConfigError
 
@@ -231,6 +233,62 @@ class TestParseConfig:
         path.write_text(f"[paths]\n{key} =\n")
         with pytest.raises(ConfigError, match=f"{key} must not be empty"):
             parse_config(path)
+
+    @pytest.mark.parametrize("text", ["[paths]\nout_dir = o\n  sub\n", "[paths]\ndata_root = d\n\tmore\n",
+                                      "[dataset]\neeg_format = csv\n  f32\n"])
+    def test_multi_line_value_rejected(self, tmp_path, text):
+        # a configparser continuation line joins the value across lines
+        path = tmp_path / "multi.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be one line"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", ["o\nsub", "o\rsub", "o\n", " o", "o\t"])
+    def test_str_setting_that_a_file_cannot_give_back_rejected(self, value):
+        with pytest.raises(ConfigError, match="out_dir must be one line without surrounding whitespace"):
+            validate_config(RunConfig(out_dir=value))
+
+    @pytest.mark.parametrize("order", [201, 244, 10**12])
+    def test_bandpass_order_beyond_the_design_limit_rejected(self, order):
+        validate_config(RunConfig(bandpass_order=200))
+        with pytest.raises(ConfigError, match=re.escape(f"band-pass order must be in [1, 200], got {order}")):
+            validate_config(RunConfig(bandpass_order=order))
+
+    def test_bandpass_design_that_overflows_rejected(self):
+        cfg = RunConfig(bandpass_order=100, bandpass_lo_hz=0.001, bandpass_hi_hz=499.9)
+        with pytest.raises(ConfigError, match="order 100 overflows in its design"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("name", ["kpca_coef0", "notch_q", "kpca_gamma", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            validate_config(dataclasses.replace(RunConfig(), **{name: value}))
+
+
+_VALUES = {
+    int: st.integers(-(2**63), 2**63),
+    float: st.floats(),
+    bool: st.booleans(),
+    str: st.text(max_size=12),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_render_parse_fixpoint(data, tmp_path_factory):
+    """A config validate_config accepts comes back from its render as it was."""
+    names = data.draw(st.lists(st.sampled_from(sorted(FIELD_TYPES)), max_size=4, unique=True))
+    changes = {name: data.draw(_VALUES.get(FIELD_TYPES[name], st.none() | st.floats()), label=name)
+               for name in names}
+    cfg = RunConfig(**changes)
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    path = tmp_path_factory.mktemp("render") / "echo.ini"
+    path.write_text(render_config(cfg), encoding="utf-8")
+    assert parse_config(path) == cfg
 
 
 def test_schema_names_each_field_once():

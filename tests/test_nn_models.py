@@ -1,9 +1,16 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eegspeech
 from eegspeech import nn, pipeline, serialize
 from eegspeech.errors import DataError, NumericError
 from eegspeech.nn import training
@@ -338,9 +345,14 @@ class TestMicroBatches:
         assert training.MICRO_BATCH_OUTPUT_STEPS == 15 * 2000  # one 2 s trial per slice
         assert self._stock_epoch_peak(rng, 12) < 2 * self._stock_epoch_peak(rng, 4)
 
-    def test_stock_slice_is_one_trial(self, rng):
-        """Four 2 s trials run as four one-trial slices: the epoch peaks near a one-trial epoch's."""
+    def test_stock_slice_is_one_trial(self, rng, monkeypatch):
+        """Four 2 s trials run as four one-trial slices: on one runner the epoch
+        peaks near a one-trial epoch's, on W runners near W of them."""
+        workers = training._worker_count(4)
+        monkeypatch.setattr(training, "_worker_count", lambda n_slices: 1)
         assert self._stock_epoch_peak(rng, 4) < 1.5 * self._stock_epoch_peak(rng, 1)
+        monkeypatch.undo()
+        assert self._stock_epoch_peak(rng, 4) < (workers + 0.5) * self._stock_epoch_peak(rng, 1)
 
     @pytest.mark.parametrize("shape, n_slices", [
         ((4, 30000, 1), 4),  # 2 s synthesis trials: one per slice
@@ -429,6 +441,144 @@ class TestMicroBatches:
             tracemalloc.stop()
         assert history.epochs[0]["val_loss"] is not None
         assert after_train < 2**20 and after_predict < 2**20, (after_train, after_predict)
+        assert all(layer._cache is None for layer in model.layers)
+
+
+def _params_digest(model) -> str:
+    digest = hashlib.sha256()
+    for p in model.params():
+        digest.update(p.tobytes())
+    return digest.hexdigest()
+
+
+class TestSliceRunners:
+    """The slices of a batch run on several runners, bitwise as on one."""
+
+    @staticmethod
+    def _pairs(rng, n):
+        lengths = rng.integers(12, 41, size=n)
+        return [(rng.standard_normal((t, 31)), 0.1 * rng.standard_normal((15 * t, 1))) for t in lengths]
+
+    @staticmethod
+    def _train(monkeypatch, pairs, workers, val_pairs=None, dtype=np.float32):
+        """Three epochs of one trial per slice on `workers` runners; the digest
+        of the parameters, the history and the number of threads that ran a
+        TcnBlock forward."""
+        monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(workers, n_slices))
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
+        threads = set()
+        forward = nn.TcnBlock.forward
+
+        def recorded(layer, x, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return forward(layer, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn.TcnBlock, "forward", recorded)
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4), dropout_rate=0.3, dtype=dtype)
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=5, seed=3), val_pairs)
+        monkeypatch.undo()
+        assert all(layer._cache is None for layer in model.layers)
+        return _params_digest(model), history.epochs, len(threads)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_across_worker_counts(self, rng, monkeypatch, dtype):
+        """Up to five runners on two batches of five slices, with threads
+        switching every microsecond."""
+        pairs, val_pairs = self._pairs(rng, 10), self._pairs(rng, 3)
+        digest, epochs, n_threads = self._train(monkeypatch, pairs, 1, val_pairs, dtype)
+        assert n_threads == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 5):
+                got_digest, got_epochs, n_threads = self._train(monkeypatch, pairs, workers, val_pairs, dtype)
+                assert (got_digest, got_epochs) == (digest, epochs)
+                assert 2 <= n_threads <= workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    _BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from eegspeech import nn
+rng = np.random.default_rng(5)
+pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+          0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
+model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=4, seed=0))
+digest = hashlib.sha256(repr(history.epochs).encode())
+for p in model.params():
+    digest.update(p.tobytes())
+print(digest.hexdigest())
+"""
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_bitwise_across_blas_thread_counts(self):
+        """Four 2 s trials, three epochs of the 256/32 model in fresh processes:
+        the same parameters and history at 1 and 2 BLAS threads."""
+        paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+            proc = subprocess.run([sys.executable, "-c", self._BLAS_SCRIPT], env=env, check=True, timeout=300,
+                                  capture_output=True, text=True)
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+    @staticmethod
+    def _train_within(timeout_s, model, pairs, caller):
+        """nn.train on a helper thread, whose id goes into caller: what it
+        raised, failing the test if it is still running after timeout_s."""
+        raised = []
+
+        def target():
+            caller.append(threading.get_ident())
+            try:
+                nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=4, seed=3))
+            except BaseException as exc:
+                raised.append(exc)
+
+        helper = threading.Thread(target=target, daemon=True)
+        helper.start()
+        helper.join(timeout_s)
+        assert not helper.is_alive(), "nn.train did not return"
+        return raised
+
+    def test_layer_error_in_a_worker_propagates(self, rng, monkeypatch):
+        """A worker's failing slice: its exception reaches the caller, no thread
+        is left running and no layer keeps a backward record."""
+        monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
+        baseline = threading.active_count()
+        caller = []
+        worker_failed = threading.Event()
+        backward = nn.TcnBlock.backward
+
+        def failing(layer, *args, **kwargs):
+            if threading.get_ident() != caller[0]:
+                worker_failed.set()
+                raise RuntimeError("boom in a worker")
+            worker_failed.wait(10)  # the caller's slices wait until a worker has failed
+            return backward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(nn.TcnBlock, "backward", failing)
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        raised = self._train_within(60, model, self._pairs(rng, 6), caller)
+        assert [str(exc) for exc in raised] == ["boom in a worker"]
+        assert threading.active_count() == baseline
+        assert all(layer._cache is None for layer in model.layers)
+
+    def test_nan_target_raises_numeric_error(self, rng, monkeypatch):
+        monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
+        baseline = threading.active_count()
+        pairs = self._pairs(rng, 8)
+        pairs[5][1][7, 0] = np.nan
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        raised = self._train_within(60, model, pairs, [])
+        assert len(raised) == 1 and isinstance(raised[0], NumericError), raised
+        assert "diverged" in str(raised[0])
+        assert threading.active_count() == baseline
         assert all(layer._cache is None for layer in model.layers)
 
 
