@@ -111,6 +111,8 @@ class Model:
                 src = arrays[name]
                 if tuple(src.shape) != p.shape:
                     raise DataError(f"checkpoint shape mismatch at layer {i} param {j}")
+                if not np.isfinite(src).all():
+                    raise DataError(f"checkpoint array {name!r} holds NaN or inf")
                 p[...] = src.astype(p.dtype)
 
 

@@ -14,7 +14,12 @@ arrays and dropout generators. Every slice starts from zeroed gradients, the
 dropout masks are drawn in slice order, and the main thread adds the slices'
 gradients and losses in slice order, so the step is bitwise that of running
 the slices one after another. While two or more runners share a batch, each
-pins its own BLAS calls to one thread."""
+pins its own BLAS calls to one thread.
+
+Under glibc, the first train call of a process pins malloc's mmap threshold at
+its 64-bit ceiling (32 MiB) and its trim threshold at 64 MiB, so each runner's
+slice arrays are served again from its arena's heap instead of being trimmed
+and faulted back in on every slice."""
 
 from __future__ import annotations
 
@@ -42,6 +47,15 @@ from .models import Model
 # glibc's 32 MiB mmap ceiling; a regression batch of up to 100 x 62 frames is
 # one slice.
 MICRO_BATCH_OUTPUT_STEPS = 30000
+
+# mallopt(3) parameters and the values _hold_heap pins: glibc's dynamic mmap
+# threshold stops at the largest block freed so far (~10 MiB, a slice's widest
+# array) with a trim threshold of twice that, so every slice's freed heap top
+# went back to the kernel. 32 MiB is the ceiling that rule can reach on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX); at most 64 MiB of free heap top stays per arena.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+TRIM_THRESHOLD_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,27 @@ def _blas_thread_setter():
         return None
     setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
     return setter
+
+
+@functools.cache
+def _mallopt():
+    """The C library's mallopt(3), or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def _hold_heap() -> bool:
+    """Pin malloc's mmap and trim thresholds, once per process; False where
+    mallopt is missing or refuses the mmap threshold (then the trim threshold is
+    left alone too, since setting it would switch the dynamic threshold off)."""
+    mallopt = _mallopt()
+    return (mallopt is not None and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1)
 
 
 def _worker_count(n_slices: int) -> int:
@@ -332,6 +367,7 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     optimizer = Adam(model.params(), lr=config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     history = TrainHistory()
+    _hold_heap()
     runners = max(_worker_count(len(_slices(yb))) for _, yb, _, _ in batches)
 
     with ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train") as pool:

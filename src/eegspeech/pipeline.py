@@ -185,7 +185,8 @@ class RegressorBundle:
     @staticmethod
     def load(path: str | Path) -> "RegressorBundle":
         """The bundle saved at `path`; a DataError naming the file unless its
-        kind, model and scalers agree on the feature dimensions."""
+        kind, model and scalers agree on the feature dimensions and every
+        array is finite."""
         _, meta, arrays = load_container(path, expect_kind="regressor-bundle")
         try:
             kind, out_dim = meta["kind"], meta["model"]["out_dim"]
@@ -206,6 +207,8 @@ class RegressorBundle:
             for name, values in (("mean", scaler.mean), ("std", scaler.std)):
                 if values.shape != (dim,):
                     raise DataError(f"{path}: {side}_{name} has shape {values.shape}, expected ({dim},)")
+                if not np.isfinite(values).all():
+                    raise DataError(f"{path}: {side}_{name} holds NaN or inf")
         return bundle
 
 

@@ -282,6 +282,25 @@ class TestPipelineCommands:
         assert after.pop(Path("resolved_config.ini")) != before.pop(Path("resolved_config.ini"))
         assert after == before
 
+    @pytest.mark.parametrize("command, ckpt, name", [
+        ("eval-synth", "synthesis.ckpt", "layer00_p0"),
+        ("eval-regress", "regress_rms.ckpt", "in_std"),
+    ])
+    def test_23_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys, command, ckpt, name):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        path = out / "models" / ckpt
+        kind, meta, arrays = load_container(path)
+        arrays[name].flat[0] = np.nan
+        serialize.save_container(path, kind, meta, arrays)
+        before = _tree_bytes(out)
+        code, _ = run_cli(command, "--config", str(config), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and f"{name}" in err and "NaN or inf" in err
+        assert _tree_bytes(out) == before
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))

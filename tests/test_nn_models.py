@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -582,6 +584,56 @@ print(digest.hexdigest())
         assert all(layer._cache is None for layer in model.layers)
 
 
+class TestHeldHeap:
+    """nn.train pins glibc's mmap and trim thresholds, so a step's freed arrays
+    stay in the heap for the next one."""
+
+    _FAULT_SCRIPT = """
+import resource
+import numpy as np
+from eegspeech import nn
+rng = np.random.default_rng(5)
+pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+          0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
+model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+config = nn.TrainConfig(epochs=1, batch_size=4, seed=0)
+nn.train(model, pairs, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    nn.train(model, pairs, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt thresholds")
+    def test_warm_epochs_fault_few_pages(self):
+        """Four 2 s trials of the 256/32 model in a fresh process, where no
+        earlier test has raised glibc's dynamic threshold: a warm epoch faults
+        in few pages (about 8k when each slice's heap top is trimmed)."""
+        paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", self._FAULT_SCRIPT], env=env, check=True, timeout=300,
+                              capture_output=True, text=True)
+        assert float(proc.stdout) < 1500
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+    def test_glibc_takes_the_thresholds(self):
+        assert training._hold_heap() is True
+
+    def test_without_mallopt_trains_the_same_bits(self, rng, monkeypatch):
+        pairs = TestSliceRunners._pairs(rng, 6)
+
+        def run():
+            model = nn.build_synthesis_model(seed=6, filters=(8, 4), dropout_rate=0.3)
+            history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=3, seed=3))
+            return _params_digest(model), history.epochs
+
+        expected = run()
+        monkeypatch.setattr(training, "_mallopt", lambda: None)
+        monkeypatch.setattr(training, "_hold_heap", functools.cache(training._hold_heap.__wrapped__))
+        assert run() == expected
+        assert training._hold_heap() is False
+
+
 class TestCheckpoint:
     def test_synthesis_round_trip(self, tmp_path, rng):
         model = nn.build_synthesis_model(seed=3, filters=(8, 4))
@@ -645,6 +697,29 @@ class TestCheckpoint:
         serialize.save_container(path, model.kind, model.config, arrays)
         with pytest.raises(DataError, match="layer04_p0"):
             nn.load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_param_is_data_error(self, tmp_path, value):
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        arrays = model.named_params()
+        arrays["layer03_p1"][2] = value
+        path = tmp_path / "synth.ckpt"
+        serialize.save_container(path, model.kind, model.config, arrays)
+        with pytest.raises(DataError, match=f"{path.name}: checkpoint array 'layer03_p1' holds NaN or inf"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("name", ["in_mean", "in_std", "out_mean", "out_std"])
+    def test_non_finite_scaler_is_data_error(self, tmp_path, rng, name):
+        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8)
+        bundle = pipeline.RegressorBundle("tonnetz", model, pipeline.Scaler.fit(rng.standard_normal((20, 30))),
+                                          pipeline.Scaler.fit(rng.standard_normal((20, 6))))
+        path = tmp_path / "regress_tonnetz.ckpt"
+        bundle.save(path)
+        kind, meta, arrays = serialize.load_container(path)
+        arrays[name][-1] = np.nan
+        serialize.save_container(path, kind, meta, arrays)
+        with pytest.raises(DataError, match=f"{path.name}: {name} holds NaN or inf"):
+            pipeline.RegressorBundle.load(path)
 
     def test_incomplete_model_config_is_data_error(self, tmp_path):
         model = nn.build_regression_model(out_dim=1, seed=0, hidden=4)
