@@ -97,8 +97,13 @@ def design_iir_notch(f0_hz: float, q: float, fs_hz: float) -> IirFilter:
 def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Zero-phase forward-backward filtering (squared magnitude response)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[axis] <= 3 * filt.order:
-        raise ValueError(f"signal too short for zero-phase filtering: {x.shape[axis]} <= 3*{filt.order}")
+    # sosfiltfilt pads each end with 3 * ntaps samples and needs more than that;
+    # ntaps = 2 * sections + 1, less the smaller of the counts of first-order
+    # numerators (b2 = 0) and first-order denominators (a2 = 0).
+    sos = filt.sos
+    padlen = 3 * (2 * len(sos) + 1 - min(int(np.sum(sos[:, 2] == 0)), int(np.sum(sos[:, 5] == 0))))
+    if x.shape[axis] <= padlen:
+        raise ValueError(f"signal too short for zero-phase filtering: {x.shape[axis]} <= padlen {padlen}")
     # scipy's filters reject a read-only sos array, so each call gets a copy
     return sps.sosfiltfilt(filt.sos.copy(), x, axis=axis)
 

@@ -195,6 +195,13 @@ class UpsampleRepeat(Layer):
         return self.k * t
 
 
+def _mask_words(shape: tuple[int, ...], dtype) -> int:
+    """Generator words a keep mask of this shape and dtype consumes: one per
+    float64 element, one per two float32 elements, rounded up."""
+    n = math.prod(shape)
+    return (n + 1) // 2 if np.dtype(dtype) == np.float32 else n
+
+
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: float) -> np.ndarray:
     """`rng.random(shape, dtype) >= rate`, bit for bit, from the raw generator words.
 
@@ -204,12 +211,11 @@ def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: fl
     ceil(rate·2⁵³) << 11, with no float array built. Unlike rng.random, an
     odd-sized float32 draw does not keep the spare half-word for the next draw.
     """
-    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(_mask_words(shape, dtype))
     if np.dtype(dtype) == np.float32:
-        words = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+        words = words.astype("<u8", copy=False).view("<u4")[: math.prod(shape)]
         threshold, bits = math.ceil(float(np.float32(rate)) * 2**24) << 8, 32
     else:
-        words = rng.bit_generator.random_raw(n)
         threshold, bits = math.ceil(rate * 2**53) << 11, 64
     if threshold >= 2**bits:
         return np.zeros(shape, dtype=bool)

@@ -8,13 +8,17 @@ predict, which keeps none: between steps and after train returns, a model holds
 no activations.
 
 The slices of a batch run on up to one runner per CPU this process may use:
-the main thread, on the model's own layers, and threads of a pool that lives
-for one train call, each on copies of the layers that share the parameter
-arrays and dropout generators. Every slice starts from zeroed gradients, the
-dropout masks are drawn in slice order, and the main thread adds the slices'
-gradients and losses in slice order, so the step is bitwise that of running
-the slices one after another. While two or more runners share a batch, each
-pins its own BLAS calls to one thread.
+the calling thread, on the model's own layers, and threads of a pool that
+lives for one train call, each on copies of the layers that share the
+parameter arrays. The slices share nothing mutable: every slice starts from
+zeroed gradients, and each Dropout layer of a slice sets its generator to the
+layer's state at the start of the batch, advanced past the masks of the
+slices before it (every slice but the last has the first slice's rows, and
+_mask_words gives a mask's word count). Once every runner is done, the
+slices' gradients and losses are added in slice order and the model's
+generators take the last slice's end state, so the step is bitwise that of
+running the slices one after another. While two or more runners share a batch, each pins its own
+BLAS calls to one thread.
 
 Under glibc, the first train call of a process pins malloc's mmap threshold at
 its 64-bit ceiling (32 MiB) and its trim threshold at 64 MiB, so each runner's
@@ -26,6 +30,7 @@ from __future__ import annotations
 import copy
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -37,7 +42,7 @@ import numpy as np
 
 from ..errors import NumericError
 from ..serialize import write_csv
-from .layers import Adam, Dropout, Layer, mse_loss
+from .layers import Adam, Dropout, _mask_words, mse_loss
 from .models import Model
 
 # Output (target) time steps per forward/backward pass: a padded batch is run in
@@ -199,158 +204,105 @@ def _one_blas_thread():
         setter(previous)
 
 
-def _view(layers: list[Layer], own: bool) -> list[Layer]:
-    """The layers one slice trains on, with zeroed gradients: the model's own
-    (main thread), or copies that share the parameter arrays and dropout
-    generators and own their backward records."""
-    view = layers if own else [copy.copy(layer) for layer in layers]
-    for layer in view:
+def _view(model: Model, own: bool) -> Model:
+    """The model one slice trains on, with zeroed gradients: the model itself
+    (caller thread), or a copy whose layers share the parameter arrays and own
+    their gradients, backward records and dropout generators."""
+    view = model if own else copy.copy(model)
+    if not own:
+        view.layers = [copy.copy(layer) for layer in model.layers]
+    for layer in view.layers:
         layer._cache = None
         layer.grads = [np.zeros_like(p) for p in layer.params]
+        if not own and isinstance(layer, Dropout):
+            layer.rng = np.random.default_rng()  # each slice sets its state
     return view
 
 
-class _Aborted(Exception):
-    """A slice given up because another slice of its batch failed."""
+def _train_slice(view: Model, batch, slices: list[slice], i: int, starts: list, epoch: int):
+    """Slice i of a padded batch on view: (loss * part, part, gradients or None
+    where no output is valid, dropout generator states at the slice's end).
 
-
-class _BatchRun:
-    """The slices of one padded batch on their runners.
-
-    Runners claim slices in index order. The dropout layers draw their masks by
-    ticket, in slice order and layer order within a slice, so the shared
-    generators give each slice the mask a sequential run gives it. A failed
-    slice fails the batch: no slice is claimed after it, and a draw waiting for
-    its ticket gives up.
-    """
-
-    def __init__(self, model: Model, batch, epoch: int):
-        self.layers = model.layers
-        self.xb, self.yb, self.mask, self.count = batch
-        self.slices = _slices(self.yb)
-        self.epoch = epoch
-        self.n_drops = sum(isinstance(layer, Dropout) for layer in self.layers)
-        # Per slice, from trained until folded: (loss * part, part, gradients), or
-        # what it raised.
-        self.results: list = [None] * len(self.slices)
-        self.losses: list[tuple[float, float]] = []
-        self._folded = 0
-        self._cond = threading.Condition()
-        self._claimed = 0
-        self._drawn = 0
-        self._failed = False
-
-    def _claim(self) -> int | None:
-        with self._cond:
-            if self._failed or self._claimed == len(self.slices):
-                return None
-            self._claimed += 1
-            return self._claimed - 1
-
-    @contextmanager
-    def _turn(self, ticket: int):
-        with self._cond:
-            self._cond.wait_for(lambda: self._drawn == ticket or self._failed)
-            if self._failed:
-                raise _Aborted
-            yield
-            self._drawn += 1
-            self._cond.notify_all()
-
-    def fail(self) -> None:
-        with self._cond:
-            self._failed = True
-            self._cond.notify_all()
-
-    def _train_slice(self, i: int, layers: list[Layer]):
-        rows = self.slices[i]
-        x = self.xb[rows]
-        ticket = i * self.n_drops
-        for layer in layers:
-            if isinstance(layer, Dropout):
-                with self._turn(ticket):
-                    x = layer.forward(x, training=True)
-                ticket += 1
-            else:
-                x = layer.forward(x, training=True)
-        # Every slice runs forward, so the dropout draws are those of the whole batch.
-        part = float(self.mask[rows].sum()) * self.yb.shape[-1]
-        if part == 0:
-            for layer in layers:
-                layer._cache = None
-            return 0.0, 0.0, None
-        loss, grad = mse_loss(x, self.yb[rows], self.mask[rows])
-        if not np.isfinite(loss):
-            raise NumericError(f"loss diverged (NaN/inf) at epoch {self.epoch}")
-        grad *= grad.dtype.type(part / self.count)
-        for layer in reversed(layers[1:]):
-            grad = layer.backward(grad)
-        layers[0].backward(grad, need_input_grad=False)
-        return loss * part, part, [g for layer in layers for g in layer.grads]
-
-    def run(self, totals: list[np.ndarray] | None = None) -> None:
-        """Train claimed slices until none is left or the batch has failed. The
-        main thread passes the model's gradient arrays as totals: it trains on
-        the model's own layers and adds up the finished slices as it goes."""
-        while (i := self._claim()) is not None:
-            try:
-                self.results[i] = self._train_slice(i, _view(self.layers, totals is not None))
-            except BaseException as exc:
-                self.results[i] = exc
-                self.fail()
-            if totals is not None:
-                self.fold(totals)
-
-    def run_pinned(self) -> None:
-        """A worker's run, its BLAS calls on one thread."""
-        with _one_blas_thread():
-            self.run()
-
-    def fold(self, totals: list[np.ndarray]) -> None:
-        """Add the finished slices' gradients into totals and their losses to
-        self.losses, in slice order, up to the first slice not finished."""
-        while self._folded < len(self.results) and isinstance(self.results[self._folded], tuple):
-            sq, part, grads = self.results[self._folded]
-            self.results[self._folded] = None
-            self._folded += 1
-            if grads is not None:
-                for total, g in zip(totals, grads):
-                    total += g
-                self.losses.append((sq, part))
-
-    def failure(self) -> BaseException | None:
-        """The exception of the first slice that failed, not counting slices
-        given up because of it."""
-        errors = [r for r in self.results if isinstance(r, BaseException)]
-        return next((e for e in errors if not isinstance(e, _Aborted)), errors[0]) if errors else None
+    Each Dropout with a nonzero rate draws from its generator set to the
+    layer's state at the start of the batch (starts) and advanced past the
+    masks of slices 0..i-1, which all have slice 0's rows: the mask a
+    sequential run draws for slice i."""
+    xb, yb, mask, count = batch
+    rows = slices[i]
+    x = xb[rows]
+    for layer, start in zip(view.layers, starts):
+        if start is not None:
+            layer.rng.bit_generator.state = start
+            layer.rng.bit_generator.advance(i * _mask_words((slices[0].stop, *x.shape[1:]), x.dtype))
+        x = layer.forward(x, training=True)
+    # Every slice runs forward, so the last slice ends where the whole batch's draws end.
+    ends = [None if start is None else layer.rng.bit_generator.state for layer, start in zip(view.layers, starts)]
+    part = float(mask[rows].sum()) * yb.shape[-1]
+    if part == 0:
+        for layer in view.layers:
+            layer._cache = None
+        return 0.0, 0.0, None, ends
+    loss, grad = mse_loss(x, yb[rows], mask[rows])
+    if not np.isfinite(loss):
+        raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
+    grad *= grad.dtype.type(part / count)
+    view.backward(grad)
+    return loss * part, part, view.grads(), ends
 
 
 def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> list[tuple[float, float]]:
     """Sum one padded batch's gradients into model.grads(); returns each slice's
-    (loss * part, part), in slice order, for the slices with valid outputs."""
-    run = _BatchRun(model, batch, epoch)
-    runners = _worker_count(len(run.slices))
-    model.zero_grad()
+    (loss * part, part), in slice order, for the slices with valid outputs.
+
+    Runners claim slice indices in order until none is left or a slice has
+    failed; each slice writes only its own entry of results."""
+    slices = _slices(batch[1])
+    starts = [layer.rng.bit_generator.state if isinstance(layer, Dropout) and layer.rate else None
+              for layer in model.layers]
+    results: list = [None] * len(slices)
+    claims, stop = itertools.count(), threading.Event()
+
+    def run(own: bool) -> None:
+        while not stop.is_set() and (i := next(claims)) < len(slices):
+            try:
+                results[i] = _train_slice(_view(model, own), batch, slices, i, starts, epoch)
+            except BaseException as exc:
+                results[i] = exc
+                stop.set()
+
+    def run_pinned() -> None:
+        with _one_blas_thread():
+            run(own=False)
+
+    runners = _worker_count(len(slices))
     own_grads = [layer.grads for layer in model.layers]
     with _one_blas_thread() if runners > 1 else nullcontext():
-        futures = [pool.submit(run.run_pinned) for _ in range(runners - 1)]
+        futures = [pool.submit(run_pinned) for _ in range(runners - 1)]
         try:
-            run.run(model.grads())
-        except BaseException:
-            run.fail()
-            raise
+            run(own=True)
         finally:
+            stop.set()
             wait(futures)
             for layer, grads in zip(model.layers, own_grads):
                 layer.grads = grads
                 layer._cache = None  # left by a slice that failed between forward and backward
     for future in futures:
         future.result()
-    error = run.failure()
-    if error is not None:
-        raise error
-    run.fold(model.grads())
-    return run.losses
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    model.zero_grad()
+    totals = model.grads()
+    losses = []
+    for sq, part, grads, _ in results:
+        if grads is not None:
+            for total, g in zip(totals, grads):
+                total += g
+            losses.append((sq, part))
+    for layer, end in zip(model.layers, results[-1][3]):
+        if end is not None:
+            layer.rng.bit_generator.state = end
+    return losses
 
 
 def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> TrainHistory:

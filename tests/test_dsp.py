@@ -129,6 +129,17 @@ class TestFiltfilt:
         with pytest.raises(ValueError, match="too short"):
             dsp.apply_filter(filt, np.zeros(10))
 
+    @pytest.mark.parametrize("filt, padlen", [
+        (dsp.design_butterworth_bandpass(4, 0.1, 70.0, 1000.0), 27),  # stock: 4 sections
+        (dsp.design_iir_notch(60.0, 30.0, 1000.0), 9),  # stock: 1 section
+        (dsp.IirFilter(np.array([[1.0, 0, 0, 1.0, 0, 0]]), "identity"), 6),  # first order
+    ], ids=["bandpass", "notch", "identity"])
+    def test_length_guard_is_scipys_padlen(self, filt, padlen):
+        """The last length sosfiltfilt rejects is "too short"; the next one filters."""
+        with pytest.raises(ValueError, match="too short"):
+            dsp.apply_filter(filt, np.ones(padlen))
+        assert dsp.apply_filter(filt, np.ones(padlen + 1)).shape == (padlen + 1,)
+
 
 class TestResamplePoly:
     def test_length_ratio_16k_to_15k(self):

@@ -15,6 +15,7 @@ import pytest
 import eegspeech
 from eegspeech import nn, pipeline, serialize
 from eegspeech.errors import DataError, NumericError
+from eegspeech.nn import layers as nn_layers
 from eegspeech.nn import training
 
 
@@ -462,42 +463,63 @@ class TestSliceRunners:
         return [(rng.standard_normal((t, 31)), 0.1 * rng.standard_normal((15 * t, 1))) for t in lengths]
 
     @staticmethod
-    def _train(monkeypatch, pairs, workers, val_pairs=None, dtype=np.float32):
+    def _train(monkeypatch, pairs, workers, val_pairs=None, dtype=np.float32, filters=(8, 4)):
         """Three epochs of one trial per slice on `workers` runners; the digest
-        of the parameters, the history and the number of threads that ran a
-        TcnBlock forward."""
+        of the parameters, the history, the number of threads that ran a
+        TcnBlock forward and the dropout masks in the order they were drawn."""
         monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(workers, n_slices))
         monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
         threads = set()
-        forward = nn.TcnBlock.forward
+        masks = []
+        forward, dropout_forward = nn.TcnBlock.forward, nn.Dropout.forward
 
         def recorded(layer, x, *args, **kwargs):
             threads.add(threading.get_ident())
             return forward(layer, x, *args, **kwargs)
 
+        def drawn(layer, x, training=False):
+            y = dropout_forward(layer, x, training)
+            if training:
+                masks.append(layer._cache[0])
+            return y
+
         monkeypatch.setattr(nn.TcnBlock, "forward", recorded)
-        model = nn.build_synthesis_model(seed=6, filters=(8, 4), dropout_rate=0.3, dtype=dtype)
+        monkeypatch.setattr(nn.Dropout, "forward", drawn)
+        model = nn.build_synthesis_model(seed=6, filters=filters, dropout_rate=0.3, dtype=dtype)
         history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=5, seed=3), val_pairs)
         monkeypatch.undo()
         assert all(layer._cache is None for layer in model.layers)
-        return _params_digest(model), history.epochs, len(threads)
+        return _params_digest(model), history.epochs, len(threads), masks
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_across_worker_counts(self, rng, monkeypatch, dtype):
         """Up to five runners on two batches of five slices, with threads
-        switching every microsecond."""
-        pairs, val_pairs = self._pairs(rng, 10), self._pairs(rng, 3)
-        digest, epochs, n_threads = self._train(monkeypatch, pairs, 1, val_pairs, dtype)
-        assert n_threads == 1
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (2, 3, 5):
-                got_digest, got_epochs, n_threads = self._train(monkeypatch, pairs, workers, val_pairs, dtype)
-                assert (got_digest, got_epochs) == (digest, epochs)
-                assert 2 <= n_threads <= workers
-        finally:
-            sys.setswitchinterval(interval)
+        switching every microsecond. On one runner the slices draw their masks
+        one after another from the model's dropout generator (seed 7).
+
+        The second input pads both batches to 41 steps: a (7, 3) model's
+        one-trial mask then has 5 * 41 * 7 = 1435 elements, an odd count, so a
+        float32 slice starts 718 words after the one before it."""
+        odd_lengths = [41] * 6 + list(rng.integers(12, 41, size=4))
+        odd = [(rng.standard_normal((t, 31)), 0.1 * rng.standard_normal((15 * t, 1))) for t in odd_lengths]
+        val_pairs = self._pairs(rng, 3)
+        for filters, pairs in (((8, 4), self._pairs(rng, 10)), ((7, 3), odd)):
+            digest, epochs, n_threads, masks = self._train(monkeypatch, pairs, 1, val_pairs, dtype, filters)
+            assert n_threads == 1
+            assert len(masks) == 3 * len(pairs)
+            generator = np.random.default_rng(7)
+            for mask in masks:
+                assert np.array_equal(mask, nn_layers._keep_mask(generator, mask.shape, dtype, 0.3))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for workers in (2, 3, 5):
+                    got_digest, got_epochs, n_threads, _ = self._train(
+                        monkeypatch, pairs, workers, val_pairs, dtype, filters)
+                    assert (got_digest, got_epochs) == (digest, epochs)
+                    assert 2 <= n_threads <= workers
+            finally:
+                sys.setswitchinterval(interval)
 
     _BLAS_SCRIPT = """
 import hashlib
@@ -546,29 +568,33 @@ print(digest.hexdigest())
         assert not helper.is_alive(), "nn.train did not return"
         return raised
 
-    def test_layer_error_in_a_worker_propagates(self, rng, monkeypatch):
-        """A worker's failing slice: its exception reaches the caller, no thread
-        is left running and no layer keeps a backward record."""
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_layer_error_in_a_slice_propagates(self, rng, monkeypatch, failing):
+        """A failing slice on a worker or on the caller thread: its exception
+        reaches the caller, no thread is left running, no layer keeps a backward
+        record and the dropout layer keeps its own generator."""
         monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
         monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
         baseline = threading.active_count()
         caller = []
-        worker_failed = threading.Event()
+        failed = threading.Event()
         backward = nn.TcnBlock.backward
 
-        def failing(layer, *args, **kwargs):
-            if threading.get_ident() != caller[0]:
-                worker_failed.set()
-                raise RuntimeError("boom in a worker")
-            worker_failed.wait(10)  # the caller's slices wait until a worker has failed
+        def failing_backward(layer, *args, **kwargs):
+            if (threading.get_ident() == caller[0]) == (failing == "caller"):
+                failed.set()
+                raise RuntimeError(f"boom in the {failing}")
+            failed.wait(10)  # the other runner's slices wait until one has failed
             return backward(layer, *args, **kwargs)
 
-        monkeypatch.setattr(nn.TcnBlock, "backward", failing)
+        monkeypatch.setattr(nn.TcnBlock, "backward", failing_backward)
         model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        generator = model.layers[2].rng
         raised = self._train_within(60, model, self._pairs(rng, 6), caller)
-        assert [str(exc) for exc in raised] == ["boom in a worker"]
+        assert [str(exc) for exc in raised] == [f"boom in the {failing}"]
         assert threading.active_count() == baseline
         assert all(layer._cache is None for layer in model.layers)
+        assert model.layers[2].rng is generator
 
     def test_nan_target_raises_numeric_error(self, rng, monkeypatch):
         monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
