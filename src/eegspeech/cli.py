@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acoustic, dataio, dsp, eeg, nn, pipeline
+from . import acoustic, dataio, eeg, nn, pipeline
 from .config import FIELD_TYPES, RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import MetricsReport, evaluate_acoustic, evaluate_synthesis, spectrogram_export
@@ -126,6 +126,7 @@ def _synthesis_model(cfg: RunConfig) -> nn.Model:
 
 
 def _regression_examples(cfg: RunConfig, manifest: dataio.DatasetManifest, ids) -> list[dict]:
+    """Reduced EEG features against acoustic targets; the raw EEG is not read."""
     models = _kpca_models(cfg)
     grid = pipeline.audio_grid(cfg)
     examples = []
@@ -133,8 +134,8 @@ def _regression_examples(cfg: RunConfig, manifest: dataio.DatasetManifest, ids) 
         ref = manifest.by_id(trial_id)
         seq = _feature_seq(cfg, trial_id)
         reduced = pipeline.reduce_features(seq, ref.subject, models, cfg)
-        trial = manifest.load_trial(trial_id)
-        targets = acoustic.extract_acoustic_set(pipeline.audio_at_rate(trial, cfg), grid)
+        wave = pipeline.clip_at_rate(dataio.read_wav(manifest.root / ref.wav_path))
+        targets = acoustic.extract_acoustic_set(wave, grid)
         examples.append(pipeline.regression_example(trial_id, ref.subject, ref.condition, reduced, targets))
     return examples
 
@@ -290,8 +291,7 @@ def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
     if args.wav is not None and args.source == "predicted":
         raise ConfigError("--source predicted needs --trial: a WAV has no EEG to predict from")
     if args.wav is not None:
-        clip = dataio.read_wav(args.wav)
-        wave = dsp.resample_poly(clip.samples, clip.sample_rate_hz, dataio.AUDIO_RATE_HZ)
+        wave = pipeline.clip_at_rate(dataio.read_wav(args.wav))
         name = Path(args.wav).stem
     else:
         trial = _manifest(cfg).load_trial(args.trial)
@@ -315,7 +315,8 @@ def cmd_grad_check(cfg: RunConfig, args) -> None:
     x = rng.standard_normal((2, 6, 31))
     y = rng.standard_normal((2, 90, 1))
     results["synthesis"] = nn.finite_diff_grad_check(synth, x, y, seed=0)
-    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
+    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, in_dim=30, dropout_rate=0.0,
+                                        dtype=np.float64)
     x = rng.standard_normal((2, 6, 30))
     y = rng.standard_normal((2, 6, 7))
     results["regression"] = nn.finite_diff_grad_check(regress, x, y, seed=0)

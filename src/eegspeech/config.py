@@ -1,9 +1,11 @@
 """Run configuration: INI-style config files, seed derivation.
 
 Each RunConfig field declares the `[section] key` a config file sets it by
-and carries the stock pipeline default. Unknown keys are rejected; missing
-keys take the defaults; the resolved config is echoed next to the outputs for
-provenance.
+and carries the stock pipeline default. The stock values live only here: the
+library functions take each setting as a required argument, so a library call
+and the CLI cannot run at different defaults. Unknown keys are rejected;
+missing keys take the defaults; the resolved config is echoed next to the
+outputs for provenance.
 """
 
 from __future__ import annotations

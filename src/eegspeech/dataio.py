@@ -327,8 +327,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def make_split(
     manifest: DatasetManifest | list[str],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
+    ratios: tuple[float, float, float],
+    seed: int,
 ) -> SplitAssignment:
     """Deterministic shuffle split at utterance granularity.
 
@@ -467,10 +467,10 @@ def synthesize_trial(rng: np.random.Generator, duration_s: float):
 
 def generate_synthetic_dataset(
     n_trials: int,
-    duration_s: float = 2.0,
-    seed: int = 0,
-    out_dir: str | Path = "data",
-    eeg_format: str = "csv",
+    duration_s: float,
+    seed: int,
+    out_dir: str | Path,
+    eeg_format: str,
 ) -> DatasetManifest:
     """Write n_trials paired EEG/audio files plus manifest.json; deterministic in seed."""
     if n_trials < 1:

@@ -108,11 +108,6 @@ def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     return sps.sosfiltfilt(filt.sos.copy(), x, axis=axis)
 
 
-def lfilter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Causal single-pass filtering: the reference the zero-phase tests measure against."""
-    return sps.sosfilt(filt.sos.copy(), np.asarray(x, dtype=np.float64), axis=axis)
-
-
 def resample_poly(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
     """Polyphase rational resampling by to/from after gcd reduction.
 

@@ -29,14 +29,17 @@ STAT_FEATURE_DIM = EEG_CHANNELS * len(STAT_NAMES)  # 155
 
 @dataclass(frozen=True)
 class PreprocessOptions:
-    bandpass_lo_hz: float = 0.1
-    bandpass_hi_hz: float = 70.0
-    bandpass_order: int = 4
-    notch_hz: float = 60.0
-    notch_q: float = 30.0
-    run_ica: bool = False
-    ica_kurtosis_threshold: float = 8.0
-    ica_seed: int = 0
+    """One preprocessing setting per field, all required: the stock values live
+    in RunConfig, and `pipeline.preprocess_options` maps a config onto these."""
+
+    bandpass_lo_hz: float
+    bandpass_hi_hz: float
+    bandpass_order: int
+    notch_hz: float
+    notch_q: float
+    run_ica: bool
+    ica_kurtosis_threshold: float
+    ica_seed: int
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,8 @@ def _preprocess_filters(options: PreprocessOptions) -> tuple[dsp.IirFilter, dsp.
     return bp, dsp.design_iir_notch(options.notch_hz, options.notch_q, EEG_SAMPLE_RATE_HZ)
 
 
-def preprocess_eeg(rec: EegRecording, options: PreprocessOptions | None = None) -> CleanEeg:
+def preprocess_eeg(rec: EegRecording, options: PreprocessOptions) -> CleanEeg:
     """Zero-phase band-pass + notch, optional ICA cleanup, z-score."""
-    options = options or PreprocessOptions()
     data = np.asarray(rec.data, dtype=np.float64)
     if data.shape[0] != EEG_CHANNELS:
         raise DataError(f"expected {EEG_CHANNELS} channels, got {data.shape[0]}")
@@ -123,7 +125,7 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
 
 def fast_ica(
     data: np.ndarray,
-    seed: int = 0,
+    seed: int,
     max_iter: int = 200,
     tol: float = 1e-4,
 ) -> IcaResult:
@@ -188,7 +190,7 @@ def excess_kurtosis(x: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.nda
 
 
 def remove_artifact_components(
-    ica: IcaResult, kurtosis_threshold: float = 8.0
+    ica: IcaResult, kurtosis_threshold: float
 ) -> tuple[np.ndarray, list[int]]:
     """Zero components with |excess kurtosis| above the threshold, reconstruct.
 
@@ -297,15 +299,15 @@ def _poly_kernel(a: np.ndarray, b: np.ndarray, gamma: float, coef0: float, degre
 
 def kpca_fit(
     train_features: np.ndarray,
-    out_dim: int = 30,
-    degree: int = 3,
-    gamma: float | None = None,
-    coef0: float = 1.0,
+    out_dim: int,
+    degree: int,
+    gamma: float | None,
+    coef0: float,
 ) -> KpcaModel:
-    """Fit polynomial-kernel PCA: double-centered kernel, top-out_dim eigenpairs
-    by Lanczos iteration (ARPACK `eigsh`), in descending order. The Lanczos
-    operator is the symmetric matrix-vector product (BLAS `dsymv`) on one
-    triangle of the centered kernel, read in place.
+    """Fit polynomial-kernel PCA (gamma None: 1/feature dim): double-centered
+    kernel, top-out_dim eigenpairs by Lanczos iteration (ARPACK `eigsh`), in
+    descending order. The Lanczos operator is the symmetric matrix-vector
+    product (BLAS `dsymv`) on one triangle of the centered kernel, read in place.
 
     Coefficients are eigenvectors scaled by 1/sqrt(eigenvalue) so the implicit
     principal directions have unit feature-space norm. Rank deficiency yields

@@ -114,19 +114,6 @@ def evaluate_acoustic(predict_fns: dict, test_trials: list[dict]) -> MetricsRepo
     return MetricsReport("acoustic", rows)
 
 
-def mean_baseline_rmse(train_targets: list[np.ndarray], test_targets: list[np.ndarray]) -> float:
-    """RMSE of the constant per-dimension training-mean predictor."""
-    stacked = np.vstack([np.atleast_2d(t.reshape(len(t), -1) if t.ndim > 1 else t[:, None]) for t in train_targets])
-    mean = stacked.mean(axis=0)
-    sq = 0.0
-    count = 0
-    for t in test_targets:
-        t2 = t.reshape(len(t), -1) if t.ndim > 1 else t[:, None]
-        sq += float(np.sum((t2 - mean) ** 2))
-        count += t2.size
-    return float(np.sqrt(sq / count))
-
-
 # ---------------------------------------------------------------------------
 # Spectrogram export (figure analogs)
 

@@ -79,13 +79,11 @@ class TcnBlock(Layer):
     only the out-wide result is expanded to r*T steps.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, kernel_size: int = 3, dilation: int = 1,
-                 use_residual: bool = True, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_dim: int, out_dim: int, kernel_size: int, dilation: int = 1,
+                 use_residual: bool = True, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         if kernel_size < 1 or dilation < 1:
             raise ValueError("kernel_size and dilation must be >= 1")
-        rng = rng or np.random.default_rng(0)
         self.in_dim, self.out_dim = in_dim, out_dim
         self.kernel_size, self.dilation = kernel_size, dilation
         self.use_residual = use_residual
@@ -234,7 +232,7 @@ class Dropout(Layer):
     backward record (the GRU's output at batch 1).
     """
 
-    def __init__(self, rate: float = 0.2, seed: int = 0):
+    def __init__(self, rate: float, seed: int):
         super().__init__()
         if not (0.0 <= rate < 1.0):
             raise ValueError("dropout rate must be in [0, 1)")
@@ -265,10 +263,8 @@ class Dropout(Layer):
 class TimeDistributedDense(Layer):
     """Per-time-step affine map with linear activation."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_dim, self.out_dim = in_dim, out_dim
         self.w = uniform_fan_in(rng, (in_dim, out_dim), in_dim, dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
@@ -307,10 +303,8 @@ class GruLayer(Layer):
     time-major (T, B, .) so each step's slice is contiguous.
     """
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_dim, self.hidden = in_dim, hidden
         def w_in():
             return uniform_fan_in(rng, (in_dim, hidden), in_dim, dtype)
@@ -415,7 +409,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = Non
 class Adam:
     """Adam with bias-corrected moments; updates parameters in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+    def __init__(self, params: list[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps

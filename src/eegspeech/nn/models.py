@@ -132,14 +132,16 @@ class RegressionModel(Model):
 
 
 def build_synthesis_model(
-    seed: int = 0,
-    filters: tuple[int, int] = (256, 32),
-    kernel_size: int = 3,
-    dropout_rate: float = 0.2,
+    seed: int,
+    filters: tuple[int, int],
+    kernel_size: int,
+    dropout_rate: float,
     in_dim: int = 31,
     dtype=np.float32,
 ) -> SynthesisModel:
-    """Figure-style waveform synthesizer: (T x in_dim) -> (15*T x 1)."""
+    """Figure-style waveform synthesizer: (T x in_dim) -> (15*T x 1).
+
+    The settings have no defaults: their stock values live in RunConfig."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f1, f2 = filters
     # The head is drawn before the TCN blocks, which keeps each seed's initial parameters.
@@ -166,13 +168,15 @@ def build_synthesis_model(
 
 def build_regression_model(
     out_dim: int,
-    seed: int = 0,
-    hidden: int = 128,
-    in_dim: int = 30,
-    dropout_rate: float = 0.2,
+    seed: int,
+    hidden: int,
+    in_dim: int,
+    dropout_rate: float,
     dtype=np.float32,
 ) -> RegressionModel:
-    """GRU regressor onto one acoustic feature family: (T x in_dim) -> (T x out_dim)."""
+    """GRU regressor onto one acoustic feature family: (T x in_dim) -> (T x out_dim).
+
+    The settings have no defaults: their stock values live in RunConfig."""
     if out_dim not in REGRESSION_OUT_DIMS:
         raise ValueError(f"out_dim must be one of the 16 feature dims {REGRESSION_OUT_DIMS}, got {out_dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

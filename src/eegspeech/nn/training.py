@@ -66,9 +66,9 @@ TRIM_THRESHOLD_BYTES = 64 * 2**20
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int = 100
-    learning_rate: float = 1e-3
-    seed: int = 0
+    batch_size: int
+    learning_rate: float
+    seed: int
 
     def __post_init__(self):
         if self.epochs < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
-from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, DatasetManifest, TrialRecord
+from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, AudioClip, DatasetManifest, TrialRecord
 from .errors import DataError
 from .serialize import load_container, save_container
 
@@ -40,8 +40,13 @@ def audio_grid(cfg: RunConfig) -> dsp.FrameGrid:
     return dsp.frame_grid_for_rate(AUDIO_RATE_HZ, cfg.frame_rate_hz)
 
 
+def clip_at_rate(clip: AudioClip) -> np.ndarray:
+    """The clip resampled to AUDIO_RATE_HZ, the rate of the waveform and acoustic targets."""
+    return dsp.resample_poly(clip.samples, clip.sample_rate_hz, AUDIO_RATE_HZ)
+
+
 def audio_at_rate(trial: TrialRecord, cfg: RunConfig) -> np.ndarray:
-    return dsp.resample_poly(trial.audio.samples, trial.audio.sample_rate_hz, AUDIO_RATE_HZ)
+    return clip_at_rate(trial.audio)
 
 
 # ---------------------------------------------------------------------------

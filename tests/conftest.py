@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal as sps
 
 
 @pytest.fixture
@@ -18,3 +19,22 @@ def sine_fit_amplitude(x: np.ndarray, freq_hz: float, fs_hz: float) -> float:
     basis = np.column_stack([np.sin(2 * np.pi * freq_hz * t), np.cos(2 * np.pi * freq_hz * t)])
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def lfilter(filt, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Causal single-pass filtering of a `dsp.IirFilter`: the reference the
+    zero-phase tests measure against."""
+    return sps.sosfilt(filt.sos.copy(), np.asarray(x, dtype=np.float64), axis=axis)
+
+
+def mean_baseline_rmse(train_targets: list[np.ndarray], test_targets: list[np.ndarray]) -> float:
+    """RMSE of the constant per-dimension training-mean predictor."""
+    stacked = np.vstack([np.atleast_2d(t.reshape(len(t), -1) if t.ndim > 1 else t[:, None]) for t in train_targets])
+    mean = stacked.mean(axis=0)
+    sq = 0.0
+    count = 0
+    for t in test_targets:
+        t2 = t.reshape(len(t), -1) if t.ndim > 1 else t[:, None]
+        sq += float(np.sum((t2 - mean) ** 2))
+        count += t2.size
+    return float(np.sqrt(sq / count))

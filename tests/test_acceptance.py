@@ -12,9 +12,9 @@ import pytest
 
 from eegspeech import acoustic, cli, dataio, dsp, eeg, nn, pipeline
 from eegspeech.config import RunConfig
-from eegspeech.evaluate import mean_baseline_rmse, rmse
+from eegspeech.evaluate import rmse
 
-from conftest import sine, sine_fit_amplitude
+from conftest import lfilter, mean_baseline_rmse, sine, sine_fit_amplitude
 from test_nn_layers import check_layer_grads
 
 FS_AUDIO = 15000
@@ -73,10 +73,12 @@ def test_criterion_gradient_suite():
     # whole-model checks mirror the CLI grad-check command: rate-0 dropout, so
     # the training pass the checker differentiates is deterministic
     rng = np.random.default_rng(0)
-    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), dropout_rate=0.0, dtype=np.float64)
+    synth = nn.build_synthesis_model(seed=1, filters=(4, 2), kernel_size=3, dropout_rate=0.0,
+                                     dtype=np.float64)
     err_s = nn.finite_diff_grad_check(synth, rng.standard_normal((2, 6, 31)),
                                       rng.standard_normal((2, 90, 1)), seed=0)
-    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
+    regress = nn.build_regression_model(out_dim=7, seed=1, hidden=8, in_dim=30, dropout_rate=0.0,
+                                        dtype=np.float64)
     err_r = nn.finite_diff_grad_check(regress, rng.standard_normal((2, 6, 30)),
                                       rng.standard_normal((2, 6, 7)), seed=0)
     assert err_s < 1e-4 and err_r < 1e-4
@@ -88,9 +90,12 @@ def test_criterion_gradient_suite():
 
 def test_criterion_architecture_conformance():
     """Full-scale shapes: (T x 31) -> (15T x 1) for 20 random T; all 16
-    regression dims (sum 571); 256/32 filters, 128 hidden, dropout 0.2."""
+    regression dims (sum 571); 256/32 filters, 128 hidden, dropout 0.2, all
+    from the stock RunConfig."""
     rng = np.random.default_rng(42)
-    synth = nn.build_synthesis_model(seed=0)  # full 256/32 stack
+    cfg = RunConfig()
+    synth = nn.build_synthesis_model(seed=0, filters=(cfg.synth_filters1, cfg.synth_filters2),
+                                     kernel_size=cfg.synth_kernel, dropout_rate=cfg.dropout)
     for _ in range(20):
         t = int(rng.integers(2, 30))
         x = rng.standard_normal((1, t, 31)).astype(np.float32)
@@ -109,7 +114,8 @@ def test_criterion_architecture_conformance():
     x = rng.standard_normal((1, 5, 30)).astype(np.float32)
     for kind in acoustic.FEATURE_ORDER:
         dim = acoustic.FEATURE_DIMS[kind]
-        model = nn.build_regression_model(out_dim=dim, seed=0)
+        model = nn.build_regression_model(out_dim=dim, seed=0, hidden=cfg.gru_hidden,
+                                          in_dim=cfg.kpca_out_dim, dropout_rate=cfg.dropout)
         assert model.predict(x).shape == (1, 5, dim)
         gru, rdrop, rdense = model.layers
         assert gru.u_z.shape == (128, 128)
@@ -120,7 +126,8 @@ def test_criterion_architecture_conformance():
 
 
 def _make_trials(n, duration_s, seed, out_dir):
-    manifest = dataio.generate_synthetic_dataset(n, duration_s=duration_s, seed=seed, out_dir=out_dir)
+    manifest = dataio.generate_synthetic_dataset(n, duration_s=duration_s, seed=seed, out_dir=out_dir,
+                                                 eeg_format="csv")
     return manifest
 
 
@@ -178,7 +185,7 @@ def test_criterion_end_to_end_synthetic_generalization(tmp_path):
     baseline; regression beats baseline for >= 12 of 16 kinds."""
     start = time.monotonic()
     manifest = _make_trials(50, 1.0, 202, tmp_path / "e2e")
-    split = dataio.make_split(manifest, seed=5)
+    split = dataio.make_split(manifest, (0.8, 0.1, 0.1), seed=5)
     assert (len(split.train_ids), len(split.val_ids), len(split.test_ids)) == (40, 5, 5)
 
     # synthesis path: wide-band preprocessing keeps the carrier coupling
@@ -241,7 +248,7 @@ def test_criterion_kpca_oracle(rng):
     centered polynomial-kernel matrix on n <= 200 frames, |cos| > 0.999 per
     component; explained-variance curve monotone."""
     x = rng.standard_normal((200, 155))
-    model = eeg.kpca_fit(x, out_dim=30, degree=3, coef0=1.0)
+    model = eeg.kpca_fit(x, out_dim=30, degree=3, gamma=None, coef0=1.0)
     fitted = eeg.kpca_transform(model, x)
 
     n = len(x)
@@ -275,7 +282,7 @@ def test_criterion_dsp_suite():
 
     def causal_gain_db(filt, freq):
         x = sine(freq, fs, 3.0)
-        y = dsp.lfilter(filt, x)[1000:]
+        y = lfilter(filt, x)[1000:]
         return 20.0 * np.log10(np.sqrt(np.mean(y**2)) / np.sqrt(np.mean(x[1000:] ** 2)) + 1e-300)
 
     bp = dsp.design_butterworth_bandpass(4, 0.1, 70.0, fs)

@@ -41,7 +41,7 @@ WRITERS = {
     "eeg.f32": lambda seed, path: dataio.write_eeg(path, _eeg(seed)),
     "trial.wav": lambda seed, path: dataio.write_wav(path, _wav(seed)),
     "split.json": lambda seed, path: dataio.save_split(
-        dataio.make_split([f"t{i:02d}" for i in range(20)], seed=seed), path),
+        dataio.make_split([f"t{i:02d}" for i in range(20)], (0.8, 0.1, 0.1), seed=seed), path),
     "manifest.json": lambda seed, path: dataio.save_manifest(_manifest(f"t{seed}"), path),
     "metrics.json": lambda seed, path: _report(float(seed)).to_json(path),
     "metrics.csv": lambda seed, path: _report(float(seed)).to_csv(path),

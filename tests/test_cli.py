@@ -301,6 +301,21 @@ class TestPipelineCommands:
         assert f"{path}: " in err and f"{name}" in err and "NaN or inf" in err
         assert _tree_bytes(out) == before
 
+    def test_24_regression_stages_read_no_raw_eeg(self, workspace, tmp_path):
+        # after extract-eeg-feats the regression stages need the features and the WAVs only
+        root, config = workspace
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(root / "data", data)
+        shutil.copytree(root / "out", out)
+        for csv in data.glob("*.csv"):
+            csv.write_bytes(csv.read_bytes()[: csv.stat().st_size // 2])
+        paths = ("--config", str(config), "--data-root", str(data), "--out", str(out))
+        assert run_cli("train-regress", *paths, "--epochs", "1")[0] == 0
+        assert run_cli("eval-regress", *paths)[0] == 0
+        after, before = _tree_bytes(out), _tree_bytes(root / "out")
+        assert after.pop(Path("resolved_config.ini")) != before.pop(Path("resolved_config.ini"))
+        assert after == before
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))
@@ -404,7 +419,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("out_dir, flags", [("", []), ("o", ["--out", ""]), ("o", ["--data-root", ""])])
     def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys, out_dir, flags):
         # an empty out_dir would put split.json and resolved_config.ini into the working directory
-        dataio.generate_synthetic_dataset(2, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(2, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         config = tmp_path / "run.ini"
         config.write_text(f"[paths]\ndata_root = data\nout_dir = {out_dir}\n")
         monkeypatch.chdir(tmp_path)
@@ -428,7 +443,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_predicted_spectrogram_of_a_wav_is_usage_error(self, tmp_path, capsys):
-        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         out = tmp_path / "o"
         code = cli.main(["export-spectrogram", "--wav", str(tmp_path / "data" / "trial_0001.wav"),
                          "--source", "predicted", "--out", str(out)])
@@ -443,7 +458,7 @@ class TestExitCodes:
         ("subject", "1e400"), ("subject", "1.7"), ("subject", "true"), ("id", "7"), ("condition", '"sing"'),
     ])
     def test_malformed_manifest_entry_is_data_error(self, tmp_path, capsys, field, literal):
-        manifest = dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
+        manifest = dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         path = manifest.root / "manifest.json"
         items = json.loads(path.read_text())
         items[0][field] = "@@"
@@ -454,7 +469,7 @@ class TestExitCodes:
 
     def test_missing_split_is_data_error(self, tmp_path):
         from eegspeech import dataio
-        dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         code = cli.main(["train-synth", "--data-root", str(tmp_path / "data"), "--out", str(tmp_path / "o")])
         assert code == 2
 
@@ -493,9 +508,10 @@ class TestIntermediates:
         assert record == {"trial_0001": steps, "trial_0002": steps}
 
     def test_clean_eeg_of_another_kind_is_data_error(self, tmp_path, capsys):
-        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         (tmp_path / "o" / "clean").mkdir(parents=True)
-        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(tmp_path / "o" / "clean" / "trial_0001.clean")
+        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
+        model.save(tmp_path / "o" / "clean" / "trial_0001.clean")
         code = cli.main(["extract-eeg-feats", "--out", str(tmp_path / "o"), "--data-root", str(tmp_path / "data")])
         assert code == 2
         assert "expected 'clean-eeg' container" in capsys.readouterr().err
@@ -504,7 +520,7 @@ class TestIntermediates:
         '{"train_ids": []}', '{"train_ids": 3, "val_ids": [], "test_ids": [], "seed": 0}', "not json",
     ])
     def test_malformed_split_exits_2(self, tmp_path, capsys, content):
-        dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(10, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         (tmp_path / "o").mkdir()
         (tmp_path / "o" / "split.json").write_text(content)
         code = cli.main(["fit-kpca", "--out", str(tmp_path / "o"), "--data-root", str(tmp_path / "data")])
@@ -514,7 +530,7 @@ class TestIntermediates:
 
 class TestSpectrogramFromWav:
     def test_gen_data_wav_gives_csv_and_pgm(self, tmp_path):
-        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         code, out = run_cli("export-spectrogram", "--wav", str(tmp_path / "data" / "trial_0001.wav"),
                             "--out", str(tmp_path / "o"))
         assert code == 0
@@ -526,7 +542,7 @@ class TestSpectrogramFromWav:
 
     def test_frame_rate_sets_the_hop(self, tmp_path):
         # 0.5 s at 15 kHz is 7500 samples; a 25 Hz grid hops 600 of them
-        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         config = tmp_path / "rate.ini"
         config.write_text("[features]\nframe_rate_hz = 25\n")
         code, _ = run_cli("export-spectrogram", "--config", str(config), "--out", str(tmp_path / "o"),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegspeech import dataio, eeg, nn
 from eegspeech.config import (
     _SCHEMA,
     FIELD_TYPES,
@@ -294,6 +296,34 @@ def test_render_parse_fixpoint(data, tmp_path_factory):
 def test_schema_names_each_field_once():
     names = [field_name for field_name, _ in _SCHEMA.values()]
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+# Library parameters whose stock values live in RunConfig (or are stock seeds and
+# generators): each call states them, so a library call cannot quietly run at
+# another setting than the CLI.
+REQUIRED_SETTINGS = [
+    (eeg.PreprocessOptions, [f.name for f in dataclasses.fields(eeg.PreprocessOptions)]),
+    (eeg.preprocess_eeg, ["options"]),
+    (eeg.remove_artifact_components, ["kurtosis_threshold"]),
+    (eeg.kpca_fit, ["out_dim", "degree", "gamma", "coef0"]),
+    (eeg.fast_ica, ["seed"]),
+    (nn.build_synthesis_model, ["seed", "filters", "kernel_size", "dropout_rate"]),
+    (nn.build_regression_model, ["seed", "hidden", "in_dim", "dropout_rate"]),
+    (nn.Dropout, ["rate", "seed"]),
+    (nn.TcnBlock, ["kernel_size", "rng"]),
+    (nn.TimeDistributedDense, ["rng"]),
+    (nn.GruLayer, ["rng"]),
+    (nn.TrainConfig, ["batch_size", "learning_rate", "seed"]),
+    (nn.Adam, ["lr"]),
+    (dataio.generate_synthetic_dataset, ["duration_s", "seed", "out_dir", "eeg_format"]),
+    (dataio.make_split, ["ratios", "seed"]),
+]
+
+
+@pytest.mark.parametrize("owner, name", [(owner, name) for owner, names in REQUIRED_SETTINGS for name in names],
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_library_setting_has_no_default(owner, name):
+    assert inspect.signature(owner).parameters[name].default is inspect.Parameter.empty
 
 
 class TestRenderConfig:

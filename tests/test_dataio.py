@@ -14,7 +14,7 @@ from conftest import sine
 
 
 def test_audio_rate_is_the_synthesis_output_rate():
-    model = nn.build_synthesis_model(seed=0, filters=(2, 2))
+    model = nn.build_synthesis_model(seed=0, filters=(2, 2), kernel_size=3, dropout_rate=0.2)
     assert dataio.AUDIO_RATE_HZ == model.output_length(1) * dataio.EEG_SAMPLE_RATE_HZ
 
 
@@ -158,7 +158,7 @@ class TestEegCsv:
     def test_matches_per_cell_oracle(self, tmp_path):
         # the writer equals formatting each cell with "%.9g", and the reader
         # equals float() of each cell, on a generated trial and on edge values
-        manifest = dataio.generate_synthetic_dataset(1, duration_s=0.5, seed=2, out_dir=tmp_path / "d")
+        manifest = dataio.generate_synthetic_dataset(1, 0.5, seed=2, out_dir=tmp_path / "d", eeg_format="csv")
         edges = np.array([0.0, -0.0, 1e-300, -1e300, 123456789.5, 1 / 3, -2.5e-7, 7.0])
         data = manifest.load_trial("trial_0001").eeg.data.copy()
         data[:, : len(edges)] = edges
@@ -225,11 +225,13 @@ class TestEegCsv:
 
 
 class TestSplit:
+    RATIOS = (0.8, 0.1, 0.1)
+
     def _ids(self, n):
         return [f"t{i:04d}" for i in range(n)]
 
     def test_save_load_round_trip(self, tmp_path):
-        split = dataio.make_split(self._ids(30), seed=2)
+        split = dataio.make_split(self._ids(30), self.RATIOS, seed=2)
         dataio.save_split(split, tmp_path / "split.json")
         assert dataio.load_split(tmp_path / "split.json") == split
 
@@ -249,44 +251,44 @@ class TestSplit:
             dataio.load_split(path)
 
     def test_100_trials_gives_80_10_10(self):
-        split = dataio.make_split(self._ids(100), seed=7)
+        split = dataio.make_split(self._ids(100), self.RATIOS, seed=7)
         assert (len(split.train_ids), len(split.val_ids), len(split.test_ids)) == (80, 10, 10)
 
     def test_deterministic(self):
-        a = dataio.make_split(self._ids(57), seed=3)
-        b = dataio.make_split(self._ids(57), seed=3)
+        a = dataio.make_split(self._ids(57), self.RATIOS, seed=3)
+        b = dataio.make_split(self._ids(57), self.RATIOS, seed=3)
         assert a == b
 
     def test_seed_changes_assignment(self):
-        a = dataio.make_split(self._ids(57), seed=3)
-        b = dataio.make_split(self._ids(57), seed=4)
+        a = dataio.make_split(self._ids(57), self.RATIOS, seed=3)
+        b = dataio.make_split(self._ids(57), self.RATIOS, seed=4)
         assert a.train_ids != b.train_ids
 
     def test_ten_trials_floor_rule(self):
-        split = dataio.make_split(self._ids(10), seed=0)
+        split = dataio.make_split(self._ids(10), self.RATIOS, seed=0)
         assert (len(split.train_ids), len(split.val_ids), len(split.test_ids)) == (8, 1, 1)
 
     def test_too_few_trials(self):
         with pytest.raises(DataError):
-            dataio.make_split(self._ids(9), seed=0)
+            dataio.make_split(self._ids(9), self.RATIOS, seed=0)
 
     def test_degenerate_ratios(self):
         with pytest.raises(DataError):
-            dataio.make_split(self._ids(20), ratios=(0.9, 0.2, 0.1), seed=0)
+            dataio.make_split(self._ids(20), (0.9, 0.2, 0.1), seed=0)
         with pytest.raises(DataError):
-            dataio.make_split(self._ids(20), ratios=(1.0, 0.0, 0.0), seed=0)
+            dataio.make_split(self._ids(20), (1.0, 0.0, 0.0), seed=0)
 
     def test_order_of_manifest_does_not_matter(self):
         ids = self._ids(30)
-        a = dataio.make_split(ids, seed=5)
-        b = dataio.make_split(list(reversed(ids)), seed=5)
+        a = dataio.make_split(ids, self.RATIOS, seed=5)
+        b = dataio.make_split(list(reversed(ids)), self.RATIOS, seed=5)
         assert a == b
 
     @given(n=st.integers(min_value=10, max_value=300), seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
     def test_disjoint_union_property(self, n, seed):
         ids = self._ids(n)
-        split = dataio.make_split(ids, seed=seed)
+        split = dataio.make_split(ids, self.RATIOS, seed=seed)
         train, val, test = set(split.train_ids), set(split.val_ids), set(split.test_ids)
         assert train | val | test == set(ids)
         assert not (train & val) and not (train & test) and not (val & test)
@@ -296,7 +298,7 @@ class TestSplit:
 
 class TestSyntheticDataset:
     def test_shape_contract(self, tmp_path):
-        manifest = dataio.generate_synthetic_dataset(20, duration_s=0.5, seed=1, out_dir=tmp_path / "d")
+        manifest = dataio.generate_synthetic_dataset(20, 0.5, seed=1, out_dir=tmp_path / "d", eeg_format="csv")
         assert len(manifest.trials) == 20
         trial = manifest.load_trial(manifest.trials[0])
         assert trial.eeg.data.shape == (31, 500)
@@ -306,8 +308,8 @@ class TestSyntheticDataset:
         assert {t.condition for t in manifest.trials} == {"spoken", "listen"}
 
     def test_deterministic_files(self, tmp_path):
-        m1 = dataio.generate_synthetic_dataset(3, duration_s=0.5, seed=9, out_dir=tmp_path / "a")
-        m2 = dataio.generate_synthetic_dataset(3, duration_s=0.5, seed=9, out_dir=tmp_path / "b")
+        m1 = dataio.generate_synthetic_dataset(3, 0.5, seed=9, out_dir=tmp_path / "a", eeg_format="csv")
+        m2 = dataio.generate_synthetic_dataset(3, 0.5, seed=9, out_dir=tmp_path / "b", eeg_format="csv")
         for t1, t2 in zip(m1.trials, m2.trials):
             assert (m1.root / t1.wav_path).read_bytes() == (m2.root / t2.wav_path).read_bytes()
             assert (m1.root / t1.eeg_path).read_bytes() == (m2.root / t2.eeg_path).read_bytes()
@@ -348,12 +350,12 @@ class TestSyntheticDataset:
 
     def test_precondition_errors(self, tmp_path):
         with pytest.raises(DataError):
-            dataio.generate_synthetic_dataset(0, out_dir=tmp_path)
+            dataio.generate_synthetic_dataset(0, 0.5, seed=0, out_dir=tmp_path, eeg_format="csv")
         with pytest.raises(DataError):
-            dataio.generate_synthetic_dataset(5, duration_s=0.1, out_dir=tmp_path)
+            dataio.generate_synthetic_dataset(5, 0.1, seed=0, out_dir=tmp_path, eeg_format="csv")
 
     def test_manifest_missing_file_rejected(self, tmp_path):
-        manifest = dataio.generate_synthetic_dataset(2, duration_s=0.5, seed=0, out_dir=tmp_path / "d")
+        manifest = dataio.generate_synthetic_dataset(2, 0.5, seed=0, out_dir=tmp_path / "d", eeg_format="csv")
         (manifest.root / manifest.trials[0].wav_path).unlink()
         with pytest.raises(DataError, match="missing"):
             dataio.load_manifest(manifest.root / "manifest.json")
@@ -371,7 +373,7 @@ class TestSyntheticDataset:
         lambda items: [{**items[0], "eeg_path": ["a.csv"]}] + items[1:],
     ])
     def test_malformed_manifest_entry_rejected(self, tmp_path, mangle):
-        manifest = dataio.generate_synthetic_dataset(2, duration_s=0.5, seed=0, out_dir=tmp_path / "d")
+        manifest = dataio.generate_synthetic_dataset(2, 0.5, seed=0, out_dir=tmp_path / "d", eeg_format="csv")
         path = manifest.root / "manifest.json"
         path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="entry 0"):

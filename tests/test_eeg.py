@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,13 +6,19 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from eegspeech import dataio, dsp, eeg, serialize
+from eegspeech import dataio, dsp, eeg, pipeline, serialize
+from eegspeech.config import RunConfig
 from eegspeech.dataio import EegRecording
 from eegspeech.errors import DataError
 
 from conftest import sine
 
 GRID = dsp.frame_grid_for_rate(1000, 31.0)
+# The stock preprocessing and KPCA settings, read from RunConfig, which holds them
+STOCK = RunConfig()
+OPTIONS = pipeline.preprocess_options(STOCK)
+KPCA = {"out_dim": STOCK.kpca_out_dim, "degree": STOCK.kpca_degree, "gamma": STOCK.kpca_gamma,
+        "coef0": STOCK.kpca_coef0}
 # FastICA on Gaussian input has no independent directions to converge to
 GAUSSIAN_ICA = pytest.mark.filterwarnings("ignore:FastICA did not converge")
 
@@ -38,13 +45,13 @@ def _frame_stats(frame) -> np.ndarray:
 class TestPreprocess:
     def test_output_keeps_31_channels(self, rng):
         rec = EegRecording(rng.standard_normal((31, 2000)) * 30)
-        clean = eeg.preprocess_eeg(rec)
+        clean = eeg.preprocess_eeg(rec, OPTIONS)
         assert clean.data.shape == (31, 2000)
 
     def test_60hz_power_reduced_30db(self, rng):
         data = rng.standard_normal((31, 4000)) * 5
         data[7] += 50.0 * sine(60.0, 1000.0, 4.0)
-        clean = eeg.preprocess_eeg(EegRecording(data))
+        clean = eeg.preprocess_eeg(EegRecording(data), OPTIONS)
 
         # 60 Hz relative to the 20-40 Hz passband, so the z-score scale cancels
         def hum_ratio(x):
@@ -53,12 +60,12 @@ class TestPreprocess:
         assert 10.0 * np.log10(hum_ratio(data[7]) / hum_ratio(clean.data[7])) >= 30.0
 
     def test_zero_recording_stays_zero(self):
-        clean = eeg.preprocess_eeg(EegRecording(np.zeros((31, 1000))))
+        clean = eeg.preprocess_eeg(EegRecording(np.zeros((31, 1000))), OPTIONS)
         assert np.all(clean.data == 0.0)
 
     def test_zscore_invariants(self, rng):
         rec = EegRecording(rng.standard_normal((31, 3000)) * 30 + 5)
-        clean = eeg.preprocess_eeg(rec)
+        clean = eeg.preprocess_eeg(rec, OPTIONS)
         assert np.max(np.abs(clean.data.mean(axis=1))) < 1e-9
         assert np.max(np.abs(clean.data.var(axis=1) - 1.0)) < 1e-6
 
@@ -66,7 +73,7 @@ class TestPreprocess:
         data = np.zeros((31, 1000))
         data[0, 0] = np.nan
         with pytest.raises(Exception, match="non-finite"):
-            eeg.preprocess_eeg(EegRecording(data))
+            eeg.preprocess_eeg(EegRecording(data), OPTIONS)
 
     def test_wrong_channel_count_rejected(self):
         with pytest.raises(Exception, match="channels"):
@@ -82,13 +89,13 @@ class TestPreprocessFilterCache:
         monkeypatch.setattr(dsp, "design_butterworth_bandpass", lambda *a: calls.append(a) or design(*a))
         eeg._preprocess_filters.cache_clear()
         for _ in range(3):
-            eeg.preprocess_eeg(EegRecording(rng.standard_normal((31, 1000))))
+            eeg.preprocess_eeg(EegRecording(rng.standard_normal((31, 1000))), OPTIONS)
         assert len(calls) == 1
 
     def test_second_option_set_matches_a_fresh_design(self, rng):
         data = rng.standard_normal((31, 2000)) * 30
-        stock = eeg.preprocess_eeg(EegRecording(data)).data
-        narrow = eeg.preprocess_eeg(EegRecording(data), eeg.PreprocessOptions(bandpass_hi_hz=40)).data
+        stock = eeg.preprocess_eeg(EegRecording(data), OPTIONS).data
+        narrow = eeg.preprocess_eeg(EegRecording(data), dataclasses.replace(OPTIONS, bandpass_hi_hz=40)).data
         bp = dsp.design_butterworth_bandpass(4, 0.1, 40.0, 1000)
         notch = dsp.design_iir_notch(60.0, 30.0, 1000)
         fresh = eeg.zscore_channels(dsp.apply_filter(notch, dsp.apply_filter(bp, data, axis=1), axis=1))
@@ -97,11 +104,11 @@ class TestPreprocessFilterCache:
 
     def test_shared_filters_refuse_writes(self, rng):
         data = rng.standard_normal((31, 2000)) * 30
-        before = eeg.preprocess_eeg(EegRecording(data)).data
-        for filt in eeg._preprocess_filters(eeg.PreprocessOptions()):
+        before = eeg.preprocess_eeg(EegRecording(data), OPTIONS).data
+        for filt in eeg._preprocess_filters(OPTIONS):
             with pytest.raises(ValueError, match="read-only"):
                 filt.sos[0, 0] = 0.0
-        assert np.array_equal(eeg.preprocess_eeg(EegRecording(data)).data, before)
+        assert np.array_equal(eeg.preprocess_eeg(EegRecording(data), OPTIONS).data, before)
 
 
 class TestFastIca:
@@ -308,13 +315,13 @@ def brute_force_kpca_projection(x: np.ndarray, out_dim: int, gamma: float, coef0
 class TestKpca:
     def test_output_dimension_30(self, rng):
         x = rng.standard_normal((60, 155))
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         assert model.out_dim == 30
         assert eeg.kpca_transform(model, x).shape == (60, 30)
 
     def test_matches_dense_eigendecomposition_oracle(self, rng):
         x = rng.standard_normal((120, 155))
-        model = eeg.kpca_fit(x, out_dim=30)
+        model = eeg.kpca_fit(x, **KPCA)
         fitted = eeg.kpca_transform(model, x)
         oracle, oracle_vals = brute_force_kpca_projection(x, 30, 1.0 / 155, 1.0, 3)
         for j in range(30):
@@ -327,7 +334,7 @@ class TestKpca:
         # the 61-vector Lanczos basis spans a tenth of this space, so the fit
         # rests on several implicit restarts; tolerances are tighter than above
         x = rng.standard_normal((600, 155))
-        model = eeg.kpca_fit(x, out_dim=30)
+        model = eeg.kpca_fit(x, **KPCA)
         fitted = eeg.kpca_transform(model, x)
         oracle, oracle_vals = brute_force_kpca_projection(x, 30, 1.0 / 155, 1.0, 3)
         assert np.allclose(model.eigenvalues, oracle_vals, rtol=1e-10, atol=0.0)
@@ -342,7 +349,7 @@ class TestKpca:
         x = rng.standard_normal((n, 155))
         tracemalloc.start()
         try:
-            eeg.kpca_fit(x)
+            eeg.kpca_fit(x, **KPCA)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -351,13 +358,13 @@ class TestKpca:
     def test_duplicated_rows_have_rank_one_centered_kernel(self, rng):
         a, b = rng.standard_normal(155), rng.standard_normal(155)
         x = np.vstack([a] * 16 + [b] * 16)
-        model = eeg.kpca_fit(x, out_dim=30)
+        model = eeg.kpca_fit(x, **KPCA)
         assert model.effective_rank <= 1
         assert np.sum(model.eigenvalues > model.eigenvalues[0] * 1e-8) <= 1
 
     def test_transform_of_train_equals_fit_projection(self, rng):
         x = rng.standard_normal((50, 155))
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         kc = _centered_train_kernel(model)
         fitted = kc @ model.coefficients
         assert np.max(np.abs(eeg.kpca_transform(model, x) - fitted)) < 1e-8
@@ -365,13 +372,13 @@ class TestKpca:
     def test_identical_rows_identical_projections(self, rng):
         x = rng.standard_normal((40, 155))
         probe = np.vstack([x[3], x[3]])
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         out = eeg.kpca_transform(model, probe)
         assert np.array_equal(out[0], out[1])
 
     def test_explained_variance_curve(self, rng):
         x = rng.standard_normal((80, 155))
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         curve = eeg.explained_variance_curve(model)
         assert len(curve) == 30
         assert np.all(np.diff(curve) >= -1e-12)
@@ -381,15 +388,15 @@ class TestKpca:
         base = rng.standard_normal(155)
         scales = np.linspace(0.1, 2.0, 40)[:, None]
         # rank-one feature-space structure needs a linear kernel; use degree 1
-        model = eeg.kpca_fit(scales * base, out_dim=30, degree=1, coef0=0.0)
+        model = eeg.kpca_fit(scales * base, out_dim=30, degree=1, gamma=None, coef0=0.0)
         curve = eeg.explained_variance_curve(model)
         assert curve[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_permutation_invariance_up_to_sign(self, rng):
         x = rng.standard_normal((40, 155))
         perm = rng.permutation(40)
-        m1 = eeg.kpca_fit(x)
-        m2 = eeg.kpca_fit(x[perm])
+        m1 = eeg.kpca_fit(x, **KPCA)
+        m2 = eeg.kpca_fit(x[perm], **KPCA)
         p1 = eeg.kpca_transform(m1, x)
         p2 = eeg.kpca_transform(m2, x)
         for j in range(30):
@@ -398,7 +405,7 @@ class TestKpca:
 
     def test_save_load_round_trip(self, tmp_path, rng):
         x = rng.standard_normal((50, 155))
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         path = tmp_path / "model.kpca"
         eeg.save_kpca(model, path)
         back = eeg.load_kpca(path)
@@ -416,7 +423,7 @@ class TestKpca:
     ])
     def test_malformed_model_is_data_error(self, tmp_path, rng, edit):
         path = tmp_path / "model.kpca"
-        eeg.save_kpca(eeg.kpca_fit(rng.standard_normal((40, 155))), path)
+        eeg.save_kpca(eeg.kpca_fit(rng.standard_normal((40, 155)), **KPCA), path)
         _, meta, arrays = serialize.load_container(path)
         edit(meta, arrays)
         serialize.save_container(path, "kpca", meta, arrays)
@@ -425,16 +432,16 @@ class TestKpca:
 
     def test_too_few_rows(self, rng):
         with pytest.raises(DataError, match="out_dim=30, got 20 frames"):
-            eeg.kpca_fit(rng.standard_normal((20, 155)), out_dim=30)
+            eeg.kpca_fit(rng.standard_normal((20, 155)), **KPCA)
 
     def test_all_identical_rows_rank_deficiency_reported(self, rng):
         x = np.tile(rng.standard_normal(155), (40, 1))
-        model = eeg.kpca_fit(x, out_dim=30)
+        model = eeg.kpca_fit(x, **KPCA)
         assert model.effective_rank == 0
         assert np.all(eeg.kpca_transform(model, x) == 0.0)
 
     def test_dimension_mismatch_on_transform(self, rng):
-        model = eeg.kpca_fit(rng.standard_normal((40, 155)))
+        model = eeg.kpca_fit(rng.standard_normal((40, 155)), **KPCA)
         with pytest.raises(ValueError):
             eeg.kpca_transform(model, rng.standard_normal((5, 154)))
 
@@ -446,7 +453,7 @@ def stat_features():
     seqs = []
     for _ in range(7):
         data, _, _ = dataio.synthesize_trial(rng, 2.0)
-        seqs.append(eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data)), GRID).values)
+        seqs.append(eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data), OPTIONS), GRID).values)
     return np.vstack(seqs)
 
 
@@ -470,27 +477,27 @@ class TestKpcaAgainstDenseEigh:
 
     def test_stat_features(self, stat_features):
         assert 400 <= len(stat_features) <= 450
-        self.assert_matches_dense(eeg.kpca_fit(stat_features), 30)
+        self.assert_matches_dense(eeg.kpca_fit(stat_features, **KPCA), 30)
 
     def test_one_row_more_than_out_dim(self, rng):
-        self.assert_matches_dense(eeg.kpca_fit(rng.standard_normal((31, 155))), 30)
+        self.assert_matches_dense(eeg.kpca_fit(rng.standard_normal((31, 155)), **KPCA), 30)
 
     def test_rank_below_out_dim(self, rng):
         # six distinct points: the centered kernel has rank 5
         x = np.repeat(rng.standard_normal((6, 155)), 10, axis=0)
-        self.assert_matches_dense(eeg.kpca_fit(x), 5)
+        self.assert_matches_dense(eeg.kpca_fit(x, **KPCA), 5)
 
     def test_exactly_centered_kernel(self):
         # small integers: the kernel, its means and its row sums are exact, so
         # the constant vector is exactly in the null space of the centered
         # kernel and cannot serve as the Lanczos start vector
         x = np.random.default_rng(0).integers(-1, 2, size=(64, 155)).astype(np.float64)
-        model = eeg.kpca_fit(x, degree=1, gamma=1.0, coef0=0.0)
+        model = eeg.kpca_fit(x, out_dim=30, degree=1, gamma=1.0, coef0=0.0)
         assert np.all(_centered_train_kernel(model).sum(axis=1) == 0.0)
         self.assert_matches_dense(model, 30)
 
     def test_deterministic(self, stat_features):
-        a, b = eeg.kpca_fit(stat_features), eeg.kpca_fit(stat_features)
+        a, b = eeg.kpca_fit(stat_features, **KPCA), eeg.kpca_fit(stat_features, **KPCA)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
@@ -501,7 +508,7 @@ class TestKpcaAgainstDenseEigh:
     ], ids=["zero-rows", "identical-rows", "rounding-noise"])
     def test_degenerate_kernel_has_rank_zero(self, rows, exact_zero, rng):
         x = rows(rng)
-        model = eeg.kpca_fit(x)
+        model = eeg.kpca_fit(x, **KPCA)
         assert np.all(_centered_train_kernel(model) == 0.0) == exact_zero
         assert model.effective_rank == 0
         assert np.all(model.eigenvalues == 0.0)
@@ -518,7 +525,7 @@ class TestPipelineDeterminism:
     @GAUSSIAN_ICA
     def test_identical_inputs_identical_features(self, rng):
         data = rng.standard_normal((31, 2000)) * 25
-        opts = eeg.PreprocessOptions(run_ica=True, ica_seed=11)
+        opts = dataclasses.replace(OPTIONS, run_ica=True, ica_seed=11)
         a = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts), GRID)
         b = eeg.extract_stat_features(eeg.preprocess_eeg(EegRecording(data.copy()), opts), GRID)
         assert np.array_equal(a.values, b.values)

@@ -12,11 +12,11 @@ from eegspeech.evaluate import (
     MetricsReport,
     evaluate_acoustic,
     evaluate_synthesis,
-    mean_baseline_rmse,
     rmse,
     spectrogram_export,
 )
 
+from conftest import mean_baseline_rmse
 
 
 class TestRmse:
@@ -91,7 +91,7 @@ class TestEvaluateSynthesis:
 
     def test_reads_synthesis_example_records(self, tmp_path):
         cfg = RunConfig()
-        manifest = dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data")
+        manifest = dataio.generate_synthetic_dataset(1, 0.5, seed=0, out_dir=tmp_path / "data", eeg_format="csv")
         trial = manifest.load_trial(manifest.trials[0])
         example = pipeline.synthesis_example(
             trial, eeg.preprocess_eeg(trial.eeg, pipeline.preprocess_options(cfg)), cfg)

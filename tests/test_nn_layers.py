@@ -78,7 +78,7 @@ def _small_layers():
         "tcn": nn.TcnBlock(3, 4, 3, rng=rng, dtype=np.float64),
         "upsample": nn.UpsampleRepeat(3),
         "dropout": nn.Dropout(0.3, seed=1),
-        "dropout0": nn.Dropout(0.0),
+        "dropout0": nn.Dropout(0.0, seed=0),
         "dense": nn.TimeDistributedDense(3, 2, rng=rng, dtype=np.float64),
         "gru": nn.GruLayer(3, 4, rng=rng, dtype=np.float64),
     }
@@ -142,7 +142,7 @@ class TestTcnBlock:
         assert layer.forward(x).shape == (3, 17, 8)
 
     def test_identity_reduction_is_relu(self, rng):
-        layer = nn.TcnBlock(3, 3, kernel_size=1, use_residual=False, dtype=np.float64)
+        layer = nn.TcnBlock(3, 3, kernel_size=1, use_residual=False, rng=np.random.default_rng(0), dtype=np.float64)
         layer.w[...] = np.eye(3)
         layer.b[...] = 0.0
         x = rng.standard_normal((2, 5, 3))
@@ -159,7 +159,7 @@ class TestTcnBlock:
         assert not np.allclose(bumped[0, 10:], base[0, 10:])
 
     def test_shape_mismatch_rejected(self, rng):
-        layer = nn.TcnBlock(3, 5, rng=rng)
+        layer = nn.TcnBlock(3, 5, 3, rng=rng)
         with pytest.raises(ValueError):
             layer.forward(rng.standard_normal((1, 4, 7)))
 
@@ -191,7 +191,7 @@ class TestUpsampleRepeat:
 
 class TestDropout:
     def test_rate_zero_identity(self, rng):
-        layer = nn.Dropout(0.0)
+        layer = nn.Dropout(0.0, seed=0)
         x = rng.standard_normal((2, 5, 3))
         assert np.array_equal(layer.forward(x, training=True), x)
         assert np.array_equal(layer.backward(x), x)
@@ -275,7 +275,7 @@ class TestDropout:
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            nn.Dropout(1.0)
+            nn.Dropout(1.0, seed=0)
 
 
 class TestDense:
@@ -288,7 +288,7 @@ class TestDense:
         check_layer_grads(layer, x, rng, tol=1e-6)
 
     def test_identity_weights(self, rng):
-        layer = nn.TimeDistributedDense(4, 4, dtype=np.float64)
+        layer = nn.TimeDistributedDense(4, 4, rng=np.random.default_rng(0), dtype=np.float64)
         layer.w[...] = np.eye(4)
         layer.b[...] = 0.0
         x = rng.standard_normal((2, 3, 4))
@@ -314,7 +314,7 @@ class TestGru:
         assert_skipped_input_grad_keeps_param_grads(layer, rng.standard_normal((3, 7, 5)), rng)
 
     def test_zero_params_zero_output(self, rng):
-        layer = nn.GruLayer(3, 4, dtype=np.float64)
+        layer = nn.GruLayer(3, 4, rng=np.random.default_rng(0), dtype=np.float64)
         for p in layer.params:
             p[...] = 0.0
         x = rng.standard_normal((2, 6, 3))
@@ -424,6 +424,6 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self, rng):
         p = rng.standard_normal(4)
-        opt = nn.Adam([p])
+        opt = nn.Adam([p], lr=1e-3)
         with pytest.raises(ValueError):
             opt.step([np.zeros(5)])

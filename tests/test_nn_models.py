@@ -27,7 +27,7 @@ def test_public_names_resolve():
 
 class TestSynthesisModel:
     def test_maps_t_to_15t(self, rng):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         for _ in range(5):
             t = int(rng.integers(2, 40))
             x = rng.standard_normal((1, t, 31)).astype(np.float32)
@@ -35,12 +35,12 @@ class TestSynthesisModel:
         assert model.output_length(7) == 105
 
     def test_wrong_input_dim_rejected(self, rng):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         with pytest.raises(ValueError, match="31"):
             model.predict(rng.standard_normal((1, 5, 30)).astype(np.float32))
 
     def test_full_scale_parameter_shapes(self):
-        model = nn.build_synthesis_model(seed=0)
+        model = nn.build_synthesis_model(seed=0, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
         tcn1, _, drop, tcn2, dense, _ = model.layers
         assert tcn1.w.shape == (3 * 31, 256)
         assert tcn1.proj.shape == (31, 256)
@@ -51,14 +51,14 @@ class TestSynthesisModel:
 
     def test_param_count_matches_closed_form(self):
         for f1, f2 in [(256, 32), (8, 4), (16, 16)]:
-            model = nn.build_synthesis_model(seed=0, filters=(f1, f2))
+            model = nn.build_synthesis_model(seed=0, filters=(f1, f2), kernel_size=3, dropout_rate=0.2)
             tcn1 = 3 * 31 * f1 + f1 + 31 * f1  # taps, bias, 1x1 residual projection
             tcn2 = 3 * f1 * f2 + f2 + (f1 * f2 if f1 != f2 else 0)
             dense = f2 + 1
             assert sum(p.size for p in model.params()) == tcn1 + tcn2 + dense
 
     def test_causality_probe(self, rng):
-        model = nn.build_synthesis_model(seed=1, filters=(6, 3))
+        model = nn.build_synthesis_model(seed=1, filters=(6, 3), kernel_size=3, dropout_rate=0.2)
         x = rng.standard_normal((1, 30, 31)).astype(np.float32)
         base = model.predict(x)
         t_hit = 14
@@ -76,7 +76,7 @@ class TestSynthesisModel:
         # position in the product, so the paper order itself can give the
         # three copies of one step different last bits. Rate-0 dropout lets
         # both orders backpropagate the same training pass.
-        model = nn.build_synthesis_model(seed=5, filters=filters, dropout_rate=0.0)
+        model = nn.build_synthesis_model(seed=5, filters=filters, kernel_size=3, dropout_rate=0.0)
         tcn1, up5, drop, tcn2, dense, up3 = model.layers
         assert isinstance(dense, nn.TimeDistributedDense) and up3.k == 3
         paper = nn.Model([tcn1, up5, drop, tcn2, up3, dense], model.config, 31)
@@ -102,7 +102,7 @@ class TestSynthesisModel:
 
     @pytest.mark.parametrize("t", [1000, 2500, 4000])
     def test_polyphase_predict_matches_stacked_forward(self, rng, t):
-        model = nn.build_synthesis_model(seed=2)
+        model = nn.build_synthesis_model(seed=2, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
         x = rng.standard_normal((1, t, 31)).astype(np.float32)
         assert np.abs(model.predict(x) - model.forward(x, training=False)).max() <= 1e-5
 
@@ -113,7 +113,7 @@ class TestSynthesisModel:
         # after the per-step dense head and the x3 repeat its 15 samples are
         # [a]*3 + [b]*3 + [c]*9. The head's product may round a row by its
         # position, so the samples are compared to float32 rounding.
-        model = nn.build_synthesis_model(seed=4)
+        model = nn.build_synthesis_model(seed=4, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
         tcn1, up5, _, tcn2, _, _ = model.layers
         x = rng.standard_normal((2, 50, 31)).astype(np.float32)
         rows = tcn2.forward(tcn1.forward(x), repeat=up5.k).reshape(2, 50, 5, -1)
@@ -128,9 +128,9 @@ class TestSynthesisModel:
     @pytest.mark.parametrize("kind", ["synthesis", "regression"])
     def test_zero_time_steps_rejected(self, kind):
         if kind == "synthesis":
-            model, in_dim = nn.build_synthesis_model(seed=0, filters=(8, 4)), 31
+            model, in_dim = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2), 31
         else:
-            model, in_dim = nn.build_regression_model(out_dim=2, seed=0, hidden=4), 30
+            model, in_dim = nn.build_regression_model(out_dim=2, seed=0, hidden=4, in_dim=30, dropout_rate=0.2), 30
         x = np.zeros((2, 0, in_dim), dtype=np.float32)
         for run in (model.predict, model.forward):
             with pytest.raises(ValueError, match="0 time steps"):
@@ -141,7 +141,7 @@ class TestSynthesisModel:
     def test_init_draws_dense_head_first(self):
         # A seed gives the same initial parameters as the stack has always had:
         # the head is drawn before the two TCN blocks.
-        model = nn.build_synthesis_model(seed=11, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=11, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         rng = np.random.default_rng(np.random.SeedSequence(11))
         head = nn.TimeDistributedDense(4, 1, rng=rng)
         tcn1 = nn.TcnBlock(31, 8, 3, rng=rng)
@@ -156,17 +156,17 @@ class TestRegressionModel:
     def test_all_16_dims_buildable(self, rng):
         x = rng.standard_normal((1, 9, 30)).astype(np.float32)
         for dim in (12, 12, 12, 128, 1, 1, 1, 7, 1, 1, 2, 6, 1, 384, 1, 1):
-            model = nn.build_regression_model(out_dim=dim, seed=0, hidden=16)
+            model = nn.build_regression_model(out_dim=dim, seed=0, hidden=16, in_dim=30, dropout_rate=0.2)
             assert model.predict(x).shape == (1, 9, dim)
 
     def test_frame_count_preserved(self, rng):
-        model = nn.build_regression_model(out_dim=128, seed=0, hidden=16)
+        model = nn.build_regression_model(out_dim=128, seed=0, hidden=16, in_dim=30, dropout_rate=0.2)
         x = rng.standard_normal((2, 33, 30)).astype(np.float32)
         assert model.predict(x).shape == (2, 33, 128)
         assert model.output_length(33) == 33
 
     def test_full_scale_shapes(self):
-        model = nn.build_regression_model(out_dim=384, seed=0)
+        model = nn.build_regression_model(out_dim=384, seed=0, hidden=128, in_dim=30, dropout_rate=0.2)
         gru, drop, dense = model.layers
         assert gru.w_z.shape == (30, 128)
         assert gru.u_h.shape == (128, 128)
@@ -175,19 +175,19 @@ class TestRegressionModel:
 
     def test_invalid_out_dim_rejected(self):
         with pytest.raises(ValueError, match="out_dim"):
-            nn.build_regression_model(out_dim=13, seed=0)
+            nn.build_regression_model(out_dim=13, seed=0, hidden=128, in_dim=30, dropout_rate=0.2)
 
 
 class TestPredictInference:
     def test_dropout_inactive_at_inference(self, rng):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4), dropout_rate=0.5)
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.5)
         x = rng.standard_normal((1, 10, 31)).astype(np.float32)
         a = model.predict(x)
         b = model.predict(x)
         assert np.array_equal(a, b)
 
     def test_training_mode_differs_with_dropout(self, rng):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4), dropout_rate=0.5)
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.5)
         x = rng.standard_normal((1, 10, 31)).astype(np.float32)
         a = model.forward(x, training=True)
         b = model.forward(x, training=True)
@@ -202,7 +202,7 @@ class TestTrain:
 
     def test_one_epoch_decreases_loss(self, rng):
         pairs = self._single_pair(rng)
-        model = nn.build_synthesis_model(seed=2, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=2, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=1, learning_rate=1e-3, seed=0))
         assert history.epochs[1]["train_loss"] < history.epochs[0]["train_loss"]
 
@@ -210,8 +210,8 @@ class TestTrain:
         pairs = self._single_pair(rng)
         runs = []
         for _ in range(2):
-            model = nn.build_synthesis_model(seed=2, filters=(8, 4))
-            history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=1, seed=5))
+            model = nn.build_synthesis_model(seed=2, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
+            history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=1, learning_rate=1e-3, seed=5))
             runs.append((history, [p.copy() for p in model.params()]))
         assert [e["train_loss"] for e in runs[0][0].epochs] == [e["train_loss"] for e in runs[1][0].epochs]
         for p1, p2 in zip(runs[0][1], runs[1][1]):
@@ -219,9 +219,10 @@ class TestTrain:
 
     def test_validation_loss_recorded(self, rng):
         pairs = self._single_pair(rng)
-        model = nn.build_regression_model(out_dim=2, seed=0, hidden=8)
+        model = nn.build_regression_model(out_dim=2, seed=0, hidden=8, in_dim=30, dropout_rate=0.2)
         rpairs = [(rng.standard_normal((10, 30)), rng.standard_normal((10, 2)))]
-        history = nn.train(model, rpairs, nn.TrainConfig(epochs=2, batch_size=4, seed=0), val_pairs=rpairs)
+        history = nn.train(model, rpairs, nn.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=0),
+                           val_pairs=rpairs)
         assert all(e["val_loss"] is not None for e in history.epochs)
 
     def test_variable_lengths_padded_and_masked(self, rng):
@@ -230,27 +231,27 @@ class TestTrain:
             (rng.standard_normal((12, 30)), rng.standard_normal((12, 2))),
             (rng.standard_normal((5, 30)), rng.standard_normal((5, 2))),
         ]
-        model = nn.build_regression_model(out_dim=2, seed=0, hidden=8)
-        history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=2, seed=1))
+        model = nn.build_regression_model(out_dim=2, seed=0, hidden=8, in_dim=30, dropout_rate=0.2)
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, seed=1))
         assert len(history.epochs) == 2
         assert np.isfinite(history.final_train_loss())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_numeric_error(self, rng):
         pairs = [(rng.standard_normal((10, 31)) * 100, rng.standard_normal((150, 1)) * 100)]
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         with pytest.raises(NumericError, match="diverged"):
             nn.train(model, pairs, nn.TrainConfig(epochs=200, batch_size=1, learning_rate=1e12, seed=0))
 
     def test_empty_training_set_rejected(self):
-        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4)
+        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
         with pytest.raises(ValueError, match="empty"):
-            nn.train(model, [], nn.TrainConfig(epochs=1))
+            nn.train(model, [], nn.TrainConfig(epochs=1, batch_size=100, learning_rate=1e-3, seed=0))
 
     def test_history_csv(self, tmp_path, rng):
-        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4)
+        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
         pairs = [(rng.standard_normal((6, 30)), rng.standard_normal((6, 1)))]
-        history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=1, seed=0))
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=1, learning_rate=1e-3, seed=0))
         path = tmp_path / "history.csv"
         history.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -273,10 +274,11 @@ class TestModelBackward:
         """Model.backward returns nothing and gives the parameter gradients of a
         layer-by-layer backward that also forms layer 0's input gradient."""
         if kind == "synthesis":
-            model = nn.build_synthesis_model(seed=3, filters=(6, 4), dropout_rate=0.0, dtype=np.float64)
+            model = nn.build_synthesis_model(seed=3, filters=(6, 4), kernel_size=3, dropout_rate=0.0,
+                                             dtype=np.float64)
             x = rng.standard_normal((2, 9, 31))
         else:
-            model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, dropout_rate=0.0,
+            model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, in_dim=30, dropout_rate=0.0,
                                               dtype=np.float64)
             x = rng.standard_normal((2, 9, 30))
         grad_out = rng.standard_normal(model.forward(x).shape)
@@ -294,7 +296,7 @@ class TestModelBackward:
             assert np.array_equal(full, part)
 
     def test_backward_after_predict_raises(self, rng):
-        model = nn.build_synthesis_model(seed=3, filters=(6, 4))
+        model = nn.build_synthesis_model(seed=3, filters=(6, 4), kernel_size=3, dropout_rate=0.2)
         x = rng.standard_normal((1, 9, 31)).astype(np.float32)
         model.forward(x, training=True)
         out = model.predict(x)
@@ -310,10 +312,10 @@ class TestMicroBatches:
     def _one_step_grads(kind, dtype, pairs, steps, monkeypatch):
         monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", steps)
         if kind == "synthesis":
-            model = nn.build_synthesis_model(seed=6, filters=(8, 4), dtype=dtype)
+            model = nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2, dtype=dtype)
         else:
-            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8, dtype=dtype)
-        history = nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=len(pairs), seed=3))
+            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8, in_dim=30, dropout_rate=0.2, dtype=dtype)
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=len(pairs), learning_rate=1e-3, seed=3))
         return [g.copy() for g in model.grads()], history.final_train_loss()
 
     @pytest.mark.parametrize("kind", ["synthesis", "regression"])
@@ -336,10 +338,10 @@ class TestMicroBatches:
         """tracemalloc peak of one 256/32 synthesis epoch on one batch of 2 s trials."""
         pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
                   0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_trials)]
-        model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+        model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
         tracemalloc.start()
         try:
-            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=n_trials, seed=0))
+            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=n_trials, learning_rate=1e-3, seed=0))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,8 +376,8 @@ class TestMicroBatches:
 
         def trained(steps):
             monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", steps)
-            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8)
-            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=100, seed=3))
+            model = nn.build_regression_model(out_dim=2, seed=6, hidden=8, in_dim=30, dropout_rate=0.2)
+            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=100, learning_rate=1e-3, seed=3))
             return model.params()
 
         stock = trained(training.MICRO_BATCH_OUTPUT_STEPS)
@@ -386,7 +388,7 @@ class TestMicroBatches:
         """Bitwise the whole batch's loss when it fits one slice, within 1e-6 relative otherwise."""
         lengths = rng.integers(12, 41, size=10)
         pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
-        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         padded = training._padded_batches(pairs, len(pairs), model, np.float32)
         xb, yb, mask, count = padded[0]
         diff = (model.predict(xb).astype(np.float64) - yb) * mask[..., None]
@@ -400,7 +402,7 @@ class TestMicroBatches:
     def test_validation_loss_through_predict_matches_forward(self, rng, monkeypatch):
         lengths = rng.integers(30, 90, size=9)
         pairs = [(rng.standard_normal((n, 31)), 0.1 * rng.standard_normal((15 * n, 1))) for n in lengths]
-        model = nn.build_synthesis_model(seed=6, filters=(64, 16))
+        model = nn.build_synthesis_model(seed=6, filters=(64, 16), kernel_size=3, dropout_rate=0.2)
         padded = training._padded_batches(pairs, 4, model, np.float32)
         polyphase = training._epoch_loss(model, padded)
         monkeypatch.setattr(model, "predict", lambda x: model.forward(x, training=False))
@@ -413,10 +415,11 @@ class TestMicroBatches:
         def epoch_peak(n_val):
             val_pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
                           0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(n_val)]
-            model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+            model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
             tracemalloc.start()
             try:
-                nn.train(model, train_pairs, nn.TrainConfig(epochs=1, seed=0), val_pairs)
+                nn.train(model, train_pairs, nn.TrainConfig(epochs=1, batch_size=100, learning_rate=1e-3, seed=0),
+                         val_pairs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -433,10 +436,11 @@ class TestMicroBatches:
 
         train_pairs, val_pairs = [pair() for _ in range(4)], [pair() for _ in range(2)]
         x = train_pairs[0][0][None]
-        model = nn.build_synthesis_model(seed=1, filters=(256, 32))
+        model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
+        config = nn.TrainConfig(epochs=1, batch_size=100, learning_rate=1e-3, seed=0)
         tracemalloc.start()
         try:
-            history = nn.train(model, train_pairs, nn.TrainConfig(epochs=1, seed=0), val_pairs)
+            history = nn.train(model, train_pairs, config, val_pairs)
             after_train = tracemalloc.get_traced_memory()[0]
             model.predict(x)
             after_predict = tracemalloc.get_traced_memory()[0]
@@ -485,8 +489,9 @@ class TestSliceRunners:
 
         monkeypatch.setattr(nn.TcnBlock, "forward", recorded)
         monkeypatch.setattr(nn.Dropout, "forward", drawn)
-        model = nn.build_synthesis_model(seed=6, filters=filters, dropout_rate=0.3, dtype=dtype)
-        history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=5, seed=3), val_pairs)
+        model = nn.build_synthesis_model(seed=6, filters=filters, kernel_size=3, dropout_rate=0.3, dtype=dtype)
+        history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=5, learning_rate=1e-3, seed=3),
+                           val_pairs)
         monkeypatch.undo()
         assert all(layer._cache is None for layer in model.layers)
         return _params_digest(model), history.epochs, len(threads), masks
@@ -528,8 +533,8 @@ from eegspeech import nn
 rng = np.random.default_rng(5)
 pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
           0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
-model = nn.build_synthesis_model(seed=1, filters=(256, 32))
-history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=4, seed=0))
+model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
+history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0))
 digest = hashlib.sha256(repr(history.epochs).encode())
 for p in model.params():
     digest.update(p.tobytes())
@@ -558,7 +563,7 @@ print(digest.hexdigest())
         def target():
             caller.append(threading.get_ident())
             try:
-                nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=4, seed=3))
+                nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=3))
             except BaseException as exc:
                 raised.append(exc)
 
@@ -588,7 +593,7 @@ print(digest.hexdigest())
             return backward(layer, *args, **kwargs)
 
         monkeypatch.setattr(nn.TcnBlock, "backward", failing_backward)
-        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         generator = model.layers[2].rng
         raised = self._train_within(60, model, self._pairs(rng, 6), caller)
         assert [str(exc) for exc in raised] == [f"boom in the {failing}"]
@@ -602,7 +607,7 @@ print(digest.hexdigest())
         baseline = threading.active_count()
         pairs = self._pairs(rng, 8)
         pairs[5][1][7, 0] = np.nan
-        model = nn.build_synthesis_model(seed=6, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         raised = self._train_within(60, model, pairs, [])
         assert len(raised) == 1 and isinstance(raised[0], NumericError), raised
         assert "diverged" in str(raised[0])
@@ -621,8 +626,8 @@ from eegspeech import nn
 rng = np.random.default_rng(5)
 pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
           0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
-model = nn.build_synthesis_model(seed=1, filters=(256, 32))
-config = nn.TrainConfig(epochs=1, batch_size=4, seed=0)
+model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
+config = nn.TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
 nn.train(model, pairs, config)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
@@ -649,8 +654,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
         pairs = TestSliceRunners._pairs(rng, 6)
 
         def run():
-            model = nn.build_synthesis_model(seed=6, filters=(8, 4), dropout_rate=0.3)
-            history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=3, seed=3))
+            model = nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.3)
+            history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, seed=3))
             return _params_digest(model), history.epochs
 
         expected = run()
@@ -662,9 +667,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
 
 class TestCheckpoint:
     def test_synthesis_round_trip(self, tmp_path, rng):
-        model = nn.build_synthesis_model(seed=3, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=3, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         pairs = [(rng.standard_normal((10, 31)), rng.standard_normal((150, 1)))]
-        nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=1, seed=0))
+        nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=1, learning_rate=1e-3, seed=0))
         path = tmp_path / "synth.ckpt"
         model.save(path)
         back = nn.load_model(path)
@@ -672,7 +677,7 @@ class TestCheckpoint:
         assert np.array_equal(model.predict(x), back.predict(x))
 
     def test_regression_round_trip(self, tmp_path, rng):
-        model = nn.build_regression_model(out_dim=7, seed=3, hidden=8)
+        model = nn.build_regression_model(out_dim=7, seed=3, hidden=8, in_dim=30, dropout_rate=0.2)
         path = tmp_path / "regress.ckpt"
         model.save(path)
         back = nn.load_model(path)
@@ -680,9 +685,9 @@ class TestCheckpoint:
         assert np.array_equal(model.predict(x), back.predict(x))
 
     def test_regressor_bundle_round_trip(self, tmp_path, rng):
-        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8)
+        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8, in_dim=30, dropout_rate=0.2)
         nn.train(model, [(rng.standard_normal((9, 30)), rng.standard_normal((9, 6)))],
-                 nn.TrainConfig(epochs=2, batch_size=1, seed=0))
+                 nn.TrainConfig(epochs=2, batch_size=1, learning_rate=1e-3, seed=0))
         bundle = pipeline.RegressorBundle(
             "tonnetz", model,
             pipeline.Scaler.fit(rng.standard_normal((20, 30))),
@@ -704,7 +709,7 @@ class TestCheckpoint:
         ("nonsense", 6, 30, 6, "unknown feature kind 'nonsense'"),
     ])
     def test_inconsistent_bundle_is_data_error(self, tmp_path, rng, kind, model_out, in_dim, out_dim, match):
-        model = nn.build_regression_model(out_dim=model_out, seed=3, hidden=8)
+        model = nn.build_regression_model(out_dim=model_out, seed=3, hidden=8, in_dim=30, dropout_rate=0.2)
         bundle = pipeline.RegressorBundle(kind, model, pipeline.Scaler.fit(rng.standard_normal((20, in_dim))),
                                           pipeline.Scaler.fit(rng.standard_normal((20, out_dim))))
         path = tmp_path / "regress.ckpt"
@@ -715,7 +720,7 @@ class TestCheckpoint:
     def test_missing_param_array_is_data_error(self, tmp_path):
         # A checkpoint laid out for another layer order (the dense head at
         # layer05) has no layer04 arrays.
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         arrays = model.named_params()
         arrays["layer05_p0"] = arrays.pop("layer04_p0")
         arrays["layer05_p1"] = arrays.pop("layer04_p1")
@@ -726,7 +731,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_param_is_data_error(self, tmp_path, value):
-        model = nn.build_synthesis_model(seed=0, filters=(8, 4))
+        model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
         arrays = model.named_params()
         arrays["layer03_p1"][2] = value
         path = tmp_path / "synth.ckpt"
@@ -736,7 +741,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name", ["in_mean", "in_std", "out_mean", "out_std"])
     def test_non_finite_scaler_is_data_error(self, tmp_path, rng, name):
-        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8)
+        model = nn.build_regression_model(out_dim=6, seed=3, hidden=8, in_dim=30, dropout_rate=0.2)
         bundle = pipeline.RegressorBundle("tonnetz", model, pipeline.Scaler.fit(rng.standard_normal((20, 30))),
                                           pipeline.Scaler.fit(rng.standard_normal((20, 6))))
         path = tmp_path / "regress_tonnetz.ckpt"
@@ -748,7 +753,7 @@ class TestCheckpoint:
             pipeline.RegressorBundle.load(path)
 
     def test_incomplete_model_config_is_data_error(self, tmp_path):
-        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4)
+        model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
         config = {k: v for k, v in model.config.items() if k != "hidden"}
         path = tmp_path / "m.ckpt"
         serialize.save_container(path, model.kind, config, model.named_params())
@@ -757,7 +762,7 @@ class TestCheckpoint:
 
     def test_bad_container_header_is_data_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(path)
+        nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2).save(path)
         raw = path.read_bytes()
         hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
         header = json.loads(raw[20 : 20 + hlen])
@@ -775,13 +780,13 @@ class TestCheckpoint:
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        nn.build_synthesis_model(seed=4, filters=(8, 4)).save(a)
-        nn.build_synthesis_model(seed=4, filters=(8, 4)).save(b)
+        nn.build_synthesis_model(seed=4, filters=(8, 4), kernel_size=3, dropout_rate=0.2).save(a)
+        nn.build_synthesis_model(seed=4, filters=(8, 4), kernel_size=3, dropout_rate=0.2).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        nn.build_regression_model(out_dim=1, seed=0, hidden=4).save(path)
+        nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2).save(path)
         before = path.read_bytes()
         real_open = open
 
@@ -806,26 +811,26 @@ class TestCheckpoint:
         monkeypatch.setattr(serialize, "open", lambda *a, **k: FailingFile(real_open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
-            nn.build_regression_model(out_dim=1, seed=1, hidden=4).save(path)
+            nn.build_regression_model(out_dim=1, seed=1, hidden=4, in_dim=30, dropout_rate=0.2).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestFiniteDiffCheck:
     def test_tiny_synthesis_model(self, rng):
-        model = nn.build_synthesis_model(seed=1, filters=(4, 2), dropout_rate=0.0, dtype=np.float64)
+        model = nn.build_synthesis_model(seed=1, filters=(4, 2), kernel_size=3, dropout_rate=0.0, dtype=np.float64)
         x = rng.standard_normal((2, 6, 31))
         y = rng.standard_normal((2, 90, 1))
         assert nn.finite_diff_grad_check(model, x, y, seed=0) < 1e-4
 
     def test_tiny_regression_model(self, rng):
-        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, dropout_rate=0.0, dtype=np.float64)
+        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, in_dim=30, dropout_rate=0.0, dtype=np.float64)
         x = rng.standard_normal((2, 7, 30))
         y = rng.standard_normal((2, 7, 6))
         assert nn.finite_diff_grad_check(model, x, y, seed=0) < 1e-4
 
     def test_refuses_a_model_with_dropout(self, rng):
-        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, dropout_rate=0.2, dtype=np.float64)
+        model = nn.build_regression_model(out_dim=6, seed=1, hidden=8, in_dim=30, dropout_rate=0.2, dtype=np.float64)
         x = rng.standard_normal((2, 7, 30))
         with pytest.raises(ValueError, match="dropout"):
             nn.finite_diff_grad_check(model, x, rng.standard_normal((2, 7, 6)), seed=0)
