@@ -6,12 +6,13 @@ bandwidth:1, contrast:7, flatness:1, rolloff:1, poly:2, tonnetz:6, zcr:1,
 tempogram:384, loudness:1, pitch:1.
 
 `extract_acoustic_set(audio, grid)` is the one entry point. It computes each
-shared analysis once (the power STFT, the 84 constant-Q note energies, the
-mel spectrogram and the CENS chroma) and hands each kernel only what it reads:
+shared analysis once (the power STFT, the 84 constant-Q note energies folded
+to 12 pitch classes, the mel spectrogram and the CENS chroma) and hands each
+kernel only what it reads:
 
 - the power STFT: `band_power_12`, `mel_spectrogram_128`,
   `spectral_contrast_7`, `poly_coeffs_2`;
-- the constant-Q note energies: `cqt_chroma_12`, `chroma_cens_12`;
+- the folded constant-Q chroma: `cqt_chroma_12`, `chroma_cens_12`;
 - the CENS chroma: `tonnetz_6`;
 - the mel spectrogram: `onset_strength`, `tempogram_384`;
 - the samples, STFT and grid: `spectral_scalars` (the seven dim-1 kinds);
@@ -274,6 +275,7 @@ def _cqt_note_energies(x: np.ndarray, grid: dsp.FrameGrid) -> np.ndarray:
 
 
 def _fold_chroma(energies: np.ndarray) -> np.ndarray:
+    """Constant-Q semitone energies C1..B7 summed into the 12 pitch classes."""
     midis = np.arange(CQT_MIDI_LO, CQT_MIDI_HI + 1)
     chroma = np.zeros((energies.shape[0], 12))
     for cls in range(12):
@@ -281,9 +283,8 @@ def _fold_chroma(energies: np.ndarray) -> np.ndarray:
     return chroma
 
 
-def cqt_chroma_12(energies: np.ndarray) -> FeatureSequence:
-    """Constant-Q semitone energies C1..B7 folded to 12 classes, max-normalized."""
-    chroma = _fold_chroma(energies)
+def cqt_chroma_12(chroma: np.ndarray) -> FeatureSequence:
+    """The folded constant-Q chroma, max-normalized."""
     peak = chroma.max(axis=1, keepdims=True)
     values = np.where(peak > 1e-12, chroma / np.where(peak > 1e-12, peak, 1.0), 0.0)
     return FeatureSequence("cqt_chroma", values)
@@ -294,10 +295,10 @@ CENS_WEIGHTS = (4.0, 3.0, 2.0, 1.0)
 CENS_SMOOTH_FRAMES = 41
 
 
-def chroma_cens_12(energies: np.ndarray) -> FeatureSequence:
-    """CENS-style chroma: L1-normalize, quantize at 0.4/0.2/0.1/0.05, smooth
-    over 41 frames with a Hann kernel, L2-normalize per frame."""
-    chroma = _fold_chroma(energies)
+def chroma_cens_12(chroma: np.ndarray) -> FeatureSequence:
+    """CENS-style chroma of the folded constant-Q chroma: L1-normalize,
+    quantize at 0.4/0.2/0.1/0.05, smooth over 41 frames with a Hann kernel,
+    L2-normalize per frame."""
     l1 = chroma.sum(axis=1, keepdims=True)
     chroma = np.where(l1 > 1e-12, chroma / np.where(l1 > 1e-12, l1, 1.0), 0.0)
 
@@ -370,9 +371,8 @@ def spectral_scalars(x: np.ndarray, spec: dsp.PowerSpectrogram, grid: dsp.FrameG
     rolloff = np.where(total > EPS_POWER, freqs[idx], 0.0)
 
     frames = dsp.frame_signal_centered(x, grid.hop, grid.hop)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
-    signs = np.where(frames >= 0.0, 1, -1)
-    zcr = np.sum(signs[:, 1:] != signs[:, :-1], axis=1) / (frames.shape[1] - 1)
+    rms = dsp.frame_rms(frames)
+    zcr = dsp.frame_zcr(frames)
     loudness = 20.0 * np.log10(rms + 1e-6)
 
     cols = {
@@ -467,12 +467,12 @@ def extract_acoustic_set(audio: np.ndarray, grid: dsp.FrameGrid) -> AcousticSet:
     if x.ndim != 1 or len(x) < 1:
         raise DataError("audio must be a non-empty 1-D sequence")
     spec = dsp.stft_power(x, FFT_SIZE, grid.hop, grid.sample_rate_hz)
-    energies = _cqt_note_energies(x, grid)
+    chroma = _fold_chroma(_cqt_note_energies(x, grid))
     mel = mel_spectrogram_128(spec)
-    cens = chroma_cens_12(energies)
+    cens = chroma_cens_12(chroma)
     seqs = {
         "band_power": band_power_12(spec),
-        "cqt_chroma": cqt_chroma_12(energies),
+        "cqt_chroma": cqt_chroma_12(chroma),
         "chroma_cens": cens,
         "mel": mel,
         "contrast": spectral_contrast_7(spec),

@@ -103,8 +103,12 @@ def _load_values(path: Path, kind: str, stage: str) -> np.ndarray:
 
 
 def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
-    values = _load_values(Path(cfg.out_dir, "clean", f"{trial_id}.clean"), CLEAN_KIND, "preprocess")
-    return eeg.CleanEeg(values)
+    path = Path(cfg.out_dir, "clean", f"{trial_id}.clean")
+    values = _load_values(path, CLEAN_KIND, "preprocess")
+    try:
+        return eeg.CleanEeg(values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:

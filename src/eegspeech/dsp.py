@@ -172,6 +172,17 @@ def frame_signal_valid(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     return x[..., idx]
 
 
+def frame_rms(frames: np.ndarray) -> np.ndarray:
+    """Root mean square of each row of a (n_frames, window) block."""
+    return np.sqrt(np.mean(frames * frames, axis=1))
+
+
+def frame_zcr(frames: np.ndarray) -> np.ndarray:
+    """Zero-crossing rate of each row of a (n_frames, window) block; zero counts as positive."""
+    signs = np.where(frames >= 0.0, 1, -1)
+    return np.sum(signs[:, 1:] != signs[:, :-1], axis=1) / (frames.shape[1] - 1)
+
+
 def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Centered framing: frame k covers samples around k*hop, count 1 + n//hop.
 

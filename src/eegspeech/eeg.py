@@ -10,6 +10,7 @@ entropy, giving 31 * 5 = 155 columns in fixed channel-major order.
 from __future__ import annotations
 
 import functools
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,8 @@ class CleanEeg:
             raise DataError(f"clean EEG must keep {EEG_CHANNELS} channels, got {data.shape}")
         if data.shape[1] == 0:
             raise DataError("clean EEG has 0 samples")
+        if not np.all(np.isfinite(data)):
+            raise DataError("clean EEG contains non-finite values")
         object.__setattr__(self, "data", data)
 
     @property
@@ -207,11 +210,8 @@ def remove_artifact_components(
 
 def _stats_block(frames: np.ndarray) -> np.ndarray:
     """Vectorized stats over (n_frames, window) -> (n_frames, 5)."""
-    n, w = frames.shape
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
-
-    signs = np.where(frames >= 0.0, 1, -1)
-    zcr = np.sum(signs[:, 1:] != signs[:, :-1], axis=1) / (w - 1)
+    rms = dsp.frame_rms(frames)
+    zcr = dsp.frame_zcr(frames)
 
     sliding = np.lib.stride_tricks.sliding_window_view(frames, 8, axis=1)
     mwa = sliding.mean(axis=2).mean(axis=1)
@@ -397,52 +397,42 @@ def explained_variance_curve(model: KpcaModel) -> np.ndarray:
     return np.cumsum(model.eigenvalues) / model.total_variance
 
 
+# field name -> declared type, in field order: np.ndarray fields are a .kpca file's arrays, int/float its meta
+_KPCA_FIELD_TYPES: dict[str, type] = typing.get_type_hints(KpcaModel)
+
+
 def save_kpca(model: KpcaModel, path: str | Path) -> None:
-    save_container(
-        path,
-        "kpca",
-        {
-            "degree": model.degree,
-            "gamma": model.gamma,
-            "coef0": model.coef0,
-            "grand_mean": model.grand_mean,
-            "total_variance": model.total_variance,
-            "effective_rank": model.effective_rank,
-        },
-        {
-            "train_vectors": model.train_vectors,
-            "coefficients": model.coefficients,
-            "eigenvalues": model.eigenvalues,
-            "row_means": model.row_means,
-        },
-    )
-
-
-_KPCA_META_TYPES = {
-    "degree": int, "gamma": float, "coef0": float,
-    "grand_mean": float, "total_variance": float, "effective_rank": int,
-}
+    meta, arrays = {}, {}
+    for name, kind in _KPCA_FIELD_TYPES.items():
+        (arrays if kind is np.ndarray else meta)[name] = getattr(model, name)
+    save_container(path, "kpca", meta, arrays)
 
 
 def load_kpca(path: str | Path) -> KpcaModel:
-    """Read a model written by save_kpca; a missing or mistyped field is a DataError."""
+    """Read a model written by save_kpca; a missing, mistyped or non-finite
+    field is a DataError."""
     _, meta, arrays = load_container(path, expect_kind="kpca")
     if not isinstance(meta, dict):
         raise DataError(f"{path}: KPCA meta must be an object")
     fields = {}
-    for key, kind in _KPCA_META_TYPES.items():
-        value = meta.get(key)
-        if type(value) not in ((int,) if kind is int else (int, float)):
-            raise DataError(f"{path}: KPCA meta {key!r} must be {kind.__name__}, got {value!r}")
-        fields[key] = kind(value)
-    try:
-        x, coeff = arrays["train_vectors"], arrays["coefficients"]
-        vals, row_means = arrays["eigenvalues"], arrays["row_means"]
-    except KeyError as exc:
-        raise DataError(f"{path}: KPCA model lacks array {exc}") from exc
+    for name, kind in _KPCA_FIELD_TYPES.items():
+        if kind is np.ndarray:
+            if name not in arrays:
+                raise DataError(f"{path}: KPCA model lacks array {name!r}")
+            value = arrays[name]
+        else:
+            value = meta.get(name)
+            if type(value) not in ((int,) if kind is int else (int, float)):
+                raise DataError(f"{path}: KPCA meta {name!r} must be {kind.__name__}, got {value!r}")
+            value = kind(value)
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"{path}: KPCA {name!r} holds NaN or inf")
+        fields[name] = value
+    model = KpcaModel(**fields)
+    x, coeff, vals, row_means = model.train_vectors, model.coefficients, model.eigenvalues, model.row_means
     n = x.shape[0] if x.ndim == 2 else -1
     if coeff.ndim != 2 or coeff.shape[0] != n or vals.shape != coeff.shape[1:] or row_means.shape != (n,):
         raise DataError(
             f"{path}: inconsistent KPCA array shapes {x.shape}, {coeff.shape}, {vals.shape}, {row_means.shape}"
         )
-    return KpcaModel(train_vectors=x, coefficients=coeff, eigenvalues=vals, row_means=row_means, **fields)
+    return model

@@ -25,6 +25,7 @@ forward raises RuntimeError.
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -197,30 +198,17 @@ def build_regression_model(
 
 
 def restore_model(kind: str, config: dict, arrays: dict, source: str | Path = "checkpoint") -> Model:
-    """Rebuild a model from its kind and saved config, then load its parameters."""
+    """Rebuild a model through the builder that wrote its config, called with
+    the saved entries its signature names, then load its parameters."""
+    # looked up per call, so a builder rebound on this module (perfbench's tracer) also restores
+    builders = {"synthesis": build_synthesis_model, "regression": build_regression_model}
+    builder = builders.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise DataError(f"{source}: unknown model kind {kind!r}")
     try:
-        dtype = np.dtype(config.get("dtype", "float32"))
-        if kind == "synthesis":
-            model = build_synthesis_model(
-                seed=config["seed"],
-                filters=tuple(config["filters"]),
-                kernel_size=config["kernel_size"],
-                dropout_rate=config["dropout_rate"],
-                in_dim=config["in_dim"],
-                dtype=dtype,
-            )
-        elif kind == "regression":
-            model = build_regression_model(
-                out_dim=config["out_dim"],
-                seed=config["seed"],
-                hidden=config["hidden"],
-                in_dim=config["in_dim"],
-                dropout_rate=config["dropout_rate"],
-                dtype=dtype,
-            )
-        else:
-            raise DataError(f"{source}: unknown model kind {kind!r}")
-    except (KeyError, TypeError, AttributeError) as exc:
+        names = inspect.signature(builder).parameters
+        model = builder(**{key: value for key, value in config.items() if key in names})
+    except (TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{source}: bad {kind} model config ({exc!r})") from exc
     try:
         model.load_params(arrays)

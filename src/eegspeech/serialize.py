@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 MAGIC = b"EEGSPD01"
 VERSION = 1
@@ -60,10 +60,14 @@ def atomic_open(path: str | Path, mode: str = "w"):
 
 def write_json(path: str | Path, doc) -> None:
     """The canonical JSON artifact: sorted keys, indent 1, a trailing newline,
-    replaced whole through `atomic_open`."""
+    replaced whole through `atomic_open`. A NaN or infinity, which strict JSON
+    parsers reject, is a NumericError and leaves the previous file in place."""
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: str | Path, header, rows, comment: str | None = None) -> None:

@@ -392,11 +392,12 @@ class TestAcousticSet:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for owner, name in ((dsp, "stft_power"), (acoustic, "_cqt_note_energies"),
+        for owner, name in ((dsp, "stft_power"), (acoustic, "_cqt_note_energies"), (acoustic, "_fold_chroma"),
                             (acoustic, "mel_spectrogram_128"), (acoustic, "chroma_cens_12")):
             counted(owner, name)
         acoustic.extract_acoustic_set(sine(330.0, FS, 0.5), grid)
-        assert calls == {"stft_power": 1, "_cqt_note_energies": 1, "mel_spectrogram_128": 1, "chroma_cens_12": 1}
+        assert calls == {"stft_power": 1, "_cqt_note_energies": 1, "_fold_chroma": 1, "mel_spectrogram_128": 1,
+                         "chroma_cens_12": 1}
 
     @pytest.mark.parametrize("n", [7500, 11111, 20000])
     def test_frame_counts_follow_stft_formula_for_any_length(self, n, grid):

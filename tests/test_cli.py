@@ -316,6 +316,27 @@ class TestPipelineCommands:
         assert after.pop(Path("resolved_config.ini")) != before.pop(Path("resolved_config.ini"))
         assert after == before
 
+    @pytest.mark.parametrize("command, relpath, name, message", [
+        ("eval-regress", "kpca/pooled.kpca", "coefficients", "KPCA 'coefficients' holds NaN or inf"),
+        ("eval-synth", "clean/{test_id}.clean", "values", "clean EEG contains non-finite values"),
+    ], ids=["kpca", "clean-eeg"])
+    def test_25_non_finite_intermediate_is_data_error(self, workspace, tmp_path, capsys, command, relpath, name,
+                                                      message):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        test_id = json.loads((out / "split.json").read_text())["test_ids"][0]
+        path = out / relpath.format(test_id=test_id)
+        kind, meta, arrays = load_container(path)
+        arrays[name].flat[7] = np.nan
+        serialize.save_container(path, kind, meta, arrays)
+        before = _tree_bytes(out)
+        code, _ = run_cli(command, "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))

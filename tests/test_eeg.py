@@ -295,6 +295,13 @@ class TestExtractStatFeatures:
         with pytest.raises(DataError, match="0 samples"):
             eeg.CleanEeg(np.zeros((31, 0)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_clean_eeg_is_data_error(self, value):
+        data = np.zeros((31, 100))
+        data[4, 50] = value
+        with pytest.raises(DataError, match="clean EEG contains non-finite values"):
+            eeg.CleanEeg(data)
+
 
 def brute_force_kpca_projection(x: np.ndarray, out_dim: int, gamma: float, coef0: float, degree: int):
     """Dense-eigendecomposition oracle with explicit centering matrices."""
@@ -428,6 +435,22 @@ class TestKpca:
         edit(meta, arrays)
         serialize.save_container(path, "kpca", meta, arrays)
         with pytest.raises(DataError, match="KPCA"):
+            eeg.load_kpca(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("coefficients", np.nan), ("train_vectors", np.inf), ("row_means", -np.inf),
+        ("grand_mean", np.nan), ("gamma", np.inf),
+    ])
+    def test_non_finite_model_is_data_error(self, tmp_path, rng, name, value):
+        path = tmp_path / "model.kpca"
+        eeg.save_kpca(eeg.kpca_fit(rng.standard_normal((40, 155)), **KPCA), path)
+        _, meta, arrays = serialize.load_container(path)
+        if name in arrays:
+            arrays[name].flat[1] = value
+        else:
+            meta[name] = float(value)
+        serialize.save_container(path, "kpca", meta, arrays)
+        with pytest.raises(DataError, match=f"{path.name}: KPCA '{name}' holds NaN or inf"):
             eeg.load_kpca(path)
 
     def test_too_few_rows(self, rng):

@@ -760,6 +760,22 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="model config"):
             nn.load_model(path)
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("synthesis", {"filters": [8, 4, 2]}),
+        ("synthesis", {"dropout_rate": 1.5}),
+        ("synthesis", {"kernel_size": 0}),
+        ("regression", {"out_dim": 5}),
+    ], ids=["three-filters", "dropout-1.5", "kernel-0", "regression-out-dim-5"])
+    def test_config_its_builder_rejects_is_data_error(self, tmp_path, kind, edit):
+        if kind == "synthesis":
+            model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
+        else:
+            model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
+        path = tmp_path / "m.ckpt"
+        serialize.save_container(path, model.kind, {**model.config, **edit}, model.named_params())
+        with pytest.raises(DataError, match=f"{path.name}: bad {kind} model config"):
+            nn.load_model(path)
+
     def test_bad_container_header_is_data_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2).save(path)

@@ -1,7 +1,9 @@
-"""The binary container: exact round trips and a closed failure on every malformed
-file; and the report-table writer's exact bytes."""
+"""The binary container: exact round trips, a closed failure on every malformed
+file and the pinned bytes of each saved record; the report-table writer's exact
+bytes; and the JSON writer's refusal of non-finite numbers."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegspeech import serialize
-from eegspeech.errors import DataError
+from eegspeech import eeg, nn, pipeline, serialize
+from eegspeech.errors import DataError, NumericError
 
 ARRAYS = {"a": np.arange(4, dtype=np.float64).reshape(2, 2), "b": np.array([7, -1], dtype=np.int64)}
 
@@ -129,3 +131,58 @@ def test_write_csv_round_trip(tmp_path, comment, head):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# ") == (comment is not None)
     assert list(csv.reader(lines[comment is not None:])) == [list(header), *map(list, rows)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_number(tmp_path, value):
+    path = tmp_path / "metrics.json"
+    serialize.write_json(path, {"rows": [{"rmse": 1.0}]})
+    before = path.read_bytes()
+    with pytest.raises(NumericError, match=path.name):
+        serialize.write_json(path, {"rows": [{"rmse": value}]})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _pinned_kpca(path) -> None:
+    # small exact arrays, so no BLAS result enters the bytes
+    eeg.save_kpca(eeg.KpcaModel(
+        train_vectors=np.arange(12.0).reshape(4, 3) / 8, coefficients=np.arange(8.0).reshape(4, 2) / 16 - 0.25,
+        eigenvalues=np.array([2.0, 0.5]), degree=3, gamma=0.125, coef0=1.0,
+        row_means=np.array([0.25, 0.5, 0.75, 1.0]), grand_mean=0.375, total_variance=3.5, effective_rank=2,
+    ), path)
+
+
+def _pinned_synthesis(path) -> None:
+    nn.build_synthesis_model(seed=3, filters=(8, 4), kernel_size=3, dropout_rate=0.2).save(path)
+
+
+def _pinned_bundle(path) -> None:
+    model = nn.build_regression_model(out_dim=6, seed=3, hidden=8, in_dim=30, dropout_rate=0.2)
+    pipeline.RegressorBundle(
+        "tonnetz", model,
+        pipeline.Scaler(np.linspace(-1.0, 1.0, 30), np.linspace(0.5, 2.0, 30)),
+        pipeline.Scaler(np.linspace(-0.5, 0.5, 6), np.linspace(1.0, 3.0, 6)),
+    ).save(path)
+
+
+# SHA-256 of each record as written, and again after a load -> save round trip
+PINNED = {
+    "kpca": "5cb916ed902f19ae133f9f9a5eb7b61474423df8184cbdbb6203d1fff8521eaa",
+    "synthesis": "b2b46662353917604e5d1eb6245326942a99ed503bd421d1d29ea9acbd50c607",
+    "bundle": "70b03b6731c737bc589106db66001f1062a85849b07faa15dcc2446985875c11",
+}
+
+
+@pytest.mark.parametrize("record, write, resave", [
+    ("kpca", _pinned_kpca, lambda p: eeg.save_kpca(eeg.load_kpca(p), p)),
+    ("synthesis", _pinned_synthesis, lambda p: nn.load_model(p).save(p)),
+    ("bundle", _pinned_bundle, lambda p: pipeline.RegressorBundle.load(p).save(p)),
+])
+def test_saved_record_bytes_are_pinned(tmp_path, record, write, resave):
+    # a changed header, field or array order moves these digests: change the format on purpose
+    path = tmp_path / "record"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[record]
+    resave(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[record]
