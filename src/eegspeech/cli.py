@@ -20,9 +20,10 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluate import MetricsReport, evaluate_acoustic, evaluate_synthesis, spectrogram_export
 from .serialize import load_container, save_container, write_csv, write_json
 
-# Container kinds of the per-trial intermediates under out_dir.
+# Container kinds of the per-trial intermediates under out_dir, and the records they hold.
 CLEAN_KIND = "clean-eeg"
 FEATURES_KIND = "eeg-features"
+_RECORDS = {CLEAN_KIND: eeg.CleanEeg, FEATURES_KIND: eeg.StatFeatureSeq}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,27 +95,24 @@ def _split(cfg: RunConfig) -> dataio.SplitAssignment:
     return dataio.load_split(_require(Path(cfg.out_dir) / "split.json", "split"))
 
 
-def _load_values(path: Path, kind: str, stage: str) -> np.ndarray:
-    """The one array of a per-trial intermediate container written by `stage`."""
+def _load_values(path: Path, kind: str, stage: str) -> eeg.CleanEeg | eeg.StatFeatureSeq:
+    """The record of a per-trial intermediate container written by `stage`,
+    built from its one array; a DataError names the file."""
     _, _, arrays = load_container(_require(path, stage), expect_kind=kind)
     if list(arrays) != ["values"]:
         raise DataError(f"{path}: expected a single 'values' array, found {sorted(arrays)}")
-    return arrays["values"]
-
-
-def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
-    path = Path(cfg.out_dir, "clean", f"{trial_id}.clean")
-    values = _load_values(path, CLEAN_KIND, "preprocess")
     try:
-        return eeg.CleanEeg(values)
+        return _RECORDS[kind](arrays["values"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _load_clean(cfg: RunConfig, trial_id: str) -> eeg.CleanEeg:
+    return _load_values(Path(cfg.out_dir, "clean", f"{trial_id}.clean"), CLEAN_KIND, "preprocess")
+
+
 def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:
-    values = _load_values(Path(cfg.out_dir, "feats_eeg", f"{trial_id}.feats"), FEATURES_KIND,
-                          "extract-eeg-feats")
-    return eeg.StatFeatureSeq(values)
+    return _load_values(Path(cfg.out_dir, "feats_eeg", f"{trial_id}.feats"), FEATURES_KIND, "extract-eeg-feats")
 
 
 def _kpca_models(cfg: RunConfig) -> dict[str, eeg.KpcaModel]:

@@ -17,8 +17,14 @@ slices before it (every slice but the last has the first slice's rows, and
 _mask_words gives a mask's word count). Once every runner is done, the
 slices' gradients and losses are added in slice order and the model's
 generators take the last slice's end state, so the step is bitwise that of
-running the slices one after another. While two or more runners share a batch, each pins its own
-BLAS calls to one thread.
+running the slices one after another. The runners take slice indices from one
+shared iterator; a runner whose slice fails drains it, so the others stop after
+their current slice, and the caller re-raises the failure once all have stopped.
+
+Every BLAS call of a train call, the validation loss's included, runs at one
+BLAS thread: the caller pins its own count for the whole call and each pool
+thread pins its count once as it starts, so the checkpoints and histories do
+not depend on the process's BLAS thread count.
 
 Under glibc, the first train call of a process pins malloc's mmap threshold at
 its 64-bit ceiling (32 MiB) and its trim threshold at 64 MiB, so each runner's
@@ -30,11 +36,9 @@ from __future__ import annotations
 import copy
 import ctypes
 import functools
-import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,18 +194,20 @@ def _worker_count(n_slices: int) -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """The calling thread's BLAS calls run on one thread while inside.
+    """The calling thread's BLAS calls run on one thread while inside; nothing
+    is set where BLAS cannot be pinned per thread.
 
     An OpenMP OpenBLAS keeps this count per thread; a pthreads build (such as
-    numpy's wheels) sets the process-wide count, so the main thread holds its
-    pin until every worker of the batch has restored its own.
+    numpy's wheels) sets the process-wide count, so train holds this pin until
+    its pool, whose threads pin theirs and never restore it, has shut down.
     """
     setter = _blas_thread_setter()
-    previous = setter(1)
+    previous = None if setter is None else setter(1)
     try:
         yield
     finally:
-        setter(previous)
+        if setter is not None:
+            setter(previous)
 
 
 def _view(model: Model, own: bool) -> Model:
@@ -239,8 +245,6 @@ def _train_slice(view: Model, batch, slices: list[slice], i: int, starts: list, 
     ends = [None if start is None else layer.rng.bit_generator.state for layer, start in zip(view.layers, starts)]
     part = float(mask[rows].sum()) * yb.shape[-1]
     if part == 0:
-        for layer in view.layers:
-            layer._cache = None
         return 0.0, 0.0, None, ends
     loss, grad = mse_loss(x, yb[rows], mask[rows])
     if not np.isfinite(loss):
@@ -254,43 +258,33 @@ def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> l
     """Sum one padded batch's gradients into model.grads(); returns each slice's
     (loss * part, part), in slice order, for the slices with valid outputs.
 
-    Runners claim slice indices in order until none is left or a slice has
-    failed; each slice writes only its own entry of results."""
+    Runners take slice indices from one iterator; each slice writes only its
+    own entry of results."""
     slices = _slices(batch[1])
     starts = [layer.rng.bit_generator.state if isinstance(layer, Dropout) and layer.rate else None
               for layer in model.layers]
     results: list = [None] * len(slices)
-    claims, stop = itertools.count(), threading.Event()
+    todo = iter(range(len(slices)))
 
     def run(own: bool) -> None:
-        while not stop.is_set() and (i := next(claims)) < len(slices):
-            try:
-                results[i] = _train_slice(_view(model, own), batch, slices, i, starts, epoch)
-            except BaseException as exc:
-                results[i] = exc
-                stop.set()
-
-    def run_pinned() -> None:
-        with _one_blas_thread():
-            run(own=False)
-
-    runners = _worker_count(len(slices))
-    own_grads = [layer.grads for layer in model.layers]
-    with _one_blas_thread() if runners > 1 else nullcontext():
-        futures = [pool.submit(run_pinned) for _ in range(runners - 1)]
         try:
-            run(own=True)
+            for i in todo:
+                results[i] = _train_slice(_view(model, own), batch, slices, i, starts, epoch)
         finally:
-            stop.set()
-            wait(futures)
-            for layer, grads in zip(model.layers, own_grads):
-                layer.grads = grads
-                layer._cache = None  # left by a slice that failed between forward and backward
+            for _ in todo:  # after a failure, leave the other runners nothing to take
+                pass
+
+    own_grads = [layer.grads for layer in model.layers]
+    futures = [pool.submit(run, False) for _ in range(_worker_count(len(slices)) - 1)]
+    try:
+        run(own=True)
+    finally:
+        wait(futures)
+        for layer, grads in zip(model.layers, own_grads):
+            layer.grads = grads
+            layer._cache = None  # left by a slice that failed or had no valid output
     for future in futures:
         future.result()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
     model.zero_grad()
     totals = model.grads()
     losses = []
@@ -307,7 +301,8 @@ def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> l
 
 def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> TrainHistory:
     """Run the epoch loop; deterministic given the config seed, and bitwise the
-    same for any number of runners.
+    same for any number of runners and, where BLAS can be pinned, any BLAS
+    thread count.
 
     Raises NumericError if the loss diverges to NaN/inf.
     """
@@ -322,7 +317,8 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     _hold_heap()
     runners = max(_worker_count(len(_slices(yb))) for _, yb, _, _ in batches)
 
-    with ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train") as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train",
+                                                initializer=_blas_thread_setter(), initargs=(1,)) as pool:
         for epoch in range(1, config.epochs + 1):
             sq_sum = 0.0
             count_sum = 0.0

@@ -79,8 +79,7 @@ def build_synthesis_dataset(
     return [synthesis_example(manifest.load_trial(tid), cleans[tid], cfg) for tid in ids]
 
 
-def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dict] | None = None,
-                    epochs: int | None = None):
+def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dict] | None = None):
     model = nn.build_synthesis_model(
         seed=stage_seed(cfg.seed, "synthesis-init"),
         filters=(cfg.synth_filters1, cfg.synth_filters2),
@@ -88,7 +87,7 @@ def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dic
         dropout_rate=cfg.dropout,
     )
     train_cfg = nn.TrainConfig(
-        epochs=cfg.synth_epochs if epochs is None else epochs,
+        epochs=cfg.synth_epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         seed=stage_seed(cfg.seed, "synthesis-train"),

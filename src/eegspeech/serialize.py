@@ -93,6 +93,9 @@ def read_json(path: str | Path, what: str):
 
 
 def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """A container of `arrays` under a JSON header of `kind` and `meta`, replaced
+    whole through `atomic_open`. A NaN or infinity in meta, which strict JSON
+    parsers reject, is a NumericError and leaves the previous file in place."""
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -102,9 +105,11 @@ def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
         blob = arr.astype(_DTYPES[arr.dtype.name]).tobytes()
         entries.append({"name": name, "dtype": arr.dtype.name, "shape": list(arr.shape)})
         blobs.append(blob)
-    header = json.dumps(
-        {"kind": kind, "meta": meta, "arrays": entries}, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    try:
+        header = json.dumps({"kind": kind, "meta": meta, "arrays": entries}, sort_keys=True,
+                            separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(VERSION).tobytes())

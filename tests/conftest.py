@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.signal as sps
@@ -25,6 +27,17 @@ def lfilter(filt, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Causal single-pass filtering of a `dsp.IirFilter`: the reference the
     zero-phase tests measure against."""
     return sps.sosfilt(filt.sos.copy(), np.asarray(x, dtype=np.float64), axis=axis)
+
+
+def with_container_header(path, edit) -> None:
+    """Rewrite the header JSON of the container at `path` in place, keeping its
+    blobs; json's defaults, so a non-finite value is written as a bare token."""
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
+    header = json.loads(raw[20 : 20 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:12] + np.uint64(len(text)).tobytes() + text + raw[20 + hlen :])
 
 
 def mean_baseline_rmse(train_targets: list[np.ndarray], test_targets: list[np.ndarray]) -> float:

@@ -139,13 +139,13 @@ def test_criterion_overfit(tmp_path):
     manifest = _make_trials(2, 0.6, 77, tmp_path / "overfit")
 
     synth_cfg = RunConfig(bandpass_hi_hz=450.0, seed=3, learning_rate=3e-3, batch_size=2,
-                          synth_filters1=16, synth_filters2=8, synth_kernel=3)
+                          synth_filters1=16, synth_filters2=8, synth_kernel=3, synth_epochs=1000)
     cleans = {
         tid: eeg.preprocess_eeg(manifest.load_trial(tid).eeg, pipeline.preprocess_options(synth_cfg))
         for tid in manifest.ids()
     }
     examples = pipeline.build_synthesis_dataset(manifest, manifest.ids(), synth_cfg, cleans)
-    model, history = pipeline.train_synthesis(examples, synth_cfg, epochs=1000)
+    model, history = pipeline.train_synthesis(examples, synth_cfg)
     first = history.epochs[0]["train_loss"]
     best = min(e["train_loss"] for e in history.epochs)
     synth_ratio = best / first
@@ -190,13 +190,13 @@ def test_criterion_end_to_end_synthetic_generalization(tmp_path):
 
     # synthesis path: wide-band preprocessing keeps the carrier coupling
     synth_cfg = RunConfig(bandpass_hi_hz=450.0, seed=11, synth_filters1=32, synth_filters2=16,
-                          learning_rate=3e-3, batch_size=10)
+                          learning_rate=3e-3, batch_size=10, synth_epochs=30)
     opts = pipeline.preprocess_options(synth_cfg)
     synth_cleans = {tid: eeg.preprocess_eeg(manifest.load_trial(tid).eeg, opts) for tid in manifest.ids()}
     train_ex = pipeline.build_synthesis_dataset(manifest, split.train_ids, synth_cfg, synth_cleans)
     test_ex = pipeline.build_synthesis_dataset(manifest, split.test_ids, synth_cfg, synth_cleans)
     baseline = mean_baseline_rmse([ex["y"][:, 0] for ex in train_ex], [ex["y"][:, 0] for ex in test_ex])
-    model, _ = pipeline.train_synthesis(train_ex, synth_cfg, epochs=30)
+    model, _ = pipeline.train_synthesis(train_ex, synth_cfg)
     per_trial = [
         rmse(model.predict(ex["x"].astype(np.float32)[None, ...])[0][:, 0], ex["y"][:, 0])
         for ex in test_ex

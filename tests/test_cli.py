@@ -319,7 +319,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command, relpath, name, message", [
         ("eval-regress", "kpca/pooled.kpca", "coefficients", "KPCA 'coefficients' holds NaN or inf"),
         ("eval-synth", "clean/{test_id}.clean", "values", "clean EEG contains non-finite values"),
-    ], ids=["kpca", "clean-eeg"])
+        ("eval-regress", "feats_eeg/{test_id}.feats", "values", "non-finite stat feature value"),
+    ], ids=["kpca", "clean-eeg", "features"])
     def test_25_non_finite_intermediate_is_data_error(self, workspace, tmp_path, capsys, command, relpath, name,
                                                       message):
         root, config = workspace

@@ -11,7 +11,7 @@ from eegspeech.config import RunConfig
 from eegspeech.dataio import EegRecording
 from eegspeech.errors import DataError
 
-from conftest import sine
+from conftest import sine, with_container_header
 
 GRID = dsp.frame_grid_for_rate(1000, 31.0)
 # The stock preprocessing and KPCA settings, read from RunConfig, which holds them
@@ -447,9 +447,9 @@ class TestKpca:
         _, meta, arrays = serialize.load_container(path)
         if name in arrays:
             arrays[name].flat[1] = value
-        else:
-            meta[name] = float(value)
-        serialize.save_container(path, "kpca", meta, arrays)
+            serialize.save_container(path, "kpca", meta, arrays)
+        else:  # save_container refuses a non-finite header value, so write it into the header directly
+            with_container_header(path, lambda header: header["meta"].update({name: float(value)}))
         with pytest.raises(DataError, match=f"{path.name}: KPCA '{name}' holds NaN or inf"):
             eeg.load_kpca(path)
 

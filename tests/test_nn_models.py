@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -531,28 +532,83 @@ import hashlib
 import numpy as np
 from eegspeech import nn
 rng = np.random.default_rng(5)
-pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
-          0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
-model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
-history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0))
+{}
 digest = hashlib.sha256(repr(history.epochs).encode())
 for p in model.params():
     digest.update(p.tobytes())
 print(digest.hexdigest())
 """
+    _BLAS_CASES = {
+        "four 2 s trials of the 256/32 model, three epochs": """
+pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+          0.1 * rng.standard_normal((30000, 1)).astype(np.float32)) for _ in range(4)]
+model = nn.build_synthesis_model(seed=1, filters=(256, 32), kernel_size=3, dropout_rate=0.2)
+history = nn.train(model, pairs, nn.TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0))
+""",
+        "a one-slice batch of one 2 s trial of the 64/16 model, two epochs": """
+pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
+          0.1 * rng.standard_normal((30000, 1)).astype(np.float32))]
+model = nn.build_synthesis_model(seed=1, filters=(64, 16), kernel_size=3, dropout_rate=0.2)
+history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=0))
+""",
+        "a GRU-128 regressor on 40 x 62 frames with 5 validation trials, three epochs": """
+pairs = [(rng.standard_normal((62, 30)).astype(np.float32), rng.standard_normal((62, 12)).astype(np.float32))
+         for _ in range(45)]
+model = nn.build_regression_model(out_dim=12, seed=1, hidden=128, in_dim=30, dropout_rate=0.2)
+history = nn.train(model, pairs[:40], nn.TrainConfig(epochs=3, batch_size=100, learning_rate=1e-3, seed=0),
+                   pairs[40:])
+""",
+    }
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_bitwise_across_blas_thread_counts(self):
-        """Four 2 s trials, three epochs of the 256/32 model in fresh processes:
-        the same parameters and history at 1 and 2 BLAS threads."""
+        """Three trainings in fresh processes, each with the same parameters
+        and history at 1 and 2 BLAS threads: a batch of four one-trial slices,
+        a batch of one slice, and a regressor whose one-slice batch and
+        validation loss run on the calling thread."""
         paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-            proc = subprocess.run([sys.executable, "-c", self._BLAS_SCRIPT], env=env, check=True, timeout=300,
-                                  capture_output=True, text=True)
-            digests.append(proc.stdout.strip())
-        assert digests[0] == digests[1]
+        differing = []
+        for case, body in self._BLAS_CASES.items():
+            digests = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(filter(None, paths)))
+                proc = subprocess.run([sys.executable, "-c", self._BLAS_SCRIPT.format(body)], env=env, check=True,
+                                      timeout=300, capture_output=True, text=True)
+                digests.append(proc.stdout.strip())
+            if digests[0] != digests[1]:
+                differing.append(case)
+        assert differing == []
+
+    @pytest.mark.skipif(training._blas_thread_setter() is None, reason="BLAS cannot be pinned per thread")
+    def test_caller_blas_thread_count_is_restored(self, rng, monkeypatch):
+        """nn.train computes at one BLAS thread for its whole call and hands the
+        caller its count back: after a two-slice run, and after one whose
+        first slice to reach backward raises."""
+        setter = training._blas_thread_setter()
+        monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
+        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
+        pairs = self._pairs(rng, 2)
+        config = nn.TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, seed=3)
+        backward, calls = nn.TcnBlock.backward, itertools.count()
+
+        def failing_backward(layer, *args, **kwargs):
+            if next(calls) == 0:
+                raise RuntimeError("boom")
+            return backward(layer, *args, **kwargs)
+
+        original = setter(2)
+        try:
+            nn.train(nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2), pairs,
+                     config)
+            assert setter(2) == 2
+            monkeypatch.setattr(nn.TcnBlock, "backward", failing_backward)
+            with pytest.raises(RuntimeError, match="boom"):
+                nn.train(nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2), pairs,
+                         config)
+            assert setter(2) == 2
+        finally:
+            setter(original)
 
     @staticmethod
     def _train_within(timeout_s, model, pairs, caller):

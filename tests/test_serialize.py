@@ -1,6 +1,7 @@
 """The binary container: exact round trips, a closed failure on every malformed
 file and the pinned bytes of each saved record; the report-table writer's exact
-bytes; and the JSON writer's refusal of non-finite numbers."""
+bytes; and the refusal of non-finite numbers by the JSON writer and the
+container header."""
 
 import csv
 import hashlib
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from eegspeech import eeg, nn, pipeline, serialize
 from eegspeech.errors import DataError, NumericError
 
+from conftest import with_container_header
+
 ARRAYS = {"a": np.arange(4, dtype=np.float64).reshape(2, 2), "b": np.array([7, -1], dtype=np.int64)}
 
 
@@ -21,16 +24,6 @@ def _container(tmp_path, arrays=ARRAYS):
     path = tmp_path / "x.bin"
     serialize.save_container(path, "test", {"k": 1}, arrays)
     return path
-
-
-def _with_header(path, edit) -> None:
-    """Rewrite the header JSON of the container at `path` in place, keeping its blobs."""
-    raw = path.read_bytes()
-    hlen = int(np.frombuffer(raw[12:20], dtype=np.uint64)[0])
-    header = json.loads(raw[20 : 20 + hlen])
-    edit(header)
-    text = json.dumps(header).encode()
-    path.write_bytes(raw[:12] + np.uint64(len(text)).tobytes() + text + raw[20 + hlen :])
 
 
 def test_round_trip_is_exact(tmp_path, rng):
@@ -51,7 +44,7 @@ def test_wrong_kind_is_data_error(tmp_path):
 @pytest.mark.parametrize("shape", [[-1, 2], [2, -2], [2.0, 2], ["2", 2], [True, 4], None, 4])
 def test_bad_shape_entry_is_data_error(tmp_path, shape):
     path = _container(tmp_path)
-    _with_header(path, lambda h: h["arrays"][0].update(shape=shape))
+    with_container_header(path, lambda h: h["arrays"][0].update(shape=shape))
     with pytest.raises(DataError, match="bad array entry"):
         serialize.load_container(path)
 
@@ -140,6 +133,18 @@ def test_write_json_refuses_non_finite_number(tmp_path, value):
     before = path.read_bytes()
     with pytest.raises(NumericError, match=path.name):
         serialize.write_json(path, {"rows": [{"rmse": value}]})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_save_container_refuses_non_finite_meta(tmp_path, value):
+    path = tmp_path / "pooled.kpca"
+    arrays = {"values": np.arange(6.0).reshape(2, 3)}
+    serialize.save_container(path, "kpca", {"g": 0.5}, arrays)
+    before = path.read_bytes()
+    with pytest.raises(NumericError, match=path.name):
+        serialize.save_container(path, "kpca", {"g": value}, arrays)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
