@@ -268,6 +268,7 @@ def _cqt_note_energies(x: np.ndarray, grid: dsp.FrameGrid) -> np.ndarray:
     energies = np.empty((len(centers), 12 * len(blocks)))
     for octave, block in enumerate(blocks):
         p = len(block) // 2
+        # a gather, not a strided view: the GEMM needs contiguous rows
         frames = np.lib.stride_tricks.sliding_window_view(xp, 2 * p)[centers - p]
         reim = frames @ block
         energies[:, 12 * octave:12 * octave + 12] = reim[:, 0::2] ** 2 + reim[:, 1::2] ** 2
@@ -410,11 +411,8 @@ def tempogram_384(mel: FeatureSequence) -> FeatureSequence:
     """Local autocorrelation of the onset envelope over a centered 384-frame
     window; 384 lag coefficients per frame."""
     env = onset_strength(mel)
-    n = len(env)
     w = TEMPOGRAM_WINDOW
-    padded = np.pad(env, w // 2)
-    idx = np.arange(n)[:, None] + np.arange(w)[None, :]
-    segs = padded[idx]
+    segs = np.lib.stride_tricks.sliding_window_view(np.pad(env, w // 2), w)[: len(env)]
     fft_n = 2 * w
     spec = np.fft.rfft(segs, n=fft_n, axis=1)
     acorr = np.fft.irfft(np.abs(spec) ** 2, n=fft_n, axis=1)[:, :w]

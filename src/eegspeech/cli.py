@@ -115,12 +115,10 @@ def _feature_seq(cfg: RunConfig, trial_id: str) -> eeg.StatFeatureSeq:
     return _load_values(Path(cfg.out_dir, "feats_eeg", f"{trial_id}.feats"), FEATURES_KIND, "extract-eeg-feats")
 
 
-def _kpca_models(cfg: RunConfig) -> dict[str, eeg.KpcaModel]:
-    kdir = _require(Path(cfg.out_dir) / "kpca", "fit-kpca")
-    models = {path.stem: eeg.load_kpca(path) for path in sorted(kdir.glob("*.kpca"))}
-    if not models:
-        raise DataError(f"no fitted KPCA models under {kdir}; run fit-kpca first")
-    return models
+def _kpca_models(cfg: RunConfig, manifest: dataio.DatasetManifest, ids) -> dict[str, eeg.KpcaModel]:
+    """The fitted KPCA model of each scope the trials `ids` fall in."""
+    keys = sorted({pipeline.kpca_scope_key(manifest.by_id(tid).subject, cfg) for tid in ids})
+    return {key: eeg.load_kpca(_require(Path(cfg.out_dir, "kpca", f"{key}.kpca"), "fit-kpca")) for key in keys}
 
 
 def _synthesis_model(cfg: RunConfig) -> nn.Model:
@@ -129,7 +127,7 @@ def _synthesis_model(cfg: RunConfig) -> nn.Model:
 
 def _regression_examples(cfg: RunConfig, manifest: dataio.DatasetManifest, ids) -> list[dict]:
     """Reduced EEG features against acoustic targets; the raw EEG is not read."""
-    models = _kpca_models(cfg)
+    models = _kpca_models(cfg, manifest, ids)
     grid = pipeline.audio_grid(cfg)
     examples = []
     for trial_id in ids:

@@ -16,6 +16,7 @@ import warnings
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,15 +60,16 @@ class EegRecording:
     """Channel-major microvolt matrix, 31 channels at EEG_SAMPLE_RATE_HZ."""
 
     data: np.ndarray
+    noun: ClassVar[str] = "EEG"  # what validation errors call the record
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] != EEG_CHANNELS:
-            raise DataError(f"EEG must have exactly {EEG_CHANNELS} channels, got shape {data.shape}")
+            raise DataError(f"{self.noun} must have exactly {EEG_CHANNELS} channels, got shape {data.shape}")
         if data.shape[1] < 1:
-            raise DataError("EEG recording is empty")
+            raise DataError(f"{self.noun} has 0 samples")
         if not np.all(np.isfinite(data)):
-            raise DataError("EEG contains non-finite values")
+            raise DataError(f"{self.noun} contains non-finite values")
         object.__setattr__(self, "data", data)
 
     @property

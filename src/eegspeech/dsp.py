@@ -161,17 +161,6 @@ def frame_count(n_samples: int, hop: int) -> int:
     return 1 + n_samples // hop
 
 
-def frame_signal_valid(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Non-centered valid-mode framing: (1 + (n-window)//hop, window) view."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n < window:
-        raise ValueError(f"signal shorter than one window ({n} < {window})")
-    n_frames = 1 + (n - window) // hop
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
-    return x[..., idx]
-
-
 def frame_rms(frames: np.ndarray) -> np.ndarray:
     """Root mean square of each row of a (n_frames, window) block."""
     return np.sqrt(np.mean(frames * frames, axis=1))
@@ -186,17 +175,16 @@ def frame_zcr(frames: np.ndarray) -> np.ndarray:
 def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Centered framing: frame k covers samples around k*hop, count 1 + n//hop.
 
-    Reflection padding needs n >= window//2 + 1.
+    A read-only strided view of the reflection-padded signal; the padding
+    needs n > window - window//2.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    pad = window // 2
-    if n < pad + 1:
+    right = window - window // 2
+    if n <= right:
         raise ValueError(f"signal shorter than one window ({n} samples, window {window})")
-    xp = np.pad(x, pad, mode="reflect")
-    n_frames = frame_count(n, hop)
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
-    return xp[idx]
+    xp = np.pad(x, (window // 2, right), mode="reflect")
+    return np.lib.stride_tricks.sliding_window_view(xp, window)[::hop]
 
 
 def hann_periodic(n: int) -> np.ndarray:

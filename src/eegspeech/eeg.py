@@ -43,25 +43,11 @@ class PreprocessOptions:
     ica_seed: int
 
 
-@dataclass(frozen=True)
-class CleanEeg:
-    """Preprocessed channel-major EEG at EEG_SAMPLE_RATE_HZ."""
+class CleanEeg(EegRecording):
+    """Preprocessed channel-major EEG at EEG_SAMPLE_RATE_HZ: an EegRecording
+    whose validation errors name it clean EEG."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] != EEG_CHANNELS:
-            raise DataError(f"clean EEG must keep {EEG_CHANNELS} channels, got {data.shape}")
-        if data.shape[1] == 0:
-            raise DataError("clean EEG has 0 samples")
-        if not np.all(np.isfinite(data)):
-            raise DataError("clean EEG contains non-finite values")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
+    noun = "clean EEG"
 
 
 def zscore_channels(data: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -84,14 +70,8 @@ def _preprocess_filters(options: PreprocessOptions) -> tuple[dsp.IirFilter, dsp.
 
 def preprocess_eeg(rec: EegRecording, options: PreprocessOptions) -> CleanEeg:
     """Zero-phase band-pass + notch, optional ICA cleanup, z-score."""
-    data = np.asarray(rec.data, dtype=np.float64)
-    if data.shape[0] != EEG_CHANNELS:
-        raise DataError(f"expected {EEG_CHANNELS} channels, got {data.shape[0]}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("NaN or inf in EEG input")
-
     bp, notch = _preprocess_filters(options)
-    data = dsp.apply_filter(bp, data, axis=1)
+    data = dsp.apply_filter(bp, rec.data, axis=1)
     data = dsp.apply_filter(notch, data, axis=1)
 
     if options.run_ica:
@@ -241,6 +221,8 @@ class StatFeatureSeq:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != STAT_FEATURE_DIM:
             raise DataError(f"stat features must have {STAT_FEATURE_DIM} columns, got {values.shape}")
+        if values.shape[0] == 0:
+            raise DataError("stat features have 0 frames")
         if not np.all(np.isfinite(values)):
             raise DataError("non-finite stat feature value")
         object.__setattr__(self, "values", values)
@@ -251,14 +233,16 @@ class StatFeatureSeq:
 
 
 def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid) -> StatFeatureSeq:
-    """Non-overlapping hop-long valid-mode frames; 5 stats per channel, channel-major."""
+    """Non-overlapping hop-long frames from sample 0, a trailing partial frame
+    dropped; 5 stats per channel, channel-major."""
     if grid.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
         raise ValueError("grid sample rate does not match the recording")
-    if clean.n_samples < grid.hop:
+    n_frames = clean.n_samples // grid.hop
+    if n_frames == 0:
         raise ValueError("recording shorter than one frame")
-    frames = dsp.frame_signal_valid(clean.data, grid.hop, grid.hop)  # (ch, nf, w)
-    n_ch, n_frames, w = frames.shape
-    stats = _stats_block(frames.reshape(n_ch * n_frames, w)).reshape(n_ch, n_frames, 5)
+    n_ch = clean.data.shape[0]
+    frames = clean.data[:, : n_frames * grid.hop].reshape(n_ch * n_frames, grid.hop)
+    stats = _stats_block(frames).reshape(n_ch, n_frames, 5)
     values = np.transpose(stats, (1, 0, 2)).reshape(n_frames, n_ch * 5)
     return StatFeatureSeq(values)
 

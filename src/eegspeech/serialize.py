@@ -97,14 +97,13 @@ def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
     whole through `atomic_open`. A NaN or infinity in meta, which strict JSON
     parsers reject, is a NumericError and leaves the previous file in place."""
     entries = []
-    blobs = []
+    stored = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)
         if arr.dtype.name not in _DTYPES:
             raise ValueError(f"unsupported array dtype {arr.dtype.name!r} for {name!r}")
-        blob = arr.astype(_DTYPES[arr.dtype.name]).tobytes()
         entries.append({"name": name, "dtype": arr.dtype.name, "shape": list(arr.shape)})
-        blobs.append(blob)
+        stored.append(arr.astype(_DTYPES[arr.dtype.name], copy=False))
     try:
         header = json.dumps({"kind": kind, "meta": meta, "arrays": entries}, sort_keys=True,
                             separators=(",", ":"), allow_nan=False).encode("utf-8")
@@ -115,8 +114,8 @@ def save_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
         fh.write(np.uint32(VERSION).tobytes())
         fh.write(np.uint64(len(header)).tobytes())
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in stored:
+            fh.write(arr.tobytes())
 
 
 def load_container(path: str | Path, expect_kind: str | None = None):
@@ -152,11 +151,11 @@ def load_container(path: str | Path, expect_kind: str | None = None):
             type(n) is int and n >= 0 for n in shape
         ):
             raise DataError(f"{path}: bad array entry {entry!r}")
-        nbytes = dt.itemsize * math.prod(shape)
+        count = math.prod(shape)
+        nbytes = dt.itemsize * count
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: truncated container")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(shape)
-        arrays[name] = arr.astype(dtype).copy()
+        arrays[name] = np.frombuffer(raw, dt, count, offset).reshape(shape).astype(dtype)
         offset += nbytes
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} bytes after the last array")

@@ -338,6 +338,37 @@ class TestPipelineCommands:
         assert _tree_bytes(out) == before
 
 
+    @pytest.mark.parametrize("command, role", [
+        ("fit-kpca", "train_ids"), ("train-regress", "train_ids"), ("eval-regress", "test_ids"),
+    ])
+    def test_26_zero_frame_features_are_data_error(self, workspace, tmp_path, capsys, command, role):
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        trial_id = json.loads((out / "split.json").read_text())[role][0]
+        path = out / "feats_eeg" / f"{trial_id}.feats"
+        serialize.save_container(path, cli.FEATURES_KIND, {}, {"values": np.zeros((0, eeg.STAT_FEATURE_DIM))})
+        before = _tree_bytes(out)
+        epochs = ["--epochs", "1"] if command == "train-regress" else []
+        code, _ = run_cli(command, "--config", str(config), "--out", str(out), *epochs)
+        assert code == 2
+        assert f"{path}: stat features have 0 frames" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
+    def test_27_kpca_of_another_scope_names_fit_kpca(self, workspace, tmp_path, capsys):
+        # the workspace fits one pooled model; a per-subject run needs one per subject
+        root, config = workspace
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        per_subject = tmp_path / "per_subject.ini"
+        per_subject.write_text(config.read_text().replace("scope = pooled", "scope = per-subject"))
+        before = _tree_bytes(out)
+        code, _ = run_cli("train-regress", "--config", str(per_subject), "--out", str(out), "--epochs", "1")
+        assert code == 2
+        assert "kpca/subject_1.kpca; run fit-kpca first" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+
+
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
         code, out = run_cli("grad-check", "--out", str(tmp_path))
@@ -638,3 +669,21 @@ def test_artifacts_are_byte_identical_across_processes(tmp_path, threads):
     _cli_process(first, threads, ["preprocess", "--subject", "3"])
     for tid, path in paths.items():
         assert path.read_bytes() == cleans[tid], f"byte mismatch in {tid}.clean"
+
+
+def test_odd_hop_on_clips_of_whole_hops_runs_through_eval_regress(tmp_path):
+    """At 33 Hz the 15 kHz hop is 455, an odd window, and a 0.91 s clip is
+    exactly 30 hops: the centered framing's last frame reaches past the end."""
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[paths]\ndata_root = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\n"
+        "[dataset]\nn_trials = 10\nduration_s = 0.91\n[features]\nframe_rate_hz = 33\n"
+        "[kpca]\nscope = pooled\n[regression]\nhidden = 8\nepochs = 1\n"
+    )
+    assert pipeline.audio_grid(parse_config(config)).hop == 455
+    for step in ("gen-data", "split", "preprocess", "extract-eeg-feats", "fit-kpca", "train-regress", "eval-regress"):
+        assert cli.main([step, "--config", str(config)]) == 0, step
+    manifest = dataio.load_manifest(tmp_path / "data" / "manifest.json")
+    assert len(pipeline.clip_at_rate(manifest.load_trial(manifest.ids()[0]).audio)) == 30 * 455
+    report = json.loads((tmp_path / "out" / "metrics" / "acoustic.json").read_text())
+    assert {row["label"] for row in report["rows"]} == {f"f{i}" for i in range(1, 17)}

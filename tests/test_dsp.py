@@ -222,6 +222,43 @@ class TestStftPower:
             dsp.stft_power(np.zeros(100), 256, 64, 1000)
 
 
+def reflect_gather_frames(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Centered-framing oracle: frame k holds samples k*hop - window//2 + m,
+    m < window, with indices outside [0, n) reflected about the end samples."""
+    n = len(x)
+    idx = hop * np.arange(1 + n // hop)[:, None] - window // 2 + np.arange(window)[None, :]
+    idx = np.where(idx < 0, -idx, idx)
+    idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)
+    return x[idx]
+
+
+# (window, hop, n): odd and even windows, hops above and below the window,
+# lengths around multiples of the hop that the reflection padding admits
+FRAMING_CASES = [
+    (window, hop, multiple * hop + offset)
+    for window, hop in [(8, 3), (8, 8), (8, 13), (7, 3), (7, 7), (7, 12), (455, 455), (1024, 455), (1024, 484),
+                        (32, 32)]
+    for multiple, offset in [(1, 0), (1, 1), (3, -1), (3, 0), (3, 1), (30, 0)]
+    if multiple * hop + offset > window - window // 2
+]
+
+
+class TestFrameSignalCentered:
+    @pytest.mark.parametrize("window, hop, n", FRAMING_CASES)
+    def test_matches_reflect_padded_gather(self, rng, window, hop, n):
+        x = rng.standard_normal(n)
+        frames = dsp.frame_signal_centered(x, window, hop)
+        assert frames.shape == (dsp.frame_count(n, hop), window)
+        assert np.array_equal(frames, reflect_gather_frames(x, window, hop))
+
+    @pytest.mark.parametrize("window", [7, 8])
+    def test_shortest_signal_is_one_past_the_right_padding(self, window):
+        n = window - window // 2
+        with pytest.raises(ValueError, match="shorter than one window"):
+            dsp.frame_signal_centered(np.zeros(n), window, 2)
+        assert dsp.frame_signal_centered(np.arange(n + 1.0), window, 2).shape == (1 + (n + 1) // 2, window)
+
+
 class TestFrameGrid:
     def test_eeg_rate(self):
         grid = dsp.frame_grid_for_rate(1000, 31.0)

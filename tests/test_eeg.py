@@ -287,6 +287,15 @@ class TestExtractStatFeatures:
         b = eeg.extract_stat_features(eeg.CleanEeg(data.copy()), GRID)
         assert np.array_equal(a.values, b.values)
 
+    def test_frames_tile_from_sample_zero_and_drop_the_partial_tail(self, rng):
+        data = rng.standard_normal((31, 3 * GRID.hop + 17))
+        seq = eeg.extract_stat_features(eeg.CleanEeg(data), GRID)
+        assert seq.n_frames == 3
+        for k in range(3):
+            for ch in (0, 13, 30):
+                frame = data[ch, k * GRID.hop:(k + 1) * GRID.hop]
+                assert np.allclose(seq.values[k, 5 * ch:5 * ch + 5], _frame_stats(frame), rtol=1e-12, atol=0)
+
     def test_too_short_recording(self):
         with pytest.raises(ValueError, match="shorter"):
             eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, 10))), GRID)
@@ -294,6 +303,15 @@ class TestExtractStatFeatures:
     def test_clean_eeg_without_samples_is_data_error(self):
         with pytest.raises(DataError, match="0 samples"):
             eeg.CleanEeg(np.zeros((31, 0)))
+
+    def test_clean_eeg_is_an_eeg_record_named_clean(self):
+        assert issubclass(eeg.CleanEeg, EegRecording)
+        with pytest.raises(DataError, match="clean EEG must have exactly 31 channels"):
+            eeg.CleanEeg(np.zeros((30, 100)))
+
+    def test_features_without_frames_are_data_error(self):
+        with pytest.raises(DataError, match="stat features have 0 frames"):
+            eeg.StatFeatureSeq(np.zeros((0, eeg.STAT_FEATURE_DIM)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_clean_eeg_is_data_error(self, value):
