@@ -285,9 +285,16 @@ class TimeDistributedDense(Layer):
         return grad_out @ self.w.T
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as a tanh, which cannot overflow and needs no branch."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as a tanh, which cannot overflow and needs no branch.
+
+    0.5 * (1 + tanh(0.5 * x)), op for op; written into out (which may be x)
+    when given one.
+    """
+    out = np.multiply(0.5, x, out)
+    np.tanh(out, out)
+    np.add(1.0, out, out)
+    return np.multiply(0.5, out, out)
 
 
 class GruLayer(Layer):
@@ -333,13 +340,20 @@ class GruLayer(Layer):
         hcs = np.empty((t, b, hd), dtype=a.dtype)
         rh = np.empty_like(hcs)
         hs = np.zeros((t + 1, b, hd), dtype=a.dtype)
-        for step in range(t):
-            h = hs[step]
-            zr[step] = _sigmoid(a[step, :, : 2 * hd] + h @ u_zr)
-            z, r = zr[step, :, :hd], zr[step, :, hd:]
-            np.multiply(r, h, out=rh[step])
-            hc = hcs[step] = np.tanh(a[step, :, 2 * hd :] + rh[step] @ self.u_h)
-            hs[step + 1] = (1.0 - z) * h + z * hc
+        # Each step writes every op into its slices of these records or into
+        # `keep`, in the order of the expressions
+        #   zr = sig(a_zr + h @ u_zr);  hc = tanh(a_h + (r*h) @ u_h);  h' = (1-z)*h + z*hc
+        # so the result is bitwise theirs without a temporary per op.
+        keep = np.empty((b, hd), dtype=a.dtype)
+        matmul, add, subtract, multiply, tanh, u_h = np.matmul, np.add, np.subtract, np.multiply, np.tanh, self.u_h
+        for h, h_next, a_zr, a_h, zr_t, z, r, rh_t, hc in zip(
+                hs[:-1], hs[1:], a[:, :, : 2 * hd], a[:, :, 2 * hd :], zr, zr[:, :, :hd], zr[:, :, hd:], rh, hcs):
+            add(a_zr, matmul(h, u_zr, zr_t), zr_t)
+            _sigmoid(zr_t, zr_t)
+            multiply(r, h, rh_t)
+            tanh(add(a_h, matmul(rh_t, u_h, hc), hc), hc)
+            multiply(subtract(1.0, z, keep), h, keep)
+            add(keep, multiply(z, hc, h_next), h_next)
         self._cache = (xs, w, zr, hcs, hs, rh) if training else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 

@@ -32,9 +32,7 @@ def run_cli(*args) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cliws")
+def _workspace(root: Path) -> tuple[Path, Path]:
     config = root / "run.ini"
     config.write_text(
         "[paths]\n"
@@ -50,6 +48,27 @@ def workspace(tmp_path_factory):
     return root, config
 
 
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A config and an empty run directory, which tests 01-16 fill stage by stage."""
+    return _workspace(tmp_path_factory.mktemp("cliws"))
+
+
+# The stages tests 01-11 run, in their order and with their flags.
+STAGES = (["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
+          ["train-synth", "--epochs", "2"], ["train-regress", "--epochs", "1"], ["eval-synth"], ["eval-regress"])
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A run directory of its own, through every stage up to eval-regress, so
+    that a test which reads or copies one also runs alone."""
+    root, config = _workspace(tmp_path_factory.mktemp("clirun"))
+    for stage in STAGES:
+        assert run_cli(*stage, "--config", str(config))[0] == 0, stage
+    return root, config
+
+
 def _tree_bytes(root) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -60,7 +79,8 @@ def summary_of(output: str) -> dict:
 
 
 class TestPipelineCommands:
-    """Stages run in definition order against one shared workspace."""
+    """Tests 01-16 run the stages in definition order against one shared
+    workspace; tests 17-27 read or copy a finished run of their own."""
     def test_01_gen_data(self, workspace):
         root, config = workspace
         code, out = run_cli("gen-data", "--config", str(config))
@@ -194,9 +214,9 @@ class TestPipelineCommands:
         assert code == 3
 
     @pytest.mark.parametrize("command", FILTERED)
-    def test_17_empty_selection_keeps_every_output(self, workspace, capsys, command):
+    def test_17_empty_selection_keeps_every_output(self, finished_run, capsys, command):
         # gen-data cycles subjects 1..4, so subject 9 selects no trial
-        root, config = workspace
+        root, config = finished_run
         before = _tree_bytes(root / "out")
         code, _ = run_cli(command, "--config", str(config), "--subject", "9")
         assert code == 2
@@ -215,8 +235,8 @@ class TestPipelineCommands:
         ("eval-regress", "models/regress_rms.ckpt", "train-regress"),
         ("export-spectrogram --trial trial_0001 --source predicted", "models/synthesis.ckpt", "train-synth"),
     ])
-    def test_18_missing_input_names_its_stage(self, workspace, tmp_path, capsys, command, missing, stage):
-        root, config = workspace
+    def test_18_missing_input_names_its_stage(self, finished_run, tmp_path, capsys, command, missing, stage):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         target = out / missing
@@ -228,8 +248,8 @@ class TestPipelineCommands:
         assert code == 2
         assert f"run {stage} first" in capsys.readouterr().err
 
-    def test_19_emptied_clean_eeg_is_data_error(self, workspace, tmp_path, capsys):
-        root, config = workspace
+    def test_19_emptied_clean_eeg_is_data_error(self, finished_run, tmp_path, capsys):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         test_id = json.loads((out / "split.json").read_text())["test_ids"][0]
@@ -239,8 +259,8 @@ class TestPipelineCommands:
         assert code == 2
         assert "0 samples" in capsys.readouterr().err
 
-    def test_20_swapped_regressors_name_the_file(self, workspace, tmp_path, capsys):
-        root, config = workspace
+    def test_20_swapped_regressors_name_the_file(self, finished_run, tmp_path, capsys):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         # both kinds are 1-dim, so each file is a consistent bundle under the wrong name
@@ -255,8 +275,8 @@ class TestPipelineCommands:
         assert _tree_bytes(out) == before
 
 
-    def test_21_misfit_checkpoint_names_the_file(self, workspace, tmp_path, capsys):
-        root, config = workspace
+    def test_21_misfit_checkpoint_names_the_file(self, finished_run, tmp_path, capsys):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         # the arrays stay those of an 8-unit GRU, the saved config now says 9
@@ -270,9 +290,9 @@ class TestPipelineCommands:
         assert f"{path}: checkpoint shape mismatch at layer 0" in capsys.readouterr().err
         assert _tree_bytes(out) == before
 
-    def test_22_moved_run_writes_the_same_metrics(self, workspace, tmp_path):
+    def test_22_moved_run_writes_the_same_metrics(self, finished_run, tmp_path):
         # config_hash leaves out [paths], so only the echoed config names the new out_dir
-        root, config = workspace
+        root, config = finished_run
         moved = tmp_path / "moved"
         shutil.copytree(root / "out", moved)
         for command in ("eval-synth", "eval-regress"):
@@ -286,8 +306,8 @@ class TestPipelineCommands:
         ("eval-synth", "synthesis.ckpt", "layer00_p0"),
         ("eval-regress", "regress_rms.ckpt", "in_std"),
     ])
-    def test_23_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys, command, ckpt, name):
-        root, config = workspace
+    def test_23_non_finite_checkpoint_is_data_error(self, finished_run, tmp_path, capsys, command, ckpt, name):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         path = out / "models" / ckpt
@@ -301,9 +321,9 @@ class TestPipelineCommands:
         assert f"{path}: " in err and f"{name}" in err and "NaN or inf" in err
         assert _tree_bytes(out) == before
 
-    def test_24_regression_stages_read_no_raw_eeg(self, workspace, tmp_path):
+    def test_24_regression_stages_read_no_raw_eeg(self, finished_run, tmp_path):
         # after extract-eeg-feats the regression stages need the features and the WAVs only
-        root, config = workspace
+        root, config = finished_run
         data, out = tmp_path / "data", tmp_path / "out"
         shutil.copytree(root / "data", data)
         shutil.copytree(root / "out", out)
@@ -321,9 +341,9 @@ class TestPipelineCommands:
         ("eval-synth", "clean/{test_id}.clean", "values", "clean EEG contains non-finite values"),
         ("eval-regress", "feats_eeg/{test_id}.feats", "values", "non-finite stat feature value"),
     ], ids=["kpca", "clean-eeg", "features"])
-    def test_25_non_finite_intermediate_is_data_error(self, workspace, tmp_path, capsys, command, relpath, name,
-                                                      message):
-        root, config = workspace
+    def test_25_non_finite_intermediate_is_data_error(self, finished_run, tmp_path, capsys, command, relpath, name,
+                                                         message):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         test_id = json.loads((out / "split.json").read_text())["test_ids"][0]
@@ -341,8 +361,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command, role", [
         ("fit-kpca", "train_ids"), ("train-regress", "train_ids"), ("eval-regress", "test_ids"),
     ])
-    def test_26_zero_frame_features_are_data_error(self, workspace, tmp_path, capsys, command, role):
-        root, config = workspace
+    def test_26_zero_frame_features_are_data_error(self, finished_run, tmp_path, capsys, command, role):
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         trial_id = json.loads((out / "split.json").read_text())[role][0]
@@ -355,9 +375,9 @@ class TestPipelineCommands:
         assert f"{path}: stat features have 0 frames" in capsys.readouterr().err
         assert _tree_bytes(out) == before
 
-    def test_27_kpca_of_another_scope_names_fit_kpca(self, workspace, tmp_path, capsys):
-        # the workspace fits one pooled model; a per-subject run needs one per subject
-        root, config = workspace
+    def test_27_kpca_of_another_scope_names_fit_kpca(self, finished_run, tmp_path, capsys):
+        # the finished_run fits one pooled model; a per-subject run needs one per subject
+        root, config = finished_run
         out = tmp_path / "out"
         shutil.copytree(root / "out", out)
         per_subject = tmp_path / "per_subject.ini"

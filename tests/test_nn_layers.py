@@ -333,6 +333,16 @@ class TestGru:
         assert np.all((y >= 0.0) & (y <= 1.0))
         assert y[0] == 0.0 and y[3] == 0.5 and y[-1] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_into_out_is_bitwise_the_expression(self, rng, dtype):
+        x = (20.0 * rng.standard_normal(257)).astype(dtype)
+        expected = 0.5 * (1.0 + np.tanh(0.5 * x))
+        out = np.empty_like(x)
+        assert _sigmoid(x, out=out) is out
+        assert np.array_equal(out, expected) and np.array_equal(_sigmoid(x), expected)
+        assert _sigmoid(x, out=x) is x
+        assert np.array_equal(x, expected)
+
     def test_large_inputs_raise_no_numeric_faults(self, rng):
         layer = nn.GruLayer(30, 16, rng=rng)
         x = (1e3 * rng.standard_normal((3, 9, 30))).astype(np.float32)
