@@ -290,17 +290,17 @@ def cmd_eval_regress(cfg: RunConfig, args) -> None:
 def cmd_export_spectrogram(cfg: RunConfig, args) -> None:
     if args.wav is not None and args.source == "predicted":
         raise ConfigError("--source predicted needs --trial: a WAV has no EEG to predict from")
+    name = Path(args.wav).stem if args.wav is not None else f"{args.trial}_{args.source}"
     if args.wav is not None:
         wave = pipeline.clip_at_rate(dataio.read_wav(args.wav))
-        name = Path(args.wav).stem
     else:
-        trial = _manifest(cfg).load_trial(args.trial)
+        manifest = _manifest(cfg)
+        ref = manifest.by_id(args.trial)
         if args.source == "predicted":
-            example = pipeline.synthesis_example(trial, _load_clean(cfg, args.trial), cfg)
+            example = pipeline.build_synthesis_dataset(manifest, [ref.id], cfg, {ref.id: _load_clean(cfg, ref.id)})[0]
             wave = _synthesis_model(cfg).predict(example["x"].astype(np.float32)[None, ...])[0][:, 0]
         else:
-            wave = pipeline.audio_at_rate(trial, cfg)
-        name = f"{args.trial}_{args.source}"
+            wave = pipeline.clip_at_rate(dataio.read_wav(manifest.root / ref.wav_path))
     prefix = _stage_dir(cfg, "spectrograms") / name
     csv_path, pgm_path = spectrogram_export(wave, prefix, pipeline.audio_grid(cfg))
     _summary("export-spectrogram", csv=str(csv_path), pgm=str(pgm_path))

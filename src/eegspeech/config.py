@@ -18,7 +18,7 @@ import typing
 from pathlib import Path
 
 from . import dsp
-from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, SYNTH_DURATION_RANGE_S
+from .dataio import EEG_SAMPLE_RATE_HZ, SYNTH_DURATION_RANGE_S
 from .errors import ConfigError
 from .serialize import atomic_open
 
@@ -119,7 +119,7 @@ def validate_config(cfg: RunConfig) -> None:
     lo, hi = SYNTH_DURATION_RANGE_S
     if not (lo <= cfg.duration_s <= hi):
         raise ConfigError(f"duration_s must be in [{lo:g}, {hi:g}], got {cfg.duration_s}")
-    # dsp holds the valid ranges: build the filters and grids the stages will build
+    # dsp holds the valid ranges: build the filters and the EEG grid (the audio grid scales it)
     try:
         dsp.design_butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_lo_hz, cfg.bandpass_hi_hz,
                                         EEG_SAMPLE_RATE_HZ)
@@ -127,8 +127,7 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"[preprocess] {exc}") from exc
     try:
-        for fs in (EEG_SAMPLE_RATE_HZ, AUDIO_RATE_HZ):
-            dsp.frame_grid_for_rate(fs, cfg.frame_rate_hz)
+        dsp.frame_grid_for_rate(EEG_SAMPLE_RATE_HZ, cfg.frame_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"[features] {exc}") from exc
     if not (0.0 <= cfg.dropout < 1.0):

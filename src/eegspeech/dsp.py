@@ -10,7 +10,7 @@ directly so the frame-count contract is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isinf
 
 import numpy as np
 from scipy import signal as sps
@@ -149,8 +149,8 @@ class FrameGrid:
 
 def frame_grid_for_rate(fs_hz: int, target_rate: float) -> FrameGrid:
     """Integer-hop grid closest to target_rate: hop = round(fs / target)."""
-    if not (target_rate > 0):
-        raise ValueError(f"frame rate must be positive, got {target_rate}")
+    if not (target_rate > 0) or isinf(fs_hz / target_rate):
+        raise ValueError(f"frame rate must be positive and give a finite hop, got {target_rate}")
     if fs_hz < target_rate:
         raise ValueError(f"sample rate {fs_hz} too small for a {target_rate} Hz grid")
     return FrameGrid(int(fs_hz), int(round(fs_hz / target_rate)), target_rate)
@@ -162,29 +162,29 @@ def frame_count(n_samples: int, hop: int) -> int:
 
 
 def frame_rms(frames: np.ndarray) -> np.ndarray:
-    """Root mean square of each row of a (n_frames, window) block."""
-    return np.sqrt(np.mean(frames * frames, axis=1))
+    """Root mean square of each frame of a (..., window) block."""
+    return np.sqrt(np.mean(frames * frames, axis=-1))
 
 
 def frame_zcr(frames: np.ndarray) -> np.ndarray:
-    """Zero-crossing rate of each row of a (n_frames, window) block; zero counts as positive."""
+    """Zero-crossing rate of each frame of a (..., window) block; zero counts as positive."""
     signs = np.where(frames >= 0.0, 1, -1)
-    return np.sum(signs[:, 1:] != signs[:, :-1], axis=1) / (frames.shape[1] - 1)
+    return np.sum(signs[..., 1:] != signs[..., :-1], axis=-1) / (frames.shape[-1] - 1)
 
 
 def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Centered framing: frame k covers samples around k*hop, count 1 + n//hop.
+    """Centered framing of the last axis: frame k covers samples around k*hop, count 1 + n//hop.
 
     A read-only strided view of the reflection-padded signal; the padding
     needs n > window - window//2.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
+    n = x.shape[-1]
     right = window - window // 2
     if n <= right:
         raise ValueError(f"signal shorter than one window ({n} samples, window {window})")
-    xp = np.pad(x, (window // 2, right), mode="reflect")
-    return np.lib.stride_tricks.sliding_window_view(xp, window)[::hop]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(window // 2, right)], mode="reflect")
+    return np.lib.stride_tricks.sliding_window_view(xp, window, axis=-1)[..., ::hop, :]
 
 
 def hann_periodic(n: int) -> np.ndarray:

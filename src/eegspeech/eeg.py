@@ -189,26 +189,26 @@ def remove_artifact_components(
 # Per-frame statistical features
 
 def _stats_block(frames: np.ndarray) -> np.ndarray:
-    """Vectorized stats over (n_frames, window) -> (n_frames, 5)."""
+    """Vectorized stats over the frames of the last axis: (..., window) -> (..., 5)."""
     rms = dsp.frame_rms(frames)
     zcr = dsp.frame_zcr(frames)
 
-    sliding = np.lib.stride_tricks.sliding_window_view(frames, 8, axis=1)
-    mwa = sliding.mean(axis=2).mean(axis=1)
+    sliding = np.lib.stride_tricks.sliding_window_view(frames, 8, axis=-1)
+    mwa = sliding.mean(axis=-1).mean(axis=-1)
 
-    kurt = excess_kurtosis(frames, axis=1)
+    kurt = excess_kurtosis(frames, axis=-1)
 
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    power = power[:, 1:]  # positive-frequency bins, DC excluded
-    total = power.sum(axis=1)
-    n_bins = power.shape[1]
+    power = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
+    power = power[..., 1:]  # positive-frequency bins, DC excluded
+    total = power.sum(axis=-1)
+    n_bins = power.shape[-1]
     safe_total = np.where(total > 1e-12, total, 1.0)
-    p = power / safe_total[:, None]
+    p = power / safe_total[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0.0, p * np.log(p), 0.0)
-    pse = np.where(total > 1e-12, -plogp.sum(axis=1) / np.log(n_bins), 0.0)
+    pse = np.where(total > 1e-12, -plogp.sum(axis=-1) / np.log(n_bins), 0.0)
 
-    return np.column_stack([rms, zcr, mwa, kurt, pse])
+    return np.stack([rms, zcr, mwa, kurt, pse], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -233,18 +233,12 @@ class StatFeatureSeq:
 
 
 def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid) -> StatFeatureSeq:
-    """Non-overlapping hop-long frames from sample 0, a trailing partial frame
-    dropped; 5 stats per channel, channel-major."""
+    """5 stats per channel, channel-major, on 1 + n // hop hop-long frames centred on every
+    hop: the framing of the acoustic rms/zcr (`dsp.frame_signal_centered`)."""
     if grid.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
         raise ValueError("grid sample rate does not match the recording")
-    n_frames = clean.n_samples // grid.hop
-    if n_frames == 0:
-        raise ValueError("recording shorter than one frame")
-    n_ch = clean.data.shape[0]
-    frames = clean.data[:, : n_frames * grid.hop].reshape(n_ch * n_frames, grid.hop)
-    stats = _stats_block(frames).reshape(n_ch, n_frames, 5)
-    values = np.transpose(stats, (1, 0, 2)).reshape(n_frames, n_ch * 5)
-    return StatFeatureSeq(values)
+    stats = _stats_block(dsp.frame_signal_centered(clean.data, grid.hop, grid.hop))  # (channels, frames, 5)
+    return StatFeatureSeq(np.transpose(stats, (1, 0, 2)).reshape(stats.shape[1], -1))
 
 
 # ---------------------------------------------------------------------------

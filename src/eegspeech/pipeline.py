@@ -14,7 +14,7 @@ import numpy as np
 
 from . import acoustic, dsp, eeg, nn
 from .config import RunConfig, stage_seed
-from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, AudioClip, DatasetManifest, TrialRecord
+from .dataio import AUDIO_RATE_HZ, EEG_SAMPLE_RATE_HZ, AudioClip, DatasetManifest, TrialRecord, read_wav
 from .errors import DataError
 from .serialize import load_container, save_container
 
@@ -37,7 +37,9 @@ def eeg_grid(cfg: RunConfig) -> dsp.FrameGrid:
 
 
 def audio_grid(cfg: RunConfig) -> dsp.FrameGrid:
-    return dsp.frame_grid_for_rate(AUDIO_RATE_HZ, cfg.frame_rate_hz)
+    """The EEG grid at AUDIO_RATE_HZ: acoustic frame k is centred on EEG frame k."""
+    grid = eeg_grid(cfg)
+    return dsp.FrameGrid(AUDIO_RATE_HZ, grid.hop * (AUDIO_RATE_HZ // EEG_SAMPLE_RATE_HZ), grid.target_rate_hz)
 
 
 def clip_at_rate(clip: AudioClip) -> np.ndarray:
@@ -76,7 +78,10 @@ def synthesis_example(trial: TrialRecord, clean: eeg.CleanEeg, cfg: RunConfig) -
 def build_synthesis_dataset(
     manifest: DatasetManifest, ids, cfg: RunConfig, cleans: dict[str, eeg.CleanEeg]
 ) -> list[dict]:
-    return [synthesis_example(manifest.load_trial(tid), cleans[tid], cfg) for tid in ids]
+    """Examples from the trials' clean EEG and WAVs; the raw EEG is not read."""
+    return [synthesis_example(TrialRecord(ref.id, ref.subject, ref.condition, cleans[ref.id],
+                                          read_wav(manifest.root / ref.wav_path)), cleans[ref.id], cfg)
+            for ref in map(manifest.by_id, ids)]
 
 
 def train_synthesis(examples: list[dict], cfg: RunConfig, val_examples: list[dict] | None = None):
@@ -218,6 +223,8 @@ class RegressorBundle:
 
 def regression_example(trial_id: str, subject: int, condition: str,
                        reduced: np.ndarray, targets: acoustic.AcousticSet) -> dict:
+    """Frame k of the features against frame k of every target, centred on the same moment; the
+    `min` keeps the span both cover, as a trial's EEG and audio may differ by 100 ms (TrialRecord)."""
     n = min(len(reduced), targets.n_frames)
     return {
         "id": trial_id,

@@ -80,7 +80,7 @@ def summary_of(output: str) -> dict:
 
 class TestPipelineCommands:
     """Tests 01-16 run the stages in definition order against one shared
-    workspace; tests 17-27 read or copy a finished run of their own."""
+    workspace; tests 17-28 read or copy a finished run of their own."""
     def test_01_gen_data(self, workspace):
         root, config = workspace
         code, out = run_cli("gen-data", "--config", str(config))
@@ -388,6 +388,29 @@ class TestPipelineCommands:
         assert "kpca/subject_1.kpca; run fit-kpca first" in capsys.readouterr().err
         assert _tree_bytes(out) == before
 
+    def test_28_synthesis_stages_read_no_raw_eeg(self, finished_run, tmp_path):
+        # after preprocess the synthesis stages need the clean EEG and the WAVs only
+        root, config = finished_run
+        trial_id = json.loads((root / "out" / "split.json").read_text())["test_ids"][0]
+
+        def run(tag: str, cut: bool) -> Path:
+            data, out = tmp_path / tag / "data", tmp_path / tag / "out"
+            shutil.copytree(root / "data", data)
+            shutil.copytree(root / "out", out)
+            for csv in data.glob("*.csv") if cut else ():
+                csv.write_bytes(csv.read_bytes()[: csv.stat().st_size // 2])
+            paths = ("--config", str(config), "--data-root", str(data), "--out", str(out))
+            for command in (("train-synth", "--epochs", "2"), ("eval-synth",),
+                            ("export-spectrogram", "--trial", trial_id),
+                            ("export-spectrogram", "--trial", trial_id, "--source", "predicted")):
+                assert run_cli(*command, *paths)[0] == 0, command
+            return out
+
+        cut, whole = _tree_bytes(run("cut", True)), _tree_bytes(run("whole", False))
+        assert len([p for p in cut if p.parts[0] == "spectrograms"]) == 4
+        assert cut.pop(Path("resolved_config.ini")) != whole.pop(Path("resolved_config.ini"))
+        assert cut == whole
+
 
 class TestGradCheckCommand:
     def test_summary_and_exit_code(self, tmp_path):
@@ -462,6 +485,7 @@ class TestExitCodes:
         ("extract-eeg-feats", "[features]\nframe_rate_hz = 0"),
         ("extract-eeg-feats", "[features]\nframe_rate_hz = -5"),
         ("extract-eeg-feats", "[features]\nframe_rate_hz = 400"),
+        ("extract-eeg-feats", "[features]\nframe_rate_hz = 1e-308"),
         ("preprocess", "[preprocess]\nnotch_q = 0"),
         ("preprocess", "[preprocess]\nnotch_q = -3"),
         ("preprocess", "[preprocess]\nnotch_hz = 700"),
@@ -692,18 +716,21 @@ def test_artifacts_are_byte_identical_across_processes(tmp_path, threads):
 
 
 def test_odd_hop_on_clips_of_whole_hops_runs_through_eval_regress(tmp_path):
-    """At 33 Hz the 15 kHz hop is 455, an odd window, and a 0.91 s clip is
-    exactly 30 hops: the centered framing's last frame reaches past the end."""
+    """At 32.26 Hz the EEG hop is 31 and the 15 kHz hop 15 x 31 = 465, both odd
+    windows, and a 0.93 s trial is exactly 30 hops of each: the centered
+    framing's last frame reaches past the end."""
     config = tmp_path / "run.ini"
     config.write_text(
         f"[paths]\ndata_root = {tmp_path / 'data'}\nout_dir = {tmp_path / 'out'}\n"
-        "[dataset]\nn_trials = 10\nduration_s = 0.91\n[features]\nframe_rate_hz = 33\n"
+        "[dataset]\nn_trials = 10\nduration_s = 0.93\n[features]\nframe_rate_hz = 32.26\n"
         "[kpca]\nscope = pooled\n[regression]\nhidden = 8\nepochs = 1\n"
     )
-    assert pipeline.audio_grid(parse_config(config)).hop == 455
+    cfg = parse_config(config)
+    assert (pipeline.eeg_grid(cfg).hop, pipeline.audio_grid(cfg).hop) == (31, 465)
     for step in ("gen-data", "split", "preprocess", "extract-eeg-feats", "fit-kpca", "train-regress", "eval-regress"):
         assert cli.main([step, "--config", str(config)]) == 0, step
     manifest = dataio.load_manifest(tmp_path / "data" / "manifest.json")
-    assert len(pipeline.clip_at_rate(manifest.load_trial(manifest.ids()[0]).audio)) == 30 * 455
+    trial = manifest.load_trial(manifest.ids()[0])
+    assert (trial.eeg.n_samples, len(pipeline.clip_at_rate(trial.audio))) == (30 * 31, 30 * 465)
     report = json.loads((tmp_path / "out" / "metrics" / "acoustic.json").read_text())
     assert {row["label"] for row in report["rows"]} == {f"f{i}" for i in range(1, 17)}

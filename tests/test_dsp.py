@@ -258,6 +258,15 @@ class TestFrameSignalCentered:
             dsp.frame_signal_centered(np.zeros(n), window, 2)
         assert dsp.frame_signal_centered(np.arange(n + 1.0), window, 2).shape == (1 + (n + 1) // 2, window)
 
+    @pytest.mark.parametrize("window, hop", [(32, 32), (31, 31), (64, 16)])
+    def test_frames_the_last_axis_of_each_row_alike(self, rng, window, hop):
+        x = rng.standard_normal((3, 2, 5 * hop + 3))
+        frames = dsp.frame_signal_centered(x, window, hop)
+        assert frames.shape == (3, 2, dsp.frame_count(x.shape[-1], hop), window)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(frames[i, j], dsp.frame_signal_centered(x[i, j], window, hop))
+
 
 class TestFrameGrid:
     def test_eeg_rate(self):
@@ -285,6 +294,11 @@ class TestFrameGrid:
     def test_non_positive_target_rejected(self, target):
         with pytest.raises(ValueError, match="frame rate must be positive"):
             dsp.frame_grid_for_rate(1000, target)
+
+    def test_rate_whose_hop_overflows_rejected(self):
+        # 1000 / 2.2e-308 is inf, which no integer hop holds
+        with pytest.raises(ValueError, match="give a finite hop"):
+            dsp.frame_grid_for_rate(1000, 2.2250738585072014e-308)
 
 
 # Parameters that take a rate or a filter/grid setting, per dsp callable.

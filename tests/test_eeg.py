@@ -263,7 +263,8 @@ class TestExtractStatFeatures:
     def test_ten_second_recording_shape(self, rng):
         clean = eeg.CleanEeg(rng.standard_normal((31, 10000)))
         seq = eeg.extract_stat_features(clean, GRID)
-        assert seq.values.shape == (312, 155)
+        # centred frames: 1 + n // hop, the acoustic families' count
+        assert seq.values.shape == (313, 155)
 
     def test_zero_recording_zero_features(self):
         clean = eeg.CleanEeg(np.zeros((31, 1000)))
@@ -287,18 +288,24 @@ class TestExtractStatFeatures:
         b = eeg.extract_stat_features(eeg.CleanEeg(data.copy()), GRID)
         assert np.array_equal(a.values, b.values)
 
-    def test_frames_tile_from_sample_zero_and_drop_the_partial_tail(self, rng):
-        data = rng.standard_normal((31, 3 * GRID.hop + 17))
+    def test_frames_are_centred_on_each_hop_with_reflected_edges(self, rng):
+        # frame k spans [k*hop - hop//2, k*hop + hop - hop//2); both ends reach into the reflection
+        hop = GRID.hop
+        data = rng.standard_normal((31, 3 * hop + 7))
         seq = eeg.extract_stat_features(eeg.CleanEeg(data), GRID)
-        assert seq.n_frames == 3
-        for k in range(3):
-            for ch in (0, 13, 30):
-                frame = data[ch, k * GRID.hop:(k + 1) * GRID.hop]
+        assert seq.n_frames == 4
+        for ch in (0, 13, 30):
+            padded = np.pad(data[ch], (hop // 2, hop - hop // 2), mode="reflect")
+            for k in range(4):
+                frame = padded[k * hop:(k + 1) * hop]
                 assert np.allclose(seq.values[k, 5 * ch:5 * ch + 5], _frame_stats(frame), rtol=1e-12, atol=0)
 
     def test_too_short_recording(self):
-        with pytest.raises(ValueError, match="shorter"):
-            eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, 10))), GRID)
+        # the centred framing needs more samples than its right padding, hop - hop // 2
+        n = GRID.hop - GRID.hop // 2
+        with pytest.raises(ValueError, match="shorter than one window"):
+            eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, n))), GRID)
+        assert eeg.extract_stat_features(eeg.CleanEeg(np.ones((31, n + 1))), GRID).n_frames == 1
 
     def test_clean_eeg_without_samples_is_data_error(self):
         with pytest.raises(DataError, match="0 samples"):
