@@ -285,16 +285,17 @@ class TimeDistributedDense(Layer):
         return grad_out @ self.w.T
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, half=0.5, one=1.0) -> np.ndarray:
     """Logistic function as a tanh, which cannot overflow and needs no branch.
 
     0.5 * (1 + tanh(0.5 * x)), op for op; written into out (which may be x)
-    when given one.
+    when given one. A caller in a loop passes 0.5 and 1.0 as 0-d arrays of the
+    compute dtype, which numpy takes without a per-call scalar conversion.
     """
-    out = np.multiply(0.5, x, out)
+    out = np.multiply(half, x, out)
     np.tanh(out, out)
-    np.add(1.0, out, out)
-    return np.multiply(0.5, out, out)
+    np.add(one, out, out)
+    return np.multiply(half, out, out)
 
 
 class GruLayer(Layer):
@@ -307,7 +308,8 @@ class GruLayer(Layer):
     z and r share one recurrent GEMM per step. Backward keeps only the
     recurrence in its loop and forms every weight gradient and, when asked
     for, the input gradient as one GEMM over all steps afterwards. Caches are
-    time-major (T, B, .) so each step's slice is contiguous.
+    time-major (T, B, .); the z|r record is gate-major, (T, 2, B, H), so a
+    step's z and r are contiguous (B, H) blocks.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
@@ -336,23 +338,28 @@ class GruLayer(Layer):
         xs = np.ascontiguousarray(x.transpose(1, 0, 2))
         a = xs.reshape(t * b, -1) @ w + np.concatenate([self.b_z, self.b_r, self.b_h])
         a = a.reshape(t, b, 3 * hd)
-        zr = np.empty((t, b, 2 * hd), dtype=a.dtype)
+        zr = np.empty((t, 2, b, hd), dtype=a.dtype)
         hcs = np.empty((t, b, hd), dtype=a.dtype)
         rh = np.empty_like(hcs)
         hs = np.zeros((t + 1, b, hd), dtype=a.dtype)
         # Each step writes every op into its slices of these records or into
-        # `keep`, in the order of the expressions
+        # `gates` or `keep`, in the order of the expressions
         #   zr = sig(a_zr + h @ u_zr);  hc = tanh(a_h + (r*h) @ u_h);  h' = (1-z)*h + z*hc
-        # so the result is bitwise theirs without a temporary per op.
+        # so the result is bitwise theirs without a temporary per op. The z|r
+        # record is gate-major, (T, 2, B, H): the sigmoid's first op reads the
+        # (B, 2H) pre-activation as (2, B, H), so z and r are contiguous blocks.
+        gates = np.empty((b, 2 * hd), dtype=a.dtype)
+        gates_zr = gates.reshape(b, 2, hd).transpose(1, 0, 2)
         keep = np.empty((b, hd), dtype=a.dtype)
+        half, one = np.array(0.5, a.dtype), np.array(1.0, a.dtype)
         matmul, add, subtract, multiply, tanh, u_h = np.matmul, np.add, np.subtract, np.multiply, np.tanh, self.u_h
         for h, h_next, a_zr, a_h, zr_t, z, r, rh_t, hc in zip(
-                hs[:-1], hs[1:], a[:, :, : 2 * hd], a[:, :, 2 * hd :], zr, zr[:, :, :hd], zr[:, :, hd:], rh, hcs):
-            add(a_zr, matmul(h, u_zr, zr_t), zr_t)
-            _sigmoid(zr_t, zr_t)
+                hs[:-1], hs[1:], a[:, :, : 2 * hd], a[:, :, 2 * hd :], zr, zr[:, 0], zr[:, 1], rh, hcs):
+            add(a_zr, matmul(h, u_zr, gates), gates)
+            _sigmoid(gates_zr, zr_t, half, one)
             multiply(r, h, rh_t)
             tanh(add(a_h, matmul(rh_t, u_h, hc), hc), hc)
-            multiply(subtract(1.0, z, keep), h, keep)
+            multiply(subtract(one, z, keep), h, keep)
             add(keep, multiply(z, hc, h_next), h_next)
         self._cache = (xs, w, zr, hcs, hs, rh) if training else None
         return np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
@@ -364,19 +371,35 @@ class GruLayer(Layer):
         (gw_z, gw_r, gw_h, gu_z, gu_r, gu_h, gb_z, gb_r, gb_h) = self.grads
         u_zr_t = np.ascontiguousarray(np.concatenate([self.u_z, self.u_r], axis=1).T)
         u_h_t = np.ascontiguousarray(self.u_h.T)
-        grad_t = grad_out.transpose(1, 0, 2)
+        grad_t = np.ascontiguousarray(grad_out.transpose(1, 0, 2))
         da = np.empty((t, b, 3 * hd), dtype=zr.dtype)
-        dh_next = np.zeros((b, hd), dtype=zr.dtype)
-        for step in range(t - 1, -1, -1):
-            z, r, hc, hp = zr[step, :, :hd], zr[step, :, hd:], hcs[step], hs[step]
-            one_minus_z = 1.0 - z
-            dh = grad_t[step] + dh_next
-            da_h = da[step, :, 2 * hd :]
-            np.multiply(dh * z, 1.0 - hc * hc, out=da_h)
-            drh = da_h @ u_h_t
-            np.multiply(dh * (hc - hp), z * one_minus_z, out=da[step, :, :hd])
-            np.multiply(drh * hp, r * (1.0 - r), out=da[step, :, hd : 2 * hd])
-            dh_next = dh * one_minus_z + drh * r + da[step, :, : 2 * hd] @ u_zr_t
+        # Walking the steps backwards, each op writes into da or into one of
+        # five (B, H) blocks, in the order of the expressions
+        #   dh = g + dh_next;  da_h = (dh*z) * (1 - hc*hc);  drh = da_h @ u_h.T
+        #   da_z = (dh*(hc-h)) * (z*(1-z));  da_r = (drh*h) * (r*(1-r))
+        #   dh_next = dh*(1-z) + drh*r + da_zr @ u_zr.T
+        # and dh_next goes into dh once dh is last read.
+        dh = np.zeros((b, hd), dtype=zr.dtype)
+        one_minus_z, drh, p, q = (np.empty_like(dh) for _ in range(4))
+        one = np.array(1.0, zr.dtype)
+        matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+        for g, z, r, hc, hp, da_z, da_r, da_h, da_zr in zip(
+                grad_t[::-1], zr[::-1, 0], zr[::-1, 1], hcs[::-1], hs[-2::-1], da[::-1, :, :hd],
+                da[::-1, :, hd : 2 * hd], da[::-1, :, 2 * hd :], da[::-1, :, : 2 * hd]):
+            subtract(one, z, one_minus_z)
+            add(g, dh, dh)
+            multiply(dh, z, p)
+            subtract(one, multiply(hc, hc, q), q)
+            multiply(p, q, da_h)
+            matmul(da_h, u_h_t, drh)
+            multiply(dh, subtract(hc, hp, p), p)
+            multiply(p, multiply(z, one_minus_z, q), da_z)
+            multiply(drh, hp, p)
+            multiply(r, subtract(one, r, q), q)
+            multiply(p, q, da_r)
+            multiply(dh, one_minus_z, p)
+            add(p, multiply(drh, r, q), p)
+            add(p, matmul(da_zr, u_zr_t, q), dh)
         da_all = da.reshape(t * b, 3 * hd)
         gw = xs.reshape(t * b, -1).T @ da_all
         gu_zr = hs[:-1].reshape(t * b, hd).T @ da_all[:, : 2 * hd]

@@ -53,7 +53,7 @@ from .models import Model
 # slices of whole trials that each stay at or below this, with the gradients
 # accumulated into one optimizer step. 30000 is one 2 s trial at 15 kHz, so a
 # synthesis slice's widest tensor, (1, 10000, 256) float32, is ~10 MiB, under
-# glibc's 32 MiB mmap ceiling; a regression batch of up to 100 x 62 frames is
+# glibc's 32 MiB mmap ceiling; a regression batch of up to 100 x 63 frames is
 # one slice.
 MICRO_BATCH_OUTPUT_STEPS = 30000
 

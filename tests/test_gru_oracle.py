@@ -207,7 +207,7 @@ def test_float64_matches_reference(shape):
 
 
 def test_float32_paper_scale_matches_reference():
-    worst = _compare(40, 62, 30, 128, np.float32, seed=5)
+    worst = _compare(40, 63, 30, 128, np.float32, seed=5)
     assert max(worst.values()) <= 1e-5, worst
 
 
@@ -226,8 +226,10 @@ def test_gradients_accumulate_across_backward_calls():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("b", [1, 3, 35])
-def test_step_loop_is_bitwise_the_expression_form(b, dtype):
+@pytest.mark.parametrize("b, t", [(1, 31), (3, 31), (35, 31), (40, 63), (1, 1), (40, 1)],
+                         ids=["1", "3", "35", "40x63", "1x1", "40x1"])
+def test_step_loop_is_bitwise_the_expression_form(b, t, dtype):
+    """B=40 x 63 frames is a stock regression batch of 40 training trials."""
     rng = np.random.default_rng(b)
     model = nn.build_regression_model(out_dim=12, seed=b, hidden=128, in_dim=30, dropout_rate=0.0, dtype=dtype)
     layer = model.layers[0]
@@ -237,8 +239,8 @@ def test_step_loop_is_bitwise_the_expression_form(b, dtype):
     for p, q in zip(ref.params, layer.params):
         p[...] = q
     # large enough inputs that some gates saturate
-    x = (3.0 * rng.standard_normal((b, 31, 30))).astype(dtype)
-    grad_out = rng.standard_normal((b, 31, 128)).astype(dtype)
+    x = (3.0 * rng.standard_normal((b, t, 30))).astype(dtype)
+    grad_out = rng.standard_normal((b, t, 128)).astype(dtype)
 
     out, ref_out = layer.forward(x, training=True), ref.forward(x, training=True)
     assert out.dtype == ref_out.dtype == dtype

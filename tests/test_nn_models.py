@@ -363,8 +363,8 @@ class TestMicroBatches:
     @pytest.mark.parametrize("shape, n_slices", [
         ((4, 30000, 1), 4),  # 2 s synthesis trials: one per slice
         ((4, 15000, 1), 2),
-        ((100, 62, 2), 1),  # the largest stock regression batch
-        ((40, 62, 384), 1),
+        ((100, 63, 2), 1),  # the largest stock regression batch
+        ((40, 63, 384), 1),
     ])
     def test_slices_count_output_steps(self, shape, n_slices):
         slices = training._slices(np.zeros(shape, dtype=np.float32))
@@ -372,8 +372,8 @@ class TestMicroBatches:
         assert [i for rows in slices for i in range(shape[0])[rows]] == list(range(shape[0]))
 
     def test_stock_regression_batch_is_one_pass(self, rng, monkeypatch):
-        """100 trials x 62 frames train bitwise as with an unbounded slice budget."""
-        pairs = [(rng.standard_normal((62, 30)), rng.standard_normal((62, 2))) for _ in range(100)]
+        """100 trials x 63 frames train bitwise as with an unbounded slice budget."""
+        pairs = [(rng.standard_normal((63, 30)), rng.standard_normal((63, 2))) for _ in range(100)]
 
         def trained(steps):
             monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", steps)
