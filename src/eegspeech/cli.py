@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acoustic, dataio, eeg, nn, pipeline
+from . import acoustic, blas, dataio, eeg, nn, pipeline
 from .config import FIELD_TYPES, RunConfig, config_hash, echo_config, parse_config, stage_seed, validate_config
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import MetricsReport, evaluate_acoustic, evaluate_synthesis, spectrogram_export
@@ -378,6 +378,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
+        blas.pin_one_thread()
         _HANDLERS[args.command](cfg, args)
         # written with the outputs, so a failed command leaves out_dir as it was
         echo_config(cfg, cfg.out_dir)

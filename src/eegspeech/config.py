@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import dsp
 from .dataio import EEG_SAMPLE_RATE_HZ, SYNTH_DURATION_RANGE_S
+from .eeg import MWA_WINDOW
 from .errors import ConfigError
 from .serialize import atomic_open
 
@@ -127,9 +128,12 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"[preprocess] {exc}") from exc
     try:
-        dsp.frame_grid_for_rate(EEG_SAMPLE_RATE_HZ, cfg.frame_rate_hz)
+        hop = dsp.frame_grid_for_rate(EEG_SAMPLE_RATE_HZ, cfg.frame_rate_hz).hop
     except ValueError as exc:
         raise ConfigError(f"[features] {exc}") from exc
+    if hop < MWA_WINDOW:
+        raise ConfigError(f"[features] frame_rate_hz = {cfg.frame_rate_hz:g} gives an EEG hop of {hop} samples, "
+                          f"under the {MWA_WINDOW}-sample moving window average")
     if not (0.0 <= cfg.dropout < 1.0):
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
     ratios = (cfg.train_ratio, cfg.val_ratio, cfg.test_ratio)

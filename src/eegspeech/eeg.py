@@ -26,6 +26,7 @@ from .serialize import load_container, save_container
 
 STAT_NAMES = ("rms", "zcr", "mwa", "kurtosis", "pse")
 STAT_FEATURE_DIM = EEG_CHANNELS * len(STAT_NAMES)  # 155
+MWA_WINDOW = 8  # samples the moving window average spans: the shortest frame, so the shortest hop
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def _stats_block(frames: np.ndarray) -> np.ndarray:
     rms = dsp.frame_rms(frames)
     zcr = dsp.frame_zcr(frames)
 
-    sliding = np.lib.stride_tricks.sliding_window_view(frames, 8, axis=-1)
+    sliding = np.lib.stride_tricks.sliding_window_view(frames, MWA_WINDOW, axis=-1)
     mwa = sliding.mean(axis=-1).mean(axis=-1)
 
     kurt = excess_kurtosis(frames, axis=-1)

@@ -21,10 +21,8 @@ running the slices one after another. The runners take slice indices from one
 shared iterator; a runner whose slice fails drains it, so the others stop after
 their current slice, and the caller re-raises the failure once all have stopped.
 
-Every BLAS call of a train call, the validation loss's included, runs at one
-BLAS thread: the caller pins its own count for the whole call and each pool
-thread pins its count once as it starts, so the checkpoints and histories do
-not depend on the process's BLAS thread count.
+Each train call first sets the process's BLAS to one thread (`eegspeech.blas`):
+the checkpoints and histories do not depend on the core count.
 
 Under glibc, the first train call of a process pins malloc's mmap threshold at
 its 64-bit ceiling (32 MiB) and its trim threshold at 64 MiB, so each runner's
@@ -38,12 +36,12 @@ import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .. import blas
 from ..errors import NumericError
 from ..serialize import write_csv
 from .layers import Adam, Dropout, _mask_words, mse_loss
@@ -147,22 +145,6 @@ def _epoch_loss(model: Model, padded) -> float:
 
 
 @functools.cache
-def _blas_thread_setter():
-    """OpenBLAS's setter of the calling thread's BLAS thread count (OpenBLAS >=
-    0.3.27), looked up through numpy's own BLAS; None for any other BLAS."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
-@functools.cache
 def _mallopt():
     """The C library's mallopt(3), or None where it has none."""
     try:
@@ -185,29 +167,11 @@ def _hold_heap() -> bool:
 
 def _worker_count(n_slices: int) -> int:
     """Runners for a batch of n_slices: one per CPU this process may run on, at
-    most one per slice, and only one where BLAS cannot be pinned per thread."""
-    if _blas_thread_setter() is None:
+    most one per slice, and only one where numpy's BLAS is not pinned to one thread."""
+    if not blas.numpy_pinned():
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, n_slices))
-
-
-@contextmanager
-def _one_blas_thread():
-    """The calling thread's BLAS calls run on one thread while inside; nothing
-    is set where BLAS cannot be pinned per thread.
-
-    An OpenMP OpenBLAS keeps this count per thread; a pthreads build (such as
-    numpy's wheels) sets the process-wide count, so train holds this pin until
-    its pool, whose threads pin theirs and never restore it, has shut down.
-    """
-    setter = _blas_thread_setter()
-    previous = None if setter is None else setter(1)
-    try:
-        yield
-    finally:
-        if setter is not None:
-            setter(previous)
 
 
 def _view(model: Model, own: bool) -> Model:
@@ -302,7 +266,7 @@ def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> l
 def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> TrainHistory:
     """Run the epoch loop; deterministic given the config seed, and bitwise the
     same for any number of runners and, where BLAS can be pinned, any BLAS
-    thread count.
+    thread count. Leaves the process's BLAS pinned to one thread.
 
     Raises NumericError if the loss diverges to NaN/inf.
     """
@@ -314,11 +278,11 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     optimizer = Adam(model.params(), lr=config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     history = TrainHistory()
+    blas.pin_one_thread()
     _hold_heap()
     runners = max(_worker_count(len(_slices(yb))) for _, yb, _, _ in batches)
 
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train",
-                                                initializer=_blas_thread_setter(), initargs=(1,)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, runners - 1), thread_name_prefix="nn.train") as pool:
         for epoch in range(1, config.epochs + 1):
             sq_sum = 0.0
             count_sum = 0.0

@@ -455,6 +455,25 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
         assert not out.exists() and not (tmp_path / "d").exists()
 
+    def test_hop_under_the_moving_average_window_is_usage_error(self, tmp_path, capsys):
+        """At 125 Hz the EEG hop is 8 samples, the moving window average's
+        length, and features extract. At 142.86 Hz it is 7: gen-data and
+        extract-eeg-feats are exit 1 before any work, naming the key."""
+        root, config = _workspace(tmp_path)
+        base = config.read_text().replace("n_trials = 12", "n_trials = 10")
+        config.write_text(base + "[features]\nframe_rate_hz = 125\n")
+        for step in ("gen-data", "split", "preprocess", "extract-eeg-feats"):
+            assert run_cli(step, "--config", str(config))[0] == 0, step
+        feats = sorted((root / "out" / "feats_eeg").glob("*.feats"))
+        assert feats and load_container(feats[0])[2]["values"].shape[0] == 1 + 500 // 8
+        before = [_tree_bytes(root / "data"), _tree_bytes(root / "out")]
+        config.write_text(base + "[features]\nframe_rate_hz = 142.86\n")
+        capsys.readouterr()
+        for step in ("gen-data", "extract-eeg-feats"):
+            assert run_cli(step, "--config", str(config))[0] == 1, step
+            assert "frame_rate_hz = 142.86 gives an EEG hop of 7 samples" in capsys.readouterr().err
+        assert [_tree_bytes(root / "data"), _tree_bytes(root / "out")] == before
+
     @pytest.mark.parametrize("source", ["file", "flag"])
     def test_multi_line_path_is_usage_error(self, tmp_path, capsys, source):
         """A continuation line in the config file, or a line break in --out, is exit 1 before any work."""
@@ -666,51 +685,62 @@ def test_parser_surface():
     assert (args.n_trials, args.duration) == (3, 0.25) and type(args.n_trials) is int
 
 
-def _cli_process(root: Path, threads: str, *steps: list[str]) -> None:
-    """Run `steps` through cli.main in one fresh interpreter at `threads` BLAS threads."""
+def _cli_process(root: Path, threads: str, *steps: list[str]) -> str:
+    """Run `steps` through cli.main in one fresh interpreter at `threads` BLAS
+    threads; what it printed."""
     paths = [str(Path(eegspeech.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     script = ("from eegspeech import cli\n"
               f"for step in {[list(step) for step in steps]!r}:\n"
               "    assert cli.main(step + ['--config', 'run.ini']) == 0, step\n")
-    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True, timeout=300,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True, timeout=300,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.fixture(scope="module")
+def runs_at_one_and_two_threads(tmp_path_factory) -> dict[str, tuple[Path, str]]:
+    """Every stage, gen-data through eval-regress plus a predicted spectrogram,
+    in one fresh interpreter at 1 and one at 2 BLAS threads: thread count ->
+    (run directory, stdout)."""
+    runs = {}
+    for threads in ("1", "2"):
+        root = tmp_path_factory.mktemp(f"threads{threads}")
+        (root / "run.ini").write_text(
+            "[paths]\ndata_root = data\nout_dir = out\n[run]\nseed = 9\n"
+            "[dataset]\nn_trials = 12\nduration_s = 1\n[kpca]\nscope = pooled\n"
+            "[synthesis]\nfilters1 = 8\nfilters2 = 4\nepochs = 2\n[regression]\nhidden = 8\nepochs = 3\n"
+        )
+        runs[threads] = root, _cli_process(
+            root, threads, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
+            ["train-synth"], ["train-regress", "--kind", "all"], ["eval-synth"], ["eval-regress"],
+            ["export-spectrogram", "--trial", "trial_0001", "--source", "predicted"])
+    return runs
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_artifacts_are_byte_identical_across_processes(tmp_path, threads):
-    """Artifacts do not depend on what a process computed before: two fresh
-    processes at the same BLAS thread count write the same front-end, model,
-    history and metrics files, and a fresh process whose filter and weight
-    caches are cold at a later trial writes the same .clean bytes."""
-    def run(tag: str) -> Path:
-        root = tmp_path / tag
-        root.mkdir()
-        (root / "run.ini").write_text(
-            "[paths]\ndata_root = data\nout_dir = out\n[run]\nseed = 9\n"
-            "[dataset]\nn_trials = 12\nduration_s = 0.5\n[kpca]\nscope = pooled\nout_dim = 8\n"
-            "[synthesis]\nfilters1 = 8\nfilters2 = 4\nepochs = 1\n[regression]\nhidden = 8\nepochs = 1\n"
-        )
-        _cli_process(root, threads, ["gen-data"], ["split"], ["preprocess"], ["extract-eeg-feats"], ["fit-kpca"],
-                     ["train-synth"], ["train-regress", "--kind", "all"], ["eval-synth"], ["eval-regress"])
-        return root
-
-    first, second = run("a1"), run("a2")
+def test_artifacts_are_byte_identical_across_processes(runs_at_one_and_two_threads, tmp_path, threads):
+    """Artifacts depend neither on the BLAS thread count nor on what a process
+    computed before: fresh processes at 1 and at 2 BLAS threads write the same
+    files and print the same lines, and a fresh process at `threads` whose
+    filter and weight caches are cold at a later trial rewrites the other
+    count's .clean files byte for byte."""
+    (first, printed), (second, printed_again) = runs_at_one_and_two_threads.values()
     assert len(list(first.rglob("*.ckpt"))) == 17
-    for suffix in (".feats", ".kpca", ".ckpt", ".json", ".csv"):
-        files = sorted(p.relative_to(first) for p in first.rglob(f"*{suffix}"))
-        assert files and files == sorted(p.relative_to(second) for p in second.rglob(f"*{suffix}"))
-        for name in files:
-            assert (first / name).read_bytes() == (second / name).read_bytes(), f"byte mismatch in {name}"
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    assert [name for name in files if (first / name).read_bytes() != (second / name).read_bytes()] == []
+    assert printed == printed_again
 
-    manifest = dataio.load_manifest(first / "data" / "manifest.json")
+    root = tmp_path / "rerun"
+    shutil.copytree(runs_at_one_and_two_threads["2" if threads == "1" else "1"][0], root)
+    manifest = dataio.load_manifest(root / "data" / "manifest.json")
     subject3 = [t.id for t in manifest.trials if t.subject == 3]
     assert subject3 and subject3[0] != manifest.trials[0].id
-    paths = {tid: first / "out" / "clean" / f"{tid}.clean" for tid in subject3}
+    paths = {tid: root / "out" / "clean" / f"{tid}.clean" for tid in subject3}
     cleans = {tid: path.read_bytes() for tid, path in paths.items()}
     for path in paths.values():
         path.unlink()
-    _cli_process(first, threads, ["preprocess", "--subject", "3"])
+    _cli_process(root, threads, ["preprocess", "--subject", "3"])
     for tid, path in paths.items():
         assert path.read_bytes() == cleans[tid], f"byte mismatch in {tid}.clean"
 

@@ -122,6 +122,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape("duration_s must be in [0.5, 10]")):
             parse_config(path)
 
+    # hop = round(1000 / rate): 7 at 142.86 Hz, 1 at 1000 Hz; the moving window average needs 8 samples
+    @pytest.mark.parametrize("rate", ["142.86", "166.67", "1000"])
+    def test_hop_under_the_moving_average_window_rejected_naming_key(self, tmp_path, rate):
+        path = tmp_path / "fast.ini"
+        path.write_text(f"[features]\nframe_rate_hz = {rate}\n")
+        with pytest.raises(ConfigError, match=f"frame_rate_hz = {rate} gives an EEG hop of .* under the "
+                                              f"{eeg.MWA_WINDOW}-sample"):
+            parse_config(path)
+
+    def test_hop_of_one_moving_average_window_accepted(self, tmp_path):
+        path = tmp_path / "fast.ini"
+        path.write_text("[features]\nframe_rate_hz = 125\n")
+        assert parse_config(path).frame_rate_hz == 125.0
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[training]\nbatch_sz = 10\n")

@@ -1,5 +1,6 @@
-"""Every module under src/eegspeech uses each name it imports, and only the
-file-format modules open artifacts for writing.
+"""Every module under src/eegspeech uses each name it imports, only the
+file-format modules open artifacts for writing, and only `blas` names an
+OpenBLAS function.
 
 Neither `compileall` nor the test suite notices an import that a deletion left
 behind, so this parses each module with `ast` and fails on an imported name the
@@ -8,6 +9,7 @@ module never reads. Names listed in the module's `__all__` count as used
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,31 @@ def test_finds_atomic_open_by_import_or_attribute():
     assert _names_atomic_open(ast.parse("from .serialize import atomic_open as a\n"))
     assert _names_atomic_open(ast.parse("from . import serialize\nserialize.atomic_open('x')\n"))
     assert not _names_atomic_open(ast.parse("from .serialize import write_csv\nwrite_csv('x', [], [])\n"))
+
+
+def _openblas_symbols(tree: ast.Module) -> set[str]:
+    """OpenBLAS function names the module spells out, in a string or as an attribute."""
+    pattern = re.compile(r"\w*openblas_\w+")
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(pattern.findall(node.value))
+        elif isinstance(node, ast.Attribute):
+            found.update(pattern.findall(node.attr))
+    return found
+
+
+def test_only_blas_names_openblas_functions():
+    """The process-wide BLAS rule lives in one module: no other one looks up a setter of its own."""
+    users = {str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             if _openblas_symbols(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
+    assert users == {"blas.py"}
+
+
+def test_finds_an_openblas_function():
+    tree = ast.parse('f = lib.openblas_set_num_threads_local\n"""OpenBLAS threads"""\n'
+                     'names = ("scipy_openblas_set_num_threads64_",)\n')
+    assert _openblas_symbols(tree) == {"openblas_set_num_threads_local", "scipy_openblas_set_num_threads64_"}
 
 
 def _slow_powers(tree: ast.Module) -> list[int]:

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -579,36 +578,6 @@ history = nn.train(model, pairs[:40], nn.TrainConfig(epochs=3, batch_size=100, l
             if digests[0] != digests[1]:
                 differing.append(case)
         assert differing == []
-
-    @pytest.mark.skipif(training._blas_thread_setter() is None, reason="BLAS cannot be pinned per thread")
-    def test_caller_blas_thread_count_is_restored(self, rng, monkeypatch):
-        """nn.train computes at one BLAS thread for its whole call and hands the
-        caller its count back: after a two-slice run, and after one whose
-        first slice to reach backward raises."""
-        setter = training._blas_thread_setter()
-        monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(2, n_slices))
-        monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
-        pairs = self._pairs(rng, 2)
-        config = nn.TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, seed=3)
-        backward, calls = nn.TcnBlock.backward, itertools.count()
-
-        def failing_backward(layer, *args, **kwargs):
-            if next(calls) == 0:
-                raise RuntimeError("boom")
-            return backward(layer, *args, **kwargs)
-
-        original = setter(2)
-        try:
-            nn.train(nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2), pairs,
-                     config)
-            assert setter(2) == 2
-            monkeypatch.setattr(nn.TcnBlock, "backward", failing_backward)
-            with pytest.raises(RuntimeError, match="boom"):
-                nn.train(nn.build_synthesis_model(seed=6, filters=(8, 4), kernel_size=3, dropout_rate=0.2), pairs,
-                         config)
-            assert setter(2) == 2
-        finally:
-            setter(original)
 
     @staticmethod
     def _train_within(timeout_s, model, pairs, caller):
