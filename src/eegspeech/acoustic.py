@@ -20,11 +20,20 @@ kernel only what it reads:
 
 Every analysis uses the centered framing of dsp, so every kind has
 1 + len//hop frames.
+
+The constant-Q note energies run on one helper thread, started before the
+STFT and joined before the chroma family is built from them; the calling
+thread computes the STFT family, mel, tempogram, pitch and the scalar kinds
+meanwhile. The note energies are one gather and one GEMM per octave, which run
+without the GIL; pitch, with its many small numpy calls, stays on the calling
+thread. The helper lives for one call and runs the same function on the same
+read-only samples, so no result depends on which thread ran it.
 """
 
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -464,20 +473,20 @@ def extract_acoustic_set(audio: np.ndarray, grid: dsp.FrameGrid) -> AcousticSet:
     x = np.asarray(audio, dtype=np.float64)
     if x.ndim != 1 or len(x) < 1:
         raise DataError("audio must be a non-empty 1-D sequence")
-    spec = dsp.stft_power(x, FFT_SIZE, grid.hop, grid.sample_rate_hz)
-    chroma = _fold_chroma(_cqt_note_energies(x, grid))
-    mel = mel_spectrogram_128(spec)
+    with ThreadPoolExecutor(1, thread_name_prefix="acoustic.cqt") as helper:
+        note_energies = helper.submit(_cqt_note_energies, x, grid)
+        spec = dsp.stft_power(x, FFT_SIZE, grid.hop, grid.sample_rate_hz)
+        mel = mel_spectrogram_128(spec)
+        seqs = {
+            "band_power": band_power_12(spec),
+            "mel": mel,
+            "contrast": spectral_contrast_7(spec),
+            "poly": poly_coeffs_2(spec),
+            "tempogram": tempogram_384(mel),
+            "pitch": pitch_track_1(x, grid),
+            **spectral_scalars(x, spec, grid),
+        }
+        chroma = _fold_chroma(note_energies.result())
     cens = chroma_cens_12(chroma)
-    seqs = {
-        "band_power": band_power_12(spec),
-        "cqt_chroma": cqt_chroma_12(chroma),
-        "chroma_cens": cens,
-        "mel": mel,
-        "contrast": spectral_contrast_7(spec),
-        "poly": poly_coeffs_2(spec),
-        "tonnetz": tonnetz_6(cens),
-        "tempogram": tempogram_384(mel),
-        "pitch": pitch_track_1(x, grid),
-        **spectral_scalars(x, spec, grid),
-    }
+    seqs.update(cqt_chroma=cqt_chroma_12(chroma), chroma_cens=cens, tonnetz=tonnetz_6(cens))
     return AcousticSet({kind: seqs[kind] for kind in FEATURE_ORDER})

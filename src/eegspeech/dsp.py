@@ -15,16 +15,20 @@ from math import gcd, isinf
 import numpy as np
 from scipy import signal as sps
 
+from .errors import DataError
+
 
 @dataclass(frozen=True)
 class IirFilter:
     """Cascade of second-order sections, coefficient layout (b0,b1,b2,1,a1,a2).
 
-    `sos` is read-only, so one designed filter can be shared between calls.
+    `sos` and the step-response start state `zi` (`sosfilt_zi`, one row per
+    section) are read-only, so one designed filter can be shared between calls.
     """
 
     sos: np.ndarray
     description: str = ""
+    zi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sos = np.atleast_2d(np.asarray(self.sos, dtype=np.float64))
@@ -38,6 +42,9 @@ class IirFilter:
         object.__setattr__(self, "sos", sos)
         if not self.is_stable():
             raise ValueError(f"unstable filter: {self.description}")
+        zi = sps.sosfilt_zi(sos)
+        zi.flags.writeable = False
+        object.__setattr__(self, "zi", zi)
 
     @property
     def order(self) -> int:
@@ -95,17 +102,29 @@ def design_iir_notch(f0_hz: float, q: float, fs_hz: float) -> IirFilter:
 
 
 def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Zero-phase forward-backward filtering (squared magnitude response)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Zero-phase forward-backward filtering (squared magnitude response).
+
+    Bitwise `scipy.signal.sosfiltfilt` at its defaults, step for step, with the
+    filter's stored start state in place of a `sosfilt_zi` solve per call: odd
+    extension by `padlen` at each end, a forward pass from zi * (first sample),
+    a pass over the reversed output from zi * (its last sample), reversal and
+    trim. The signal needs more than `padlen` samples on `axis`.
+    """
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
     # sosfiltfilt pads each end with 3 * ntaps samples and needs more than that;
     # ntaps = 2 * sections + 1, less the smaller of the counts of first-order
     # numerators (b2 = 0) and first-order denominators (a2 = 0).
-    sos = filt.sos
+    # scipy's filters reject a read-only sos array, so each call gets a copy.
+    sos = filt.sos.copy()
     padlen = 3 * (2 * len(sos) + 1 - min(int(np.sum(sos[:, 2] == 0)), int(np.sum(sos[:, 5] == 0))))
-    if x.shape[axis] <= padlen:
-        raise ValueError(f"signal too short for zero-phase filtering: {x.shape[axis]} <= padlen {padlen}")
-    # scipy's filters reject a read-only sos array, so each call gets a copy
-    return sps.sosfiltfilt(filt.sos.copy(), x, axis=axis)
+    if x.shape[-1] <= padlen:
+        raise DataError(f"signal too short for zero-phase filtering: {x.shape[-1]} samples <= padlen {padlen}")
+    ext = np.concatenate((2 * x[..., :1] - x[..., padlen:0:-1], x,
+                          2 * x[..., -1:] - x[..., -2:-(padlen + 2):-1]), axis=-1)
+    zi = filt.zi.reshape((len(sos),) + (1,) * (x.ndim - 1) + (2,))
+    y, _ = sps.sosfilt(sos, ext, zi=zi * ext[..., :1])
+    y, _ = sps.sosfilt(sos, y[..., ::-1], zi=zi * y[..., -1:])
+    return np.moveaxis(y[..., ::-1][..., padlen:-padlen], -1, axis)
 
 
 def resample_poly(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
@@ -168,8 +187,8 @@ def frame_rms(frames: np.ndarray) -> np.ndarray:
 
 def frame_zcr(frames: np.ndarray) -> np.ndarray:
     """Zero-crossing rate of each frame of a (..., window) block; zero counts as positive."""
-    signs = np.where(frames >= 0.0, 1, -1)
-    return np.sum(signs[..., 1:] != signs[..., :-1], axis=-1) / (frames.shape[-1] - 1)
+    positive = frames >= 0.0
+    return np.sum(positive[..., 1:] != positive[..., :-1], axis=-1) / (frames.shape[-1] - 1)
 
 
 def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
-from eegspeech import acoustic, dsp
+from eegspeech import acoustic, dataio, dsp
+from eegspeech.errors import DataError
 
 from conftest import sine
 
@@ -406,3 +409,56 @@ class TestAcousticSet:
         expected = 1 + n // 484
         assert aset.n_frames == expected
         assert all(seq.n_frames == expected for seq in aset.features.values())
+
+
+class TestCqtHelperThread:
+    """The constant-Q note energies run on a helper thread that lives for the
+    call, and the result does not depend on it."""
+
+    @pytest.fixture(scope="class")
+    def clips(self):
+        rng = np.random.default_rng(21)
+        return {seconds: dsp.resample_poly(dataio.synthesize_trial(rng, seconds)[1], dataio.AUDIO_RECORD_RATE_HZ, FS)
+                for seconds in (0.5, 2.0, 10.0)}
+
+    @pytest.mark.parametrize("seconds", [0.5, 2.0, 10.0])
+    def test_chroma_family_is_byte_identical_to_inline(self, clips, seconds, grid):
+        x = clips[seconds]
+        aset = acoustic.extract_acoustic_set(x, grid)
+        chroma = acoustic._fold_chroma(acoustic._cqt_note_energies(x, grid))
+        cens = acoustic.chroma_cens_12(chroma)
+        inline = {"cqt_chroma": acoustic.cqt_chroma_12(chroma), "chroma_cens": cens, "tonnetz": acoustic.tonnetz_6(cens)}
+        for kind, seq in inline.items():
+            assert aset.features[kind].values.tobytes() == seq.values.tobytes(), kind
+
+    def test_note_energy_error_comes_out_unchanged(self, grid, monkeypatch):
+        planted = DataError("planted note-energy failure")
+
+        def failing(x, grid):
+            raise planted
+
+        monkeypatch.setattr(acoustic, "_cqt_note_energies", failing)
+        before = threading.active_count()
+        with pytest.raises(DataError) as info:
+            acoustic.extract_acoustic_set(sine(330.0, FS, 0.5), grid)
+        assert info.value is planted
+        assert threading.active_count() == before
+
+    def test_note_energies_run_on_one_helper_that_has_finished(self, grid, monkeypatch):
+        threads, note_energies = [], acoustic._cqt_note_energies
+
+        def recording(x, grid):
+            threads.append(threading.current_thread())
+            return note_energies(x, grid)
+
+        monkeypatch.setattr(acoustic, "_cqt_note_energies", recording)
+        started, thread_start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        acoustic.extract_acoustic_set(sine(330.0, FS, 0.5), grid)
+        assert threads == started and len(started) == 1
+        assert not started[0].is_alive()

@@ -455,6 +455,20 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(config), "--out", str(out), "--data-root", str(tmp_path / "d")]) == 1
         assert not out.exists() and not (tmp_path / "d").exists()
 
+    def test_trial_too_short_to_filter_is_data_error(self, tmp_path, capsys):
+        """A trial of 20 EEG samples, under the stock band-pass's padlen of 27,
+        is exit 2 at preprocess, naming the sample count and padlen."""
+        root, config = _workspace(tmp_path)
+        assert run_cli("gen-data", "--config", str(config))[0] == 0
+        assert run_cli("split", "--config", str(config))[0] == 0
+        rng = np.random.default_rng(4)
+        dataio.write_eeg(root / "data" / "trial_0001.csv", dataio.EegRecording(rng.standard_normal((31, 20))))
+        dataio.write_wav(root / "data" / "trial_0001.wav",
+                         dataio.AudioClip(dataio.AUDIO_RECORD_RATE_HZ, 0.1 * rng.standard_normal(320)))
+        capsys.readouterr()
+        assert run_cli("preprocess", "--config", str(config))[0] == 2
+        assert "too short for zero-phase filtering: 20 samples <= padlen 27" in capsys.readouterr().err
+
     def test_hop_under_the_moving_average_window_is_usage_error(self, tmp_path, capsys):
         """At 125 Hz the EEG hop is 8 samples, the moving window average's
         length, and features extract. At 142.86 Hz it is 7: gen-data and

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from eegspeech import dsp
+from eegspeech.errors import DataError
 
 from conftest import lfilter, sine, sine_fit_amplitude
 
@@ -87,6 +89,13 @@ class TestNotch:
             dsp.design_iir_notch(60.0, q, 1000.0)
 
 
+STOCK_FILTERS = pytest.mark.parametrize("filt, padlen", [
+    (dsp.design_butterworth_bandpass(4, 0.1, 70.0, 1000.0), 27),  # stock: 4 sections
+    (dsp.design_iir_notch(60.0, 30.0, 1000.0), 9),  # stock: 1 section
+    (dsp.IirFilter(np.array([[1.0, 0, 0, 1.0, 0, 0]]), "identity"), 6),  # first order
+], ids=["bandpass", "notch", "identity"])
+
+
 class TestFiltfilt:
     def test_identity_section_preserves_impulse(self):
         ident = dsp.IirFilter(np.array([[1.0, 0, 0, 1.0, 0, 0]]), "identity")
@@ -126,19 +135,55 @@ class TestFiltfilt:
 
     def test_too_short_signal_rejected(self):
         filt = dsp.design_butterworth_bandpass(4, 0.1, 70.0, 1000.0)
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(DataError, match="too short"):
             dsp.apply_filter(filt, np.zeros(10))
 
-    @pytest.mark.parametrize("filt, padlen", [
-        (dsp.design_butterworth_bandpass(4, 0.1, 70.0, 1000.0), 27),  # stock: 4 sections
-        (dsp.design_iir_notch(60.0, 30.0, 1000.0), 9),  # stock: 1 section
-        (dsp.IirFilter(np.array([[1.0, 0, 0, 1.0, 0, 0]]), "identity"), 6),  # first order
-    ], ids=["bandpass", "notch", "identity"])
+    @STOCK_FILTERS
     def test_length_guard_is_scipys_padlen(self, filt, padlen):
         """The last length sosfiltfilt rejects is "too short"; the next one filters."""
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(DataError, match="too short"):
             dsp.apply_filter(filt, np.ones(padlen))
         assert dsp.apply_filter(filt, np.ones(padlen + 1)).shape == (padlen + 1,)
+
+
+class TestFilterStartState:
+    """apply_filter keeps each designed filter's start state between calls and
+    is bitwise scipy.signal.sosfiltfilt at its defaults."""
+
+    @STOCK_FILTERS
+    def test_start_state_is_scipys_read_only(self, filt, padlen):
+        assert np.array_equal(filt.zi, sps.sosfilt_zi(filt.sos))
+        assert not filt.zi.flags.writeable
+
+    @STOCK_FILTERS
+    @pytest.mark.parametrize("n_of", [lambda padlen: padlen + 1, lambda padlen: 2 * padlen + 3,
+                                      lambda padlen: 2000, lambda padlen: 10000],
+                             ids=["padlen+1", "2padlen+3", "2s", "10s"])
+    def test_filter_is_bitwise_sosfiltfilt(self, filt, padlen, n_of, rng):
+        n = n_of(padlen)
+        for shape, axis in [((n,), -1), ((n,), 0), ((5, n), 1), ((5, n), -1), ((n, 5), 0)]:
+            x = rng.standard_normal(shape)
+            y = dsp.apply_filter(filt, x, axis=axis)
+            ref = sps.sosfiltfilt(filt.sos.copy(), x, axis=axis)
+            assert y.shape == ref.shape and y.tobytes() == ref.tobytes(), (shape, axis)
+
+    def test_filter_casts_like_sosfiltfilt(self, rng):
+        filt = dsp.design_butterworth_bandpass(4, 0.1, 70.0, 1000.0)
+        x = rng.standard_normal((3, 500)).astype(np.float32)
+        ref = sps.sosfiltfilt(filt.sos.copy(), x.astype(np.float64))
+        assert dsp.apply_filter(filt, x).tobytes() == ref.tobytes()
+
+
+class TestFrameZcr:
+    def test_counts_sign_changes_with_zero_as_positive(self, rng):
+        frames = rng.standard_normal((7, 3, 32))
+        frames[frames > 1.5] = 0.0
+        frames[0, 0, 4] = -0.0
+        frames[1, 1, 5] = np.nan
+        signs = np.where(frames >= 0.0, 1, -1)
+        expected = np.sum(signs[..., 1:] != signs[..., :-1], axis=-1) / 31
+        assert dsp.frame_zcr(frames).tobytes() == expected.tobytes()
+        assert dsp.frame_zcr(np.array([[1.0, -1.0, 0.0, 2.0, -0.5]]))[0] == 3 / 4
 
 
 class TestResamplePoly:
