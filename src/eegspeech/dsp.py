@@ -10,7 +10,7 @@ directly so the frame-count contract is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isinf
+from math import isinf
 
 import numpy as np
 from scipy import signal as sps
@@ -22,13 +22,11 @@ from .errors import DataError
 class IirFilter:
     """Cascade of second-order sections, coefficient layout (b0,b1,b2,1,a1,a2).
 
-    `sos` and the step-response start state `zi` (`sosfilt_zi`, one row per
-    section) are read-only, so one designed filter can be shared between calls.
+    `sos` is read-only, so one designed filter can be shared between calls.
     """
 
     sos: np.ndarray
     description: str = ""
-    zi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sos = np.atleast_2d(np.asarray(self.sos, dtype=np.float64))
@@ -42,13 +40,6 @@ class IirFilter:
         object.__setattr__(self, "sos", sos)
         if not self.is_stable():
             raise ValueError(f"unstable filter: {self.description}")
-        zi = sps.sosfilt_zi(sos)
-        zi.flags.writeable = False
-        object.__setattr__(self, "zi", zi)
-
-    @property
-    def order(self) -> int:
-        return 2 * self.sos.shape[0]
 
     def pole_magnitudes(self) -> np.ndarray:
         mags = []
@@ -104,46 +95,32 @@ def design_iir_notch(f0_hz: float, q: float, fs_hz: float) -> IirFilter:
 def apply_filter(filt: IirFilter, x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Zero-phase forward-backward filtering (squared magnitude response).
 
-    Bitwise `scipy.signal.sosfiltfilt` at its defaults, step for step, with the
-    filter's stored start state in place of a `sosfilt_zi` solve per call: odd
-    extension by `padlen` at each end, a forward pass from zi * (first sample),
-    a pass over the reversed output from zi * (its last sample), reversal and
-    trim. The signal needs more than `padlen` samples on `axis`.
+    `scipy.signal.sosfiltfilt` at its defaults, on float64; the signal needs
+    more than `padlen` samples on `axis`, else DataError.
     """
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    x = np.asarray(x, dtype=np.float64)
     # sosfiltfilt pads each end with 3 * ntaps samples and needs more than that;
     # ntaps = 2 * sections + 1, less the smaller of the counts of first-order
     # numerators (b2 = 0) and first-order denominators (a2 = 0).
-    # scipy's filters reject a read-only sos array, so each call gets a copy.
-    sos = filt.sos.copy()
+    sos = filt.sos
     padlen = 3 * (2 * len(sos) + 1 - min(int(np.sum(sos[:, 2] == 0)), int(np.sum(sos[:, 5] == 0))))
-    if x.shape[-1] <= padlen:
-        raise DataError(f"signal too short for zero-phase filtering: {x.shape[-1]} samples <= padlen {padlen}")
-    ext = np.concatenate((2 * x[..., :1] - x[..., padlen:0:-1], x,
-                          2 * x[..., -1:] - x[..., -2:-(padlen + 2):-1]), axis=-1)
-    zi = filt.zi.reshape((len(sos),) + (1,) * (x.ndim - 1) + (2,))
-    y, _ = sps.sosfilt(sos, ext, zi=zi * ext[..., :1])
-    y, _ = sps.sosfilt(sos, y[..., ::-1], zi=zi * y[..., -1:])
-    return np.moveaxis(y[..., ::-1][..., padlen:-padlen], -1, axis)
+    if x.shape[axis] <= padlen:
+        raise DataError(f"signal too short for zero-phase filtering: {x.shape[axis]} samples <= padlen {padlen}")
+    # scipy's filters reject a read-only sos array, so each call gets a copy.
+    return sps.sosfiltfilt(sos.copy(), x, axis=axis)
 
 
 def resample_poly(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
-    """Polyphase rational resampling by to/from after gcd reduction.
+    """`scipy.signal.resample_poly` by to/from, trimmed to round(len(x) * to / from).
 
-    Output length is round(len(x) * to / from); the anti-aliasing low-pass is
-    part of the polyphase kernel.
+    scipy reduces the ratio and copies at equal rates; the anti-aliasing
+    low-pass is part of the polyphase kernel.
     """
     if int(from_hz) != from_hz or int(to_hz) != to_hz or from_hz <= 0 or to_hz <= 0:
         raise ValueError("sample rates must be positive integers")
     from_hz, to_hz = int(from_hz), int(to_hz)
     x = np.asarray(x, dtype=np.float64)
-    g = gcd(from_hz, to_hz)
-    up, down = to_hz // g, from_hz // g
-    if up == down:
-        return x.copy()
-    y = sps.resample_poly(x, up, down)
-    n_out = int(round(len(x) * to_hz / from_hz))
-    return y[:n_out]
+    return sps.resample_poly(x, to_hz, from_hz)[:int(round(len(x) * to_hz / from_hz))]
 
 
 @dataclass(frozen=True)
@@ -201,7 +178,7 @@ def frame_signal_centered(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     n = x.shape[-1]
     right = window - window // 2
     if n <= right:
-        raise ValueError(f"signal shorter than one window ({n} samples, window {window})")
+        raise DataError(f"signal shorter than one window ({n} samples, window {window})")
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(window // 2, right)], mode="reflect")
     return np.lib.stride_tricks.sliding_window_view(xp, window, axis=-1)[..., ::hop, :]
 

@@ -53,11 +53,11 @@ class Model:
         if x.ndim == 2:
             x = x[None, ...]
         if x.ndim != 3:
-            raise ValueError("input must be (batch, time, features)")
+            raise DataError("input must be (batch, time, features)")
         if x.shape[-1] != self.in_dim:
-            raise ValueError(f"{self.kind} expects {self.in_dim} input features, got {x.shape[-1]}")
+            raise DataError(f"{self.kind} expects {self.in_dim} input features, got {x.shape[-1]}")
         if x.shape[1] == 0:
-            raise ValueError(f"{self.kind} input has 0 time steps")
+            raise DataError(f"{self.kind} input has 0 time steps")
         return x
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

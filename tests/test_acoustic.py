@@ -381,7 +381,7 @@ class TestAcousticSet:
         assert np.allclose(shift, -6.02, atol=0.05)
 
     def test_too_short_clip_rejected(self, grid):
-        with pytest.raises(ValueError, match="shorter than one window"):
+        with pytest.raises(DataError, match="shorter than one window"):
             acoustic.extract_acoustic_set(np.zeros(100), grid)
 
     def test_shared_analyses_run_once(self, grid, monkeypatch):

@@ -681,6 +681,14 @@ class TestSpectrogramFromWav:
         matrix = np.loadtxt(tmp_path / "o" / "spectrograms" / "trial_0001.csv", delimiter=",")
         assert matrix.shape[0] == 1 + 7500 // 600
 
+    def test_wav_shorter_than_one_window_is_data_error(self, tmp_path, capsys):
+        # 300 samples at 16 kHz resample to 281 at 15 kHz, under the STFT's right padding
+        wav = tmp_path / "short.wav"
+        dataio.write_wav(wav, dataio.AudioClip(16000, np.zeros(300)))
+        code = cli.main(["export-spectrogram", "--wav", str(wav), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "shorter than one window" in capsys.readouterr().err
+
 
 def test_parser_surface():
     """Each subcommand's option strings, so the table-driven parser neither drops nor adds a flag."""

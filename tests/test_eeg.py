@@ -303,7 +303,7 @@ class TestExtractStatFeatures:
     def test_too_short_recording(self):
         # the centred framing needs more samples than its right padding, hop - hop // 2
         n = GRID.hop - GRID.hop // 2
-        with pytest.raises(ValueError, match="shorter than one window"):
+        with pytest.raises(DataError, match="shorter than one window"):
             eeg.extract_stat_features(eeg.CleanEeg(np.zeros((31, n))), GRID)
         assert eeg.extract_stat_features(eeg.CleanEeg(np.ones((31, n + 1))), GRID).n_frames == 1
 

@@ -36,7 +36,7 @@ class TestSynthesisModel:
 
     def test_wrong_input_dim_rejected(self, rng):
         model = nn.build_synthesis_model(seed=0, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
-        with pytest.raises(ValueError, match="31"):
+        with pytest.raises(DataError, match="31"):
             model.predict(rng.standard_normal((1, 5, 30)).astype(np.float32))
 
     def test_full_scale_parameter_shapes(self):
@@ -133,9 +133,9 @@ class TestSynthesisModel:
             model, in_dim = nn.build_regression_model(out_dim=2, seed=0, hidden=4, in_dim=30, dropout_rate=0.2), 30
         x = np.zeros((2, 0, in_dim), dtype=np.float32)
         for run in (model.predict, model.forward):
-            with pytest.raises(ValueError, match="0 time steps"):
+            with pytest.raises(DataError, match="0 time steps"):
                 run(x)
-        with pytest.raises(ValueError, match=f"expects {in_dim} input features"):
+        with pytest.raises(DataError, match=f"expects {in_dim} input features"):
             model.predict(np.zeros((1, 0, in_dim + 1), dtype=np.float32))
 
     def test_init_draws_dense_head_first(self):
