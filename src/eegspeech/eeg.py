@@ -237,7 +237,7 @@ def extract_stat_features(clean: CleanEeg, grid: dsp.FrameGrid) -> StatFeatureSe
     """5 stats per channel, channel-major, on 1 + n // hop hop-long frames centred on every
     hop: the framing of the acoustic rms/zcr (`dsp.frame_signal_centered`)."""
     if grid.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
-        raise ValueError("grid sample rate does not match the recording")
+        raise DataError("grid sample rate does not match the recording")
     stats = _stats_block(dsp.frame_signal_centered(clean.data, grid.hop, grid.hop))  # (channels, frames, 5)
     return StatFeatureSeq(np.transpose(stats, (1, 0, 2)).reshape(stats.shape[1], -1))
 

@@ -18,9 +18,9 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
+        raise DataError(f"shape mismatch {pred.shape} vs {truth.shape}")
     if pred.size == 0:
-        raise ValueError("empty input")
+        raise DataError("empty input")
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
@@ -65,7 +65,7 @@ def evaluate_synthesis(predict_fn, test_trials: list[dict]) -> MetricsReport:
     test_trials entries are `pipeline.synthesis_example` records: {id, subject,
     condition, x: (T, 31) EEG, y: (15*T, 1) waveform}. predict_fn maps
     (T, 31) -> (15*T,) or (15*T, 1); a prediction of any other length is a
-    ValueError.
+    DataError.
     """
     if not test_trials:
         raise ValueError("empty test set")

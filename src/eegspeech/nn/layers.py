@@ -64,19 +64,29 @@ class TcnBlock(Layer):
     never sees input beyond t.
 
     w is tap-major (k*in, out): rows j*in:(j+1)*in hold tap j, which reads
-    input step t - (k-1-j)*dilation. Forward is one GEMM of the input against
-    every tap (and the projection) side by side, then a shift-add of the
-    out-wide tap outputs, so no (B, T, k*in) im2col buffer is ever built.
-    Backward shifts the output gradient back into the same layout and forms
-    all weight gradients and, when asked for, the input gradient as one GEMM
-    each.
+    input step t - (k-1-j)*dilation. The block contracts over its narrower
+    side, so its one intermediate that grows with T is the narrower of a
+    (B, T, k*in) tap matrix and (B, T, (k+1)*out) tap outputs:
+
+    - in < out (the paper's 31 -> 256 first block): the k dilated taps of the
+      input are gathered into one zero-padded (B, T, k*in) tap matrix, which
+      is multiplied by w in one GEMM; the projection is x @ proj. Backward
+      rebuilds the tap matrix from the cached input and forms the weight
+      gradient as one (k*in x T)(T x out) GEMM and, when asked for, the input
+      gradient as one GEMM whose k column blocks are scatter-added back.
+    - in >= out (the paper's 256 -> 32 second block): one GEMM of the input
+      against every tap (and the projection) side by side, then a shift-add
+      of the out-wide tap outputs, so no (B, T, k*in) tap matrix is built.
+      Backward shifts the output gradient back into the same layout and forms
+      all weight gradients and, when asked for, the input gradient as one
+      GEMM each.
 
     forward(x, repeat=r) is the block applied to x's r-fold time repeat, at
     inference only (polyphase convolution). Output step r*t + p reads, through
     tap j, input step t + (p - (k-1-j)*dilation) // r, so the r phases of a
-    step fall into a few groups that read the same offsets. The tap GEMM runs
-    on the T input rows, each group is one shift-add of the tap outputs, and
-    only the out-wide result is expanded to r*T steps.
+    step fall into a few groups that read the same offsets. Each group is one
+    tap matrix GEMM (in < out) or one shift-add of the tap outputs (in >= out)
+    on the T input rows, and only the out-wide result is expanded to r*T steps.
     """
 
     def __init__(self, in_dim: int, out_dim: int, kernel_size: int, dilation: int = 1,
@@ -117,6 +127,16 @@ class TcnBlock(Layer):
         # Each offset is non-decreasing in p, so every group is a run of phases.
         return [(offsets, slice(ps[0], ps[-1] + 1)) for offsets, ps in groups.items()]
 
+    @staticmethod
+    def _tap_matrix(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+        """(B*T, k*in): column block j holds input step t + offsets[j], zero before step 0."""
+        b, t, n = x.shape
+        cols = np.zeros((b, t, len(offsets) * n), dtype=x.dtype)
+        for j, off in enumerate(offsets):
+            if -off < t:
+                cols[:, -off:, j * n : (j + 1) * n] = x[:, : t + off]
+        return cols.reshape(b * t, -1)
+
     def forward(self, x: np.ndarray, training: bool = False, repeat: int = 1) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"TcnBlock expects feature dim {self.in_dim}, got {x.shape[-1]}")
@@ -126,20 +146,27 @@ class TcnBlock(Layer):
             raise ValueError("a repeated input is inference only; training runs UpsampleRepeat")
         b, t, n = x.shape
         k, o = self.kernel_size, self.out_dim
-        y = (x.reshape(b * t, n) @ self._w_all()).reshape(b, t, -1)
-        out = np.empty((b, t, repeat, o), dtype=y.dtype) if repeat > 1 else None
+        narrow = n < o
+        if narrow:
+            res = None if self.proj is None else (x.reshape(b * t, n) @ self.proj).reshape(b, t, o)
+        else:
+            y = (x.reshape(b * t, n) @ self._w_all()).reshape(b, t, -1)
+            res = y[:, :, k * o :] if self.proj is not None else (x if self.use_residual else None)
+        out = np.empty((b, t, repeat, o), dtype=x.dtype) if repeat > 1 else None
         for offsets, phases in self._phases(repeat):
-            # Tap k-1 reads offset 0 in every phase; the others reach back -offset steps.
-            z = y[:, :, (k - 1) * o : k * o] + self.b
-            for j, off in enumerate(offsets[:-1]):
-                if -off < t:
-                    z[:, -off:] += y[:, : t + off, j * o : (j + 1) * o]
+            if narrow:
+                z = (self._tap_matrix(x, offsets) @ self.w).reshape(b, t, o)
+                z += self.b
+            else:
+                # Tap k-1 reads offset 0 in every phase; the others reach back -offset steps.
+                z = y[:, :, (k - 1) * o : k * o] + self.b
+                for j, off in enumerate(offsets[:-1]):
+                    if -off < t:
+                        z[:, -off:] += y[:, : t + off, j * o : (j + 1) * o]
             np.maximum(z, 0.0, out=z)
             self._cache = (x, z > 0) if training else None
-            if self.proj is not None:
-                z += y[:, :, k * o :]
-            elif self.use_residual:
-                z += x
+            if res is not None:
+                z += res
             if repeat == 1:
                 return z
             out[:, :, phases] = z[:, :, None]
@@ -151,6 +178,25 @@ class TcnBlock(Layer):
         k, o = self.kernel_size, self.out_dim
 
         gz = grad_out * relu_mask
+        self.grads[1] += gz.sum(axis=(0, 1))
+        if n < o:
+            offsets, _ = self._phases(1)[0]  # the plain phase: tap j reads t - (k-1-j)*dilation
+            gz2 = gz.reshape(b * t, o)
+            self.grads[0] += self._tap_matrix(x, offsets).T @ gz2
+            if self.proj is not None:
+                self.grads[2] += x.reshape(b * t, n).T @ grad_out.reshape(b * t, o)
+            if not need_input_grad:
+                return None
+            gcols = (gz2 @ self.w.T).reshape(b, t, k * n)
+            if self.proj is None:
+                gx = np.zeros_like(x)
+            else:
+                gx = (grad_out.reshape(b * t, o) @ self.proj.T).reshape(b, t, n)
+            for j, off in enumerate(offsets):
+                if -off < t:
+                    gx[:, : t + off] += gcols[:, -off:, j * n : (j + 1) * n]
+            return gx
+
         g = np.zeros((b, t, k * o if self.proj is None else (k + 1) * o), dtype=grad_out.dtype)
         for j, s in self._shifts(t):
             g[:, : t - s, j * o : (j + 1) * o] = gz[:, s:]
@@ -160,7 +206,6 @@ class TcnBlock(Layer):
         gw = x.reshape(b * t, n).T @ g2
         del x  # the cached input is read no further: release it before gx is allocated
         self.grads[0] += gw[:, : k * o].reshape(n, k, o).transpose(1, 0, 2).reshape(k * n, o)
-        self.grads[1] += gz.sum(axis=(0, 1))
         if self.proj is not None:
             self.grads[2] += gw[:, k * o :]
         if not need_input_grad:

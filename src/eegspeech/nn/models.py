@@ -17,6 +17,11 @@ SynthesisModel.predict uses this (TcnBlock.forward with repeat=5) and never
 builds the (B, 5T, f1) repeat; Model.forward(training=False) is the
 layer-by-layer reference it is tested against.
 
+Each TCN block contracts over its narrower side (see TcnBlock): the first
+runs on a (B, T, k*in) tap matrix while f1 exceeds the 31 EEG channels, as at
+the paper's 256, and the second shift-adds its f2-wide tap outputs while f2 <=
+f1, as at 256 -> 32. Both forms run in every stock training step and predict.
+
 Model.backward differentiates the last forward(training=True): each layer
 reads and releases the record that forward left (see layers.py), so an
 inference pass leaves no activations behind and a backward without a training

@@ -282,6 +282,11 @@ class TestExtractStatFeatures:
         assert np.any(block != 0)
         assert np.all(rest == 0)
 
+    def test_grid_at_another_sample_rate_is_a_data_error(self, rng):
+        clean = eeg.CleanEeg(rng.standard_normal((31, 1000)))
+        with pytest.raises(DataError, match="grid sample rate"):
+            eeg.extract_stat_features(clean, dsp.frame_grid_for_rate(500, 31.0))
+
     def test_determinism(self, rng):
         data = rng.standard_normal((31, 1000))
         a = eeg.extract_stat_features(eeg.CleanEeg(data.copy()), GRID)

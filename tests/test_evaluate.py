@@ -28,11 +28,11 @@ class TestRmse:
         assert rmse(np.zeros(50), np.ones(50)) == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DataError, match="empty"):
             rmse(np.array([]), np.array([]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="shape mismatch"):
             rmse(np.zeros(3), np.zeros(4))
 
     @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-10, 10), scale=st.floats(-5, 5))
@@ -82,7 +82,7 @@ class TestEvaluateSynthesis:
 
     def test_prediction_of_another_length_rejected(self, rng):
         trials = _synth_trials(rng, n=2)
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(DataError, match="shape mismatch"):
             evaluate_synthesis(lambda x: np.zeros(150 - 15), trials)
 
     def test_empty_test_set_rejected(self):

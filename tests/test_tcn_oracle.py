@@ -2,10 +2,13 @@
 
 The reference left-pads the input, gathers the k dilated taps of every step
 into one (B, T, k*in) buffer and multiplies that by w; backward scatter-adds
-the column gradient back into the padded input. TcnBlock multiplies the input
-by all taps at once and shift-adds the narrow tap outputs instead; on the same
-parameters both must give the same output, input gradient and parameter
-gradients up to floating-point rounding.
+the column gradient back into the padded input. TcnBlock contracts over its
+narrower side: with in < out it gathers the taps into a tap matrix too, with
+no padded copy of the input; with in >= out it multiplies the input by all
+taps at once and shift-adds the narrow tap outputs instead. On the same parameters every form must give
+the reference's output, input gradient and parameter gradients up to
+floating-point rounding, and each form must stay below the buffer the other
+would build at paper scale.
 
 The polyphase form, forward(x, repeat=r), is checked against the layer applied
 to UpsampleRepeat(r) of x.
@@ -101,7 +104,8 @@ def _compare(b, t, in_dim, out_dim, k, d, residual, dtype, seed):
 
 
 # (B, T, in, out, kernel, dilation, residual): B=1, T=1, T at and below the
-# padding, dilation > 1, kernel 1 and 2, no residual, identity and projection.
+# padding, dilation > 1, kernel 1 and 2, no residual, identity and projection,
+# each in the tap-matrix form (in < out) and the shift-add form (in >= out).
 SHAPES = [
     (1, 1, 3, 5, 3, 1, True),
     (1, 1, 4, 4, 3, 2, True),
@@ -114,6 +118,11 @@ SHAPES = [
     (4, 12, 5, 7, 3, 1, False),
     (2, 15, 8, 8, 2, 4, True),
     (3, 11, 6, 9, 3, 2, True),
+    (2, 7, 3, 6, 1, 2, False),
+    (3, 10, 2, 8, 3, 3, True),
+    (1, 4, 2, 7, 4, 2, True),
+    (2, 9, 7, 3, 2, 3, False),
+    (2, 5, 6, 6, 4, 2, False),
 ]
 
 
@@ -125,6 +134,11 @@ def test_float64_matches_reference(shape):
 
 def test_float32_paper_scale_matches_reference():
     worst = _compare(2, 2000, 256, 32, 3, 1, True, np.float32, seed=5)
+    assert max(worst.values()) <= 1e-5, worst
+
+
+def test_float32_paper_scale_narrow_input_matches_reference():
+    worst = _compare(2, 2000, 31, 256, 3, 1, True, np.float32, seed=6)
     assert max(worst.values()) <= 1e-5, worst
 
 
@@ -145,8 +159,49 @@ def test_no_im2col_buffer_at_paper_scale():
     assert peak < im2col_bytes, (peak, im2col_bytes)
 
 
-# (in, out, residual): 1x1 projection, identity, none.
-RESIDUALS = [(4, 6, True), (5, 5, True), (4, 6, False)]
+def test_narrow_input_builds_no_tap_output_buffer_at_paper_scale():
+    # 31 -> 256 runs on its (B, T, k*in) tap matrix, never on the
+    # (B, T, (k+1)*out) tap and projection output of the shift-add form.
+    b, t, in_dim, out_dim, k = 2, 2000, 31, 256, 3
+    rng = np.random.default_rng(10)
+    layer = nn.TcnBlock(in_dim, out_dim, k, rng=rng)
+    x = rng.standard_normal((b, t, in_dim)).astype(np.float32)
+    grad_out = rng.standard_normal((b, t, out_dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        layer.forward(x, training=True)
+        layer.backward(grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tap_output_bytes = b * t * (k + 1) * out_dim * np.dtype(np.float32).itemsize
+    assert peak < tap_output_bytes, (peak, tap_output_bytes)
+
+
+def test_shift_add_backward_releases_its_input_before_the_input_gradient():
+    # One 2 s training slice of 256 -> 32: the layer's record holds the only
+    # reference to the (1, 10000, 256) input, and backward frees it before
+    # allocating the input gradient of the same size.
+    t, in_dim, out_dim = 10000, 256, 32
+    rng = np.random.default_rng(12)
+    layer = nn.TcnBlock(in_dim, out_dim, 3, rng=rng)
+    grad_out = rng.standard_normal((1, t, out_dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        layer.forward(rng.standard_normal((1, t, in_dim)).astype(np.float32), training=True)
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gx = layer.backward(grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < gx.nbytes, (peak - start, gx.nbytes)
+
+
+# (in, out, residual): 1x1 projection, identity, none; the tap-matrix form
+# with and without a projection, the shift-add form with the identity and a
+# projection.
+RESIDUALS = [(4, 6, True), (5, 5, True), (4, 6, False), (6, 4, True)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
