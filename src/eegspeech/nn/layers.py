@@ -55,6 +55,9 @@ class Layer:
     def output_length(self, t: int) -> int:
         return t
 
+    def output_width(self, width: int) -> int:
+        return width
+
 
 class TcnBlock(Layer):
     """Causal dilated convolution + ReLU + residual add.
@@ -105,6 +108,9 @@ class TcnBlock(Layer):
             self.proj = uniform_fan_in(rng, (in_dim, out_dim), in_dim, dtype)
             self.params.append(self.proj)
         self.grads = [np.zeros_like(p) for p in self.params]
+
+    def output_width(self, width: int) -> int:
+        return self.out_dim
 
     def _w_all(self) -> np.ndarray:
         """(in, m*out): the k taps of w side by side, then proj if there is one."""
@@ -245,24 +251,54 @@ def _mask_words(shape: tuple[int, ...], dtype) -> int:
     return (n + 1) // 2 if np.dtype(dtype) == np.float32 else n
 
 
-def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: float) -> np.ndarray:
+def _uniform_bits(rng: np.random.Generator, start: int, n: int, dtype) -> np.ndarray:
+    """The integer bits behind elements start..start+n-1 of a uniform draw of
+    dtype from rng's current state: numpy forms a float32 uniform from the low,
+    then the high half of each 64-bit word, so element e is half e % 2 of word
+    e // 2 (and an odd start begins on a high half); a float64 uniform takes
+    one word per element. Moves rng past the last word read."""
+    if np.dtype(dtype) == np.float32:
+        rng.bit_generator.advance(start // 2)
+        words = rng.bit_generator.random_raw((start + n + 1) // 2 - start // 2)
+        return words.astype("<u8", copy=False).view("<u4")[start % 2 : start % 2 + n]
+    rng.bit_generator.advance(start)
+    return rng.bit_generator.random_raw(n)
+
+
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: float,
+               window: tuple[int, int] | None = None) -> np.ndarray:
     """`rng.random(shape, dtype) >= rate`, bit for bit, from the raw generator words.
 
-    numpy forms a float32 uniform as (u32 >> 8)·2⁻²⁴ from the low, then the
-    high half of each 64-bit word, and a float64 one as (u64 >> 11)·2⁻⁵³, so
-    the comparison is an integer one against ceil(rate·2²⁴) << 8 or
-    ceil(rate·2⁵³) << 11, with no float array built. Unlike rng.random, an
-    odd-sized float32 draw does not keep the spare half-word for the next draw.
+    numpy forms a float32 uniform as (u32 >> 8)·2⁻²⁴ and a float64 one as
+    (u64 >> 11)·2⁻⁵³ (see _uniform_bits), so the comparison is an integer one
+    against ceil(rate·2²⁴) << 8 or ceil(rate·2⁵³) << 11, with no float array
+    built. Unlike rng.random, an odd-sized float32 draw does not keep the spare
+    half-word for the next draw.
+
+    window=(start, length): shape is (B, n, F), steps start..start+n-1 of a
+    (B, length, F) draw from rng's current state, whose row b begins at
+    element b·length·F; the mask is that part of the whole draw's mask, and
+    rng is left where it was.
     """
-    words = rng.bit_generator.random_raw(_mask_words(shape, dtype))
     if np.dtype(dtype) == np.float32:
-        words = words.astype("<u8", copy=False).view("<u4")[: math.prod(shape)]
         threshold, bits = math.ceil(float(np.float32(rate)) * 2**24) << 8, 32
     else:
         threshold, bits = math.ceil(rate * 2**53) << 11, 64
     if threshold >= 2**bits:
+        if window is None:
+            rng.bit_generator.advance(_mask_words(shape, dtype))
         return np.zeros(shape, dtype=bool)
-    return (words >= threshold).reshape(shape)
+    if window is None:
+        return (_uniform_bits(rng, 0, math.prod(shape), dtype) >= threshold).reshape(shape)
+    start, length = window
+    b, n, f = shape
+    base = rng.bit_generator.state
+    mask = np.empty(shape, dtype=bool)
+    for row, out in enumerate(mask.reshape(b, n * f)):
+        rng.bit_generator.state = base
+        np.greater_equal(_uniform_bits(rng, (row * length + start) * f, n * f, dtype), threshold, out=out)
+    rng.bit_generator.state = base
+    return mask
 
 
 class Dropout(Layer):
@@ -275,6 +311,13 @@ class Dropout(Layer):
     masks and scales the incoming gradient in place and returns it. forward
     does not work in place: its input may be a view of another layer's
     backward record (the GRU's output at batch 1).
+
+    forward(x, training=True, window=(start, length)) treats x as steps
+    start..start+n-1 of a (B, length, F) input and applies that part of the
+    mask a training forward on the whole input would draw, from the same
+    generator words; the generator does not move (see _keep_mask). A caller
+    that runs the whole input in such blocks advances the generator past the
+    whole draw itself (_mask_words gives its length).
     """
 
     def __init__(self, rate: float, seed: int):
@@ -284,11 +327,12 @@ class Dropout(Layer):
         self.rate = rate
         self.rng = np.random.default_rng(seed)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                window: tuple[int, int] | None = None) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._cache = () if training else None
             return x
-        mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate)
+        mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate, window)
         scale = x.dtype.type(1.0) / (1.0 - self.rate)
         self._cache = (mask, scale)
         y = x * mask
@@ -315,6 +359,9 @@ class TimeDistributedDense(Layer):
         self.b = np.zeros(out_dim, dtype=dtype)
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(p) for p in self.params]
+
+    def output_width(self, width: int) -> int:
+        return self.out_dim
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
@@ -372,6 +419,9 @@ class GruLayer(Layer):
         self.params = [self.w_z, self.w_r, self.w_h, self.u_z, self.u_r, self.u_h,
                        self.b_z, self.b_r, self.b_h]
         self.grads = [np.zeros_like(p) for p in self.params]
+
+    def output_width(self, width: int) -> int:
+        return self.hidden
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_dim:

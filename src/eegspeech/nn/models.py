@@ -26,6 +26,15 @@ Model.backward differentiates the last forward(training=True): each layer
 reads and releases the record that forward left (see layers.py), so an
 inference pass leaves no activations behind and a backward without a training
 forward raises RuntimeError.
+
+nn.train runs each slice through Model.train_pass: forward, masked MSE and
+backward. The regressor's is that layer-by-layer pass. The synthesizer's is
+its training counterpart of the polyphase predict: it walks the slice in time
+blocks whose widest tensor stays within TRAIN_BLOCK_BYTES, so each block's
+forward, loss and backward find their tensors in cache instead of sending
+(1, 10000, 256) float32 arrays (10 MiB for a 2 s trial) through L3 at every
+layer boundary. forward(training=True) then backward stay the reference the
+blocked pass is tested against, and the gradient-check path.
 """
 
 from __future__ import annotations
@@ -37,9 +46,18 @@ import numpy as np
 
 from ..errors import DataError
 from ..serialize import load_container, save_container
-from .layers import Dropout, GruLayer, Layer, TcnBlock, TimeDistributedDense, UpsampleRepeat
+from .layers import Dropout, GruLayer, Layer, TcnBlock, TimeDistributedDense, UpsampleRepeat, _mask_words, mse_loss
 
 REGRESSION_OUT_DIMS = (1, 2, 6, 7, 12, 128, 384)
+
+# Byte budget of the widest tensor of one time block of a synthesis training
+# pass, the (rows, 5 * steps, max(f1, f2)) activations at the x5 rate: about
+# one core's L2 (2 MiB on the hosts measured), so a block's forward, loss and
+# backward read their tensors back from L2, not L3. At 256/32 float32 a 2 s
+# trial runs as five blocks of 400 EEG steps. A whole 4-trial training step
+# (2-vCPU Xeon, two runners) ran no faster with 250- or 200-step blocks and
+# 25% slower with 100-step blocks, whose fixed cost per block dominates.
+TRAIN_BLOCK_BYTES = 2 * 2**20
 
 
 class Model:
@@ -81,6 +99,25 @@ class Model:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference mode: dropout off, deterministic."""
         return self.forward(x, training=False)
+
+    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float) -> float:
+        """One training pass over a padded (B, T, in) slice: forward, masked
+        MSE and backward, with the loss gradient scaled by part / count, where
+        part is the slice's number of valid output values. Accumulates the
+        parameter gradients and returns loss * part: 0.0 with no backward when
+        no output is valid, a non-finite value with no backward when the loss
+        diverges."""
+        for layer in self.layers:
+            x = layer.forward(x, training=True)
+        part = float(mask.sum()) * target.shape[-1]
+        if part == 0:
+            return 0.0
+        loss, grad = mse_loss(x, target, mask)
+        if not np.isfinite(loss):
+            return loss
+        grad *= grad.dtype.type(part / count)
+        self.backward(grad)
+        return loss * part
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
@@ -131,6 +168,70 @@ class SynthesisModel(Model):
         tcn1, up5, _, tcn2, dense, up3 = self.layers
         h = tcn2.forward(tcn1.forward(self._check_input(x)), repeat=up5.k)
         return up3.forward(dense.forward(h))
+
+    def halo(self) -> int:
+        """EEG steps before a block that its outputs read: TCN1's reach, then
+        TCN2's reach at the x5 rate, in whole EEG steps."""
+        tcn1, up5, _, tcn2, _, _ = self.layers
+        return (tcn1.kernel_size - 1) * tcn1.dilation + -(-(tcn2.kernel_size - 1) * tcn2.dilation // up5.k)
+
+    def block_steps(self, rows: int, t: int, dtype) -> int:
+        """EEG steps per block of a (rows, t) slice: the fewest blocks whose
+        x5-rate activations stay within TRAIN_BLOCK_BYTES, split evenly, and
+        never fewer steps than the halo, so that a block's halo lies in the
+        block before it."""
+        _, up5, _, tcn2, _, _ = self.layers
+        step_bytes = rows * up5.k * max(tcn2.in_dim, tcn2.out_dim) * np.dtype(dtype).itemsize
+        n_blocks = -(-t // max(1, TRAIN_BLOCK_BYTES // step_bytes))
+        return max(self.halo(), -(-t // n_blocks))
+
+    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float) -> float:
+        """Model.train_pass in time blocks of block_steps EEG steps, walked
+        from the last block to the first, so that each block's tensors are
+        still in cache from its forward when its backward reads them.
+
+        A block recomputes its halo from the input, calls every layer's
+        forward, mse_loss on its own outputs and every layer's backward, so no
+        layer holds more than one block's record. Its dropout mask is its part
+        of the whole slice's mask (Dropout.forward's window). The halo rows of
+        its TCN1 output gradient are added to the block before it, and TCN1's
+        backward runs on the block's own rows only. Each block's loss and
+        gradient are scaled by its own part, as slices are. A slice of one
+        block is bitwise Model.train_pass; over several blocks only the sums of
+        the gradients and of the loss change order. The dropout generator ends
+        where Model.train_pass leaves it."""
+        tcn1, up5, dropout, tcn2, dense, up3 = self.layers
+        b, t, _ = x.shape
+        steps, halo = self.block_steps(b, t, x.dtype), self.halo()
+        up = up5.k * up3.k  # output steps per EEG step
+        sq, carry = 0.0, None
+        for s in reversed(range(0, t, steps)):
+            e, lo = min(s + steps, t), max(0, s - halo)
+            rows = slice(up * s, up * e)
+            part = float(mask[:, rows].sum()) * target.shape[-1]
+            if part == 0 and carry is None:
+                continue  # no valid output here or after: nothing to differentiate
+            h = up5.forward(tcn1.forward(x[:, lo:e], training=True), training=True)
+            h = dropout.forward(h, training=True, window=(up5.k * lo, up5.k * t))
+            pred = up3.forward(dense.forward(tcn2.forward(h, training=True), training=True), training=True)
+            grad = np.zeros_like(pred)
+            if part:
+                loss, grad[:, up * (s - lo):] = mse_loss(pred[:, up * (s - lo):], target[:, rows], mask[:, rows])
+                if not np.isfinite(loss):
+                    for layer in self.layers:
+                        layer._cache = None
+                    return loss
+                grad *= grad.dtype.type(part / count)
+                sq += loss * part
+            g = up5.backward(dropout.backward(tcn2.backward(dense.backward(up3.backward(grad)))))
+            if carry is not None:
+                g[:, g.shape[1] - carry.shape[1]:] += carry
+            carry = g[:, : s - lo].copy() if s > lo else None
+            g[:, : s - lo] = 0
+            tcn1.backward(g, need_input_grad=False)
+        if dropout.rate:
+            dropout.rng.bit_generator.advance(_mask_words((b, up5.k * t, tcn1.out_dim), x.dtype))
+        return sq
 
 
 class RegressionModel(Model):

@@ -2,9 +2,11 @@
 run and run in micro-batches of whole trials sized by their output steps,
 masked MSE, Adam) plus the finite-difference gradient verifier.
 
-Each micro-batch (slice) runs forward(training=True) and then backward, which
-releases the layers' backward records, and the validation loss runs through
-predict, which keeps none: between steps and after train returns, a model holds
+Each micro-batch (slice) runs through the model's train_pass: forward, masked
+MSE and backward, which releases the layers' backward records. The regressor's
+runs layer by layer; the synthesizer's runs the slice in cache-sized time blocks
+(see SynthesisModel.train_pass). The validation loss runs through predict,
+which keeps no records: between steps and after train returns, a model holds
 no activations.
 
 The slices of a batch run on up to one runner per CPU this process may use:
@@ -26,8 +28,8 @@ the checkpoints and histories do not depend on the core count.
 
 Under glibc, the first train call of a process pins malloc's mmap threshold at
 its 64-bit ceiling (32 MiB) and its trim threshold at 64 MiB, so each runner's
-slice arrays are served again from its arena's heap instead of being trimmed
-and faulted back in on every slice."""
+block and slice arrays are served again from its arena's heap instead of being
+trimmed and faulted back in on every pass."""
 
 from __future__ import annotations
 
@@ -47,19 +49,21 @@ from ..serialize import write_csv
 from .layers import Adam, Dropout, _mask_words, mse_loss
 from .models import Model
 
-# Output (target) time steps per forward/backward pass: a padded batch is run in
+# Output (target) time steps per training pass: a padded batch is run in
 # slices of whole trials that each stay at or below this, with the gradients
-# accumulated into one optimizer step. 30000 is one 2 s trial at 15 kHz, so a
-# synthesis slice's widest tensor, (1, 10000, 256) float32, is ~10 MiB, under
-# glibc's 32 MiB mmap ceiling; a regression batch of up to 100 x 63 frames is
-# one slice.
+# accumulated into one optimizer step. 30000 is one 2 s trial at 15 kHz; a
+# synthesis slice then runs in time blocks whose widest tensor is ~2 MiB
+# (models.TRAIN_BLOCK_BYTES), and a regression batch of up to 100 x 63 frames
+# is one slice.
 MICRO_BATCH_OUTPUT_STEPS = 30000
 
 # mallopt(3) parameters and the values _hold_heap pins: glibc's dynamic mmap
-# threshold stops at the largest block freed so far (~10 MiB, a slice's widest
-# array) with a trim threshold of twice that, so every slice's freed heap top
-# went back to the kernel. 32 MiB is the ceiling that rule can reach on 64-bit
-# (DEFAULT_MMAP_THRESHOLD_MAX); at most 64 MiB of free heap top stays per arena.
+# threshold stops at the largest block freed so far (~2 MiB, a synthesis time
+# block's widest array) with a trim threshold of twice that, so the freed heap
+# top goes back to the kernel and is faulted in again. With time blocks the pin
+# still gives synth-train +19% (10 of 10 pairs); regress-train is flat. 32 MiB
+# is the ceiling that rule can reach on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX); at
+# most 64 MiB of free heap top stays per arena.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 64 * 2**20
@@ -199,23 +203,21 @@ def _train_slice(view: Model, batch, slices: list[slice], i: int, starts: list, 
     sequential run draws for slice i."""
     xb, yb, mask, count = batch
     rows = slices[i]
-    x = xb[rows]
+    t, width = xb.shape[1:]
     for layer, start in zip(view.layers, starts):
         if start is not None:
             layer.rng.bit_generator.state = start
-            layer.rng.bit_generator.advance(i * _mask_words((slices[0].stop, *x.shape[1:]), x.dtype))
-        x = layer.forward(x, training=True)
-    # Every slice runs forward, so the last slice ends where the whole batch's draws end.
+            layer.rng.bit_generator.advance(i * _mask_words((slices[0].stop, t, width), xb.dtype))
+        t, width = layer.output_length(t), layer.output_width(width)
+    sq = view.train_pass(xb[rows], yb[rows], mask[rows], count)
+    # Every pass leaves the generators past its whole mask, so the last slice ends where the batch's draws end.
     ends = [None if start is None else layer.rng.bit_generator.state for layer, start in zip(view.layers, starts)]
     part = float(mask[rows].sum()) * yb.shape[-1]
     if part == 0:
         return 0.0, 0.0, None, ends
-    loss, grad = mse_loss(x, yb[rows], mask[rows])
-    if not np.isfinite(loss):
+    if not np.isfinite(sq):
         raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
-    grad *= grad.dtype.type(part / count)
-    view.backward(grad)
-    return loss * part, part, view.grads(), ends
+    return sq, part, view.grads(), ends
 
 
 def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> list[tuple[float, float]]:

@@ -481,8 +481,8 @@ class TestSliceRunners:
             threads.add(threading.get_ident())
             return forward(layer, x, *args, **kwargs)
 
-        def drawn(layer, x, training=False):
-            y = dropout_forward(layer, x, training)
+        def drawn(layer, x, training=False, window=None):
+            y = dropout_forward(layer, x, training, window)
             if training:
                 masks.append(layer._cache[0])
             return y
