@@ -251,53 +251,48 @@ def _mask_words(shape: tuple[int, ...], dtype) -> int:
     return (n + 1) // 2 if np.dtype(dtype) == np.float32 else n
 
 
-def _uniform_bits(rng: np.random.Generator, start: int, n: int, dtype) -> np.ndarray:
+def _uniform_bits(bits: np.random.BitGenerator, start: int, n: int, dtype) -> np.ndarray:
     """The integer bits behind elements start..start+n-1 of a uniform draw of
-    dtype from rng's current state: numpy forms a float32 uniform from the low,
-    then the high half of each 64-bit word, so element e is half e % 2 of word
-    e // 2 (and an odd start begins on a high half); a float64 uniform takes
-    one word per element. Moves rng past the last word read."""
+    dtype from the bit generator's current state: numpy forms a float32 uniform
+    from the low, then the high half of each 64-bit word, so element e is half
+    e % 2 of word e // 2 (and an odd start begins on a high half); a float64
+    uniform takes one word per element. Moves bits past the last word read."""
     if np.dtype(dtype) == np.float32:
-        rng.bit_generator.advance(start // 2)
-        words = rng.bit_generator.random_raw((start + n + 1) // 2 - start // 2)
+        bits.advance(start // 2)
+        words = bits.random_raw((start + n + 1) // 2 - start // 2)
         return words.astype("<u8", copy=False).view("<u4")[start % 2 : start % 2 + n]
-    rng.bit_generator.advance(start)
-    return rng.bit_generator.random_raw(n)
+    bits.advance(start)
+    return bits.random_raw(n)
 
 
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], dtype, rate: float,
-               window: tuple[int, int] | None = None) -> np.ndarray:
-    """`rng.random(shape, dtype) >= rate`, bit for bit, from the raw generator words.
+               window: tuple[int, int, int] | None = None) -> np.ndarray:
+    """The keep mask `rng.random(shape, dtype) >= rate`, bit for bit, of a
+    (B, n, F) shape; with window=(row, step, length), rows row.., steps step..
+    of the mask of a (·, length, F) draw, whose row r begins at element
+    r·length·F. The words are read through a private PCG64 set to rng's
+    state, so rng never moves and runners may share it.
 
     numpy forms a float32 uniform as (u32 >> 8)·2⁻²⁴ and a float64 one as
     (u64 >> 11)·2⁻⁵³ (see _uniform_bits), so the comparison is an integer one
     against ceil(rate·2²⁴) << 8 or ceil(rate·2⁵³) << 11, with no float array
-    built. Unlike rng.random, an odd-sized float32 draw does not keep the spare
-    half-word for the next draw.
-
-    window=(start, length): shape is (B, n, F), steps start..start+n-1 of a
-    (B, length, F) draw from rng's current state, whose row b begins at
-    element b·length·F; the mask is that part of the whole draw's mask, and
-    rng is left where it was.
+    built.
     """
+    b, n, f = shape
+    row, step, length = (0, 0, n) if window is None else window
+    if n == length:  # whole rows lie back to back in the draw: one read
+        b, n, row, step = 1, b * n, 0, row * n
     if np.dtype(dtype) == np.float32:
         threshold, bits = math.ceil(float(np.float32(rate)) * 2**24) << 8, 32
     else:
         threshold, bits = math.ceil(rate * 2**53) << 11, 64
     if threshold >= 2**bits:
-        if window is None:
-            rng.bit_generator.advance(_mask_words(shape, dtype))
         return np.zeros(shape, dtype=bool)
-    if window is None:
-        return (_uniform_bits(rng, 0, math.prod(shape), dtype) >= threshold).reshape(shape)
-    start, length = window
-    b, n, f = shape
-    base = rng.bit_generator.state
     mask = np.empty(shape, dtype=bool)
-    for row, out in enumerate(mask.reshape(b, n * f)):
-        rng.bit_generator.state = base
-        np.greater_equal(_uniform_bits(rng, (row * length + start) * f, n * f, dtype), threshold, out=out)
-    rng.bit_generator.state = base
+    reader, state = np.random.PCG64(), rng.bit_generator.state
+    for r, out in enumerate(mask.reshape(b, n * f), start=row):
+        reader.state = state
+        np.greater_equal(_uniform_bits(reader, (r * length + step) * f, n * f, dtype), threshold, out=out)
     return mask
 
 
@@ -312,12 +307,12 @@ class Dropout(Layer):
     does not work in place: its input may be a view of another layer's
     backward record (the GRU's output at batch 1).
 
-    forward(x, training=True, window=(start, length)) treats x as steps
-    start..start+n-1 of a (B, length, F) input and applies that part of the
-    mask a training forward on the whole input would draw, from the same
-    generator words; the generator does not move (see _keep_mask). A caller
-    that runs the whole input in such blocks advances the generator past the
-    whole draw itself (_mask_words gives its length).
+    A training forward without a window draws the mask of its whole input and
+    advances the generator past it (_mask_words words). forward(x, training=True,
+    window=(row, step, length)) treats x as rows row.., steps step.. of a
+    (·, length, F) input, such as one slice or time block of a training batch,
+    and applies those rows and steps of the whole input's mask without moving
+    the generator: the caller advances it past the whole draw once.
     """
 
     def __init__(self, rate: float, seed: int):
@@ -328,11 +323,13 @@ class Dropout(Layer):
         self.rng = np.random.default_rng(seed)
 
     def forward(self, x: np.ndarray, training: bool = False,
-                window: tuple[int, int] | None = None) -> np.ndarray:
+                window: tuple[int, int, int] | None = None) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._cache = () if training else None
             return x
         mask = _keep_mask(self.rng, x.shape, x.dtype, self.rate, window)
+        if window is None:
+            self.rng.bit_generator.advance(_mask_words(x.shape, x.dtype))
         scale = x.dtype.type(1.0) / (1.0 - self.rate)
         self._cache = (mask, scale)
         y = x * mask

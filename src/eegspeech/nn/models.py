@@ -46,7 +46,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..serialize import load_container, save_container
-from .layers import Dropout, GruLayer, Layer, TcnBlock, TimeDistributedDense, UpsampleRepeat, _mask_words, mse_loss
+from .layers import Dropout, GruLayer, Layer, TcnBlock, TimeDistributedDense, UpsampleRepeat, mse_loss
 
 REGRESSION_OUT_DIMS = (1, 2, 6, 7, 12, 128, 384)
 
@@ -100,15 +100,21 @@ class Model:
         """Inference mode: dropout off, deterministic."""
         return self.forward(x, training=False)
 
-    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float) -> float:
-        """One training pass over a padded (B, T, in) slice: forward, masked
-        MSE and backward, with the loss gradient scaled by part / count, where
-        part is the slice's number of valid output values. Accumulates the
+    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float,
+                   row: int = 0) -> float:
+        """One training pass over a padded (B, T, in) slice, rows row.. of its
+        batch: forward, masked MSE and backward, with the loss gradient scaled
+        by part / count, where part is the slice's number of valid output
+        values. A Dropout layer applies its rows of the batch's mask and leaves
+        its generator where it was (Dropout.forward's window). Accumulates the
         parameter gradients and returns loss * part: 0.0 with no backward when
         no output is valid, a non-finite value with no backward when the loss
         diverges."""
         for layer in self.layers:
-            x = layer.forward(x, training=True)
+            if isinstance(layer, Dropout):
+                x = layer.forward(x, training=True, window=(row, 0, x.shape[1]))
+            else:
+                x = layer.forward(x, training=True)
         part = float(mask.sum()) * target.shape[-1]
         if part == 0:
             return 0.0
@@ -185,21 +191,21 @@ class SynthesisModel(Model):
         n_blocks = -(-t // max(1, TRAIN_BLOCK_BYTES // step_bytes))
         return max(self.halo(), -(-t // n_blocks))
 
-    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float) -> float:
+    def train_pass(self, x: np.ndarray, target: np.ndarray, mask: np.ndarray, count: float,
+                   row: int = 0) -> float:
         """Model.train_pass in time blocks of block_steps EEG steps, walked
         from the last block to the first, so that each block's tensors are
         still in cache from its forward when its backward reads them.
 
         A block recomputes its halo from the input, calls every layer's
         forward, mse_loss on its own outputs and every layer's backward, so no
-        layer holds more than one block's record. Its dropout mask is its part
-        of the whole slice's mask (Dropout.forward's window). The halo rows of
+        layer holds more than one block's record. Its dropout mask is its rows
+        and steps of the batch's mask (Dropout.forward's window). The halo rows of
         its TCN1 output gradient are added to the block before it, and TCN1's
         backward runs on the block's own rows only. Each block's loss and
         gradient are scaled by its own part, as slices are. A slice of one
         block is bitwise Model.train_pass; over several blocks only the sums of
-        the gradients and of the loss change order. The dropout generator ends
-        where Model.train_pass leaves it."""
+        the gradients and of the loss change order."""
         tcn1, up5, dropout, tcn2, dense, up3 = self.layers
         b, t, _ = x.shape
         steps, halo = self.block_steps(b, t, x.dtype), self.halo()
@@ -212,7 +218,7 @@ class SynthesisModel(Model):
             if part == 0 and carry is None:
                 continue  # no valid output here or after: nothing to differentiate
             h = up5.forward(tcn1.forward(x[:, lo:e], training=True), training=True)
-            h = dropout.forward(h, training=True, window=(up5.k * lo, up5.k * t))
+            h = dropout.forward(h, training=True, window=(row, up5.k * lo, up5.k * t))
             pred = up3.forward(dense.forward(tcn2.forward(h, training=True), training=True), training=True)
             grad = np.zeros_like(pred)
             if part:
@@ -229,8 +235,6 @@ class SynthesisModel(Model):
             carry = g[:, : s - lo].copy() if s > lo else None
             g[:, : s - lo] = 0
             tcn1.backward(g, need_input_grad=False)
-        if dropout.rate:
-            dropout.rng.bit_generator.advance(_mask_words((b, up5.k * t, tcn1.out_dim), x.dtype))
         return sq
 
 

@@ -9,19 +9,23 @@ runs layer by layer; the synthesizer's runs the slice in cache-sized time blocks
 which keeps no records: between steps and after train returns, a model holds
 no activations.
 
+Each Dropout layer draws one mask per batch: every slice, and every time
+block of a synthesis slice, applies its own rows and steps of that draw from
+the generator's state at the start of the batch (Dropout.forward's window),
+and no piece moves the generator. Once the batch is done, each generator
+advances past the whole batch's draw, once. So the masks do not depend on how
+a batch is cut into slices or blocks.
+
 The slices of a batch run on up to one runner per CPU this process may use:
 the calling thread, on the model's own layers, and threads of a pool that
 lives for one train call, each on copies of the layers that share the
-parameter arrays. The slices share nothing mutable: every slice starts from
-zeroed gradients, and each Dropout layer of a slice sets its generator to the
-layer's state at the start of the batch, advanced past the masks of the
-slices before it (every slice but the last has the first slice's rows, and
-_mask_words gives a mask's word count). Once every runner is done, the
-slices' gradients and losses are added in slice order and the model's
-generators take the last slice's end state, so the step is bitwise that of
-running the slices one after another. The runners take slice indices from one
-shared iterator; a runner whose slice fails drains it, so the others stop after
-their current slice, and the caller re-raises the failure once all have stopped.
+parameter arrays and the dropout generators, which the slices only read. The
+slices share nothing mutable: every slice starts from zeroed gradients. Once
+every runner is done, the slices' gradients and losses are added in slice
+order, so the step is bitwise that of running the slices one after another.
+The runners take slice indices from one shared iterator; a runner whose slice
+fails drains it, so the others stop after their current slice, and the caller
+re-raises the failure once all have stopped.
 
 Each train call first sets the process's BLAS to one thread (`eegspeech.blas`):
 the checkpoints and histories do not depend on the core count.
@@ -180,44 +184,28 @@ def _worker_count(n_slices: int) -> int:
 
 def _view(model: Model, own: bool) -> Model:
     """The model one slice trains on, with zeroed gradients: the model itself
-    (caller thread), or a copy whose layers share the parameter arrays and own
-    their gradients, backward records and dropout generators."""
+    (caller thread), or a copy whose layers share the parameter arrays and the
+    dropout generators and own their gradients and backward records."""
     view = model if own else copy.copy(model)
     if not own:
         view.layers = [copy.copy(layer) for layer in model.layers]
     for layer in view.layers:
         layer._cache = None
         layer.grads = [np.zeros_like(p) for p in layer.params]
-        if not own and isinstance(layer, Dropout):
-            layer.rng = np.random.default_rng()  # each slice sets its state
     return view
 
 
-def _train_slice(view: Model, batch, slices: list[slice], i: int, starts: list, epoch: int):
-    """Slice i of a padded batch on view: (loss * part, part, gradients or None
-    where no output is valid, dropout generator states at the slice's end).
-
-    Each Dropout with a nonzero rate draws from its generator set to the
-    layer's state at the start of the batch (starts) and advanced past the
-    masks of slices 0..i-1, which all have slice 0's rows: the mask a
-    sequential run draws for slice i."""
+def _train_slice(view: Model, batch, rows: slice, epoch: int):
+    """Rows `rows` of a padded batch on view: (loss * part, part, gradients or
+    None where no output is valid)."""
     xb, yb, mask, count = batch
-    rows = slices[i]
-    t, width = xb.shape[1:]
-    for layer, start in zip(view.layers, starts):
-        if start is not None:
-            layer.rng.bit_generator.state = start
-            layer.rng.bit_generator.advance(i * _mask_words((slices[0].stop, t, width), xb.dtype))
-        t, width = layer.output_length(t), layer.output_width(width)
-    sq = view.train_pass(xb[rows], yb[rows], mask[rows], count)
-    # Every pass leaves the generators past its whole mask, so the last slice ends where the batch's draws end.
-    ends = [None if start is None else layer.rng.bit_generator.state for layer, start in zip(view.layers, starts)]
+    sq = view.train_pass(xb[rows], yb[rows], mask[rows], count, rows.start)
     part = float(mask[rows].sum()) * yb.shape[-1]
     if part == 0:
-        return 0.0, 0.0, None, ends
+        return 0.0, 0.0, None
     if not np.isfinite(sq):
         raise NumericError(f"loss diverged (NaN/inf) at epoch {epoch}")
-    return sq, part, view.grads(), ends
+    return sq, part, view.grads()
 
 
 def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> list[tuple[float, float]]:
@@ -225,17 +213,17 @@ def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> l
     (loss * part, part), in slice order, for the slices with valid outputs.
 
     Runners take slice indices from one iterator; each slice writes only its
-    own entry of results."""
+    own entry of results. Then each dropout generator advances past the
+    batch's one mask draw, whose rows and steps the slices applied."""
+    xb = batch[0]
     slices = _slices(batch[1])
-    starts = [layer.rng.bit_generator.state if isinstance(layer, Dropout) and layer.rate else None
-              for layer in model.layers]
     results: list = [None] * len(slices)
     todo = iter(range(len(slices)))
 
     def run(own: bool) -> None:
         try:
             for i in todo:
-                results[i] = _train_slice(_view(model, own), batch, slices, i, starts, epoch)
+                results[i] = _train_slice(_view(model, own), batch, slices[i], epoch)
         finally:
             for _ in todo:  # after a failure, leave the other runners nothing to take
                 pass
@@ -254,14 +242,16 @@ def _train_batch(model: Model, batch, pool: ThreadPoolExecutor, epoch: int) -> l
     model.zero_grad()
     totals = model.grads()
     losses = []
-    for sq, part, grads, _ in results:
+    for sq, part, grads in results:
         if grads is not None:
             for total, g in zip(totals, grads):
                 total += g
             losses.append((sq, part))
-    for layer, end in zip(model.layers, results[-1][3]):
-        if end is not None:
-            layer.rng.bit_generator.state = end
+    t, width = xb.shape[1:]
+    for layer in model.layers:
+        if isinstance(layer, Dropout) and layer.rate:
+            layer.rng.bit_generator.advance(_mask_words((len(xb), t, width), xb.dtype))
+        t, width = layer.output_length(t), layer.output_width(width)
     return losses
 
 
@@ -270,7 +260,8 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
     same for any number of runners and, where BLAS can be pinned, any BLAS
     thread count. Leaves the process's BLAS pinned to one thread.
 
-    Raises NumericError if the loss diverges to NaN/inf.
+    Raises NumericError if the training or the validation loss diverges to
+    NaN/inf.
     """
     if not train_pairs:
         raise ValueError("empty training set")
@@ -296,6 +287,8 @@ def train(model: Model, train_pairs, config: TrainConfig, val_pairs=None) -> Tra
                     count_sum += part
                 optimizer.step(model.grads())
             val_loss = _epoch_loss(model, val_batches) if val_batches else None
+            if val_loss is not None and not np.isfinite(val_loss):
+                raise NumericError(f"validation loss diverged (NaN/inf) at epoch {epoch}")
             history.epochs.append(
                 {"epoch": epoch, "train_loss": sq_sum / count_sum, "val_loss": val_loss}
             )

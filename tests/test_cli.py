@@ -213,6 +213,20 @@ class TestPipelineCommands:
         code, _ = run_cli("train-synth", "--config", str(blowup), "--epochs", "50")
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_16_diverging_validation_exits_3_and_keeps_the_models(self, finished_run, capsys):
+        """One training batch, whose loss is taken before the step, so only the
+        validation loss diverges: no checkpoint or history is written."""
+        root, config = finished_run
+        blowup = root / "blowup_val.ini"
+        blowup.write_text(config.read_text().replace("learning_rate = 0.003", "learning_rate = 1e20")
+                          .replace("batch_size = 4", "batch_size = 100"))
+        before = _tree_bytes(root / "out" / "models")
+        code, _ = run_cli("train-synth", "--config", str(blowup), "--epochs", "1")
+        assert code == 3
+        assert "validation loss diverged" in capsys.readouterr().err
+        assert _tree_bytes(root / "out" / "models") == before
+
     @pytest.mark.parametrize("command", FILTERED)
     def test_17_empty_selection_keeps_every_output(self, finished_run, capsys, command):
         # gen-data cycles subjects 1..4, so subject 9 selects no trial

@@ -16,7 +16,7 @@ import eegspeech
 from eegspeech import nn, pipeline, serialize
 from eegspeech.errors import DataError, NumericError
 from eegspeech.nn import layers as nn_layers
-from eegspeech.nn import training
+from eegspeech.nn import models, training
 
 
 def test_public_names_resolve():
@@ -243,6 +243,16 @@ class TestTrain:
         with pytest.raises(NumericError, match="diverged"):
             nn.train(model, pairs, nn.TrainConfig(epochs=200, batch_size=1, learning_rate=1e12, seed=0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_validation_divergence_raises_numeric_error(self, rng):
+        """One batch per epoch, so the training loss is taken before the first
+        step and stays finite; the step itself sends the validation loss to inf."""
+        pairs = [(rng.standard_normal((20, 31)), 0.1 * rng.standard_normal((300, 1))) for _ in range(3)]
+        model = nn.build_synthesis_model(seed=2, filters=(8, 4), kernel_size=3, dropout_rate=0.2)
+        with pytest.raises(NumericError, match="validation loss diverged .* at epoch 1$"):
+            nn.train(model, pairs[:2], nn.TrainConfig(epochs=1, batch_size=2, learning_rate=1e20, seed=0),
+                     pairs[2:])
+
     def test_empty_training_set_rejected(self):
         model = nn.build_regression_model(out_dim=1, seed=0, hidden=4, in_dim=30, dropout_rate=0.2)
         with pytest.raises(ValueError, match="empty"):
@@ -332,6 +342,32 @@ class TestMicroBatches:
         for w, s in zip(whole, sliced):
             assert np.max(np.abs(w - s)) <= tol * np.max(np.abs(w))
         assert sliced_loss == pytest.approx(whole_loss, rel=tol)
+
+    @pytest.mark.parametrize("steps, block_bytes", [
+        (15 * 41, 2 * 2**20),  # one trial per slice
+        (6 * 15 * 41, 2000),  # one slice of 3-step blocks
+        (15 * 41, 2000),  # one trial per slice, in 14-step blocks
+    ])
+    def test_masks_do_not_depend_on_slices_or_blocks(self, rng, monkeypatch, steps, block_bytes):
+        """One batch of six 41-step trials on the (7, 3) float32 model: a
+        one-trial mask has 5 * 41 * 7 = 1435 elements, an odd count, so cuts
+        between rows and blocks fall on high halves of generator words. Every
+        cut gives the one-slice, one-block gradients to float32 rounding and
+        leaves the generator in the same state."""
+        pairs = [(rng.standard_normal((41, 31)), 0.1 * rng.standard_normal((15 * 41, 1))) for _ in range(6)]
+
+        def step(micro_steps, budget):
+            monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", micro_steps)
+            monkeypatch.setattr(models, "TRAIN_BLOCK_BYTES", budget)
+            model = nn.build_synthesis_model(seed=6, filters=(7, 3), kernel_size=3, dropout_rate=0.3)
+            nn.train(model, pairs, nn.TrainConfig(epochs=1, batch_size=6, learning_rate=1e-3, seed=3))
+            return [g.copy() for g in model.grads()], model.layers[2].rng.bit_generator.state
+
+        whole, state = step(10**9, 2**40)
+        grads, got_state = step(steps, block_bytes)
+        assert got_state == state
+        for w, g in zip(whole, grads):
+            assert np.max(np.abs(w - g)) <= 1e-5 * np.max(np.abs(w))
 
     @staticmethod
     def _stock_epoch_peak(rng, n_trials):
@@ -469,8 +505,9 @@ class TestSliceRunners:
     @staticmethod
     def _train(monkeypatch, pairs, workers, val_pairs=None, dtype=np.float32, filters=(8, 4)):
         """Three epochs of one trial per slice on `workers` runners; the digest
-        of the parameters, the history, the number of threads that ran a
-        TcnBlock forward and the dropout masks in the order they were drawn."""
+        of the parameters, the history and the dropout generator's end state,
+        the number of threads that ran a TcnBlock forward and the dropout
+        windows and masks in the order they were drawn."""
         monkeypatch.setattr(training, "_worker_count", lambda n_slices: min(workers, n_slices))
         monkeypatch.setattr(training, "MICRO_BATCH_OUTPUT_STEPS", 15 * 40)
         threads = set()
@@ -484,7 +521,7 @@ class TestSliceRunners:
         def drawn(layer, x, training=False, window=None):
             y = dropout_forward(layer, x, training, window)
             if training:
-                masks.append(layer._cache[0])
+                masks.append((window, layer._cache[0]))
             return y
 
         monkeypatch.setattr(nn.TcnBlock, "forward", recorded)
@@ -494,34 +531,42 @@ class TestSliceRunners:
                            val_pairs)
         monkeypatch.undo()
         assert all(layer._cache is None for layer in model.layers)
-        return _params_digest(model), history.epochs, len(threads), masks
+        state = model.layers[2].rng.bit_generator.state
+        return (_params_digest(model), history.epochs, state), len(threads), masks
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_across_worker_counts(self, rng, monkeypatch, dtype):
         """Up to five runners on two batches of five slices, with threads
-        switching every microsecond. On one runner the slices draw their masks
-        one after another from the model's dropout generator (seed 7).
+        switching every microsecond. On one runner, slice i of a batch applies
+        rows i.. of one (5, L, F) mask drawn from the model's dropout
+        generator (seed 7) at the batch's start, and the generator advances
+        past that draw once per batch.
 
         The second input pads both batches to 41 steps: a (7, 3) model's
-        one-trial mask then has 5 * 41 * 7 = 1435 elements, an odd count, so a
-        float32 slice starts 718 words after the one before it."""
+        one-trial mask then has 5 * 41 * 7 = 1435 elements, an odd count, so
+        every odd float32 slice starts on the high half of a generator word."""
         odd_lengths = [41] * 6 + list(rng.integers(12, 41, size=4))
         odd = [(rng.standard_normal((t, 31)), 0.1 * rng.standard_normal((15 * t, 1))) for t in odd_lengths]
         val_pairs = self._pairs(rng, 3)
         for filters, pairs in (((8, 4), self._pairs(rng, 10)), ((7, 3), odd)):
-            digest, epochs, n_threads, masks = self._train(monkeypatch, pairs, 1, val_pairs, dtype, filters)
+            trained, n_threads, masks = self._train(monkeypatch, pairs, 1, val_pairs, dtype, filters)
             assert n_threads == 1
             assert len(masks) == 3 * len(pairs)
             generator = np.random.default_rng(7)
-            for mask in masks:
-                assert np.array_equal(mask, nn_layers._keep_mask(generator, mask.shape, dtype, 0.3))
+            for lo in range(0, len(masks), 5):
+                shape = (5, *masks[lo][1].shape[1:])
+                whole = nn_layers._keep_mask(generator, shape, dtype, 0.3)
+                for row, (window, mask) in enumerate(masks[lo : lo + 5]):
+                    assert window == (row, 0, shape[1])
+                    assert np.array_equal(mask, whole[row : row + 1])
+                generator.bit_generator.advance(nn_layers._mask_words(shape, dtype))
+            assert trained[2] == generator.bit_generator.state
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
                 for workers in (2, 3, 5):
-                    got_digest, got_epochs, n_threads, _ = self._train(
-                        monkeypatch, pairs, workers, val_pairs, dtype, filters)
-                    assert (got_digest, got_epochs) == (digest, epochs)
+                    got, n_threads, _ = self._train(monkeypatch, pairs, workers, val_pairs, dtype, filters)
+                    assert got == trained
                     assert 2 <= n_threads <= workers
             finally:
                 sys.setswitchinterval(interval)
@@ -550,8 +595,8 @@ pairs = [(rng.standard_normal((2000, 31)).astype(np.float32),
 model = nn.build_synthesis_model(seed=1, filters=(64, 16), kernel_size=3, dropout_rate=0.2)
 history = nn.train(model, pairs, nn.TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=0))
 """,
-        "a GRU-128 regressor on 40 x 62 frames with 5 validation trials, three epochs": """
-pairs = [(rng.standard_normal((62, 30)).astype(np.float32), rng.standard_normal((62, 12)).astype(np.float32))
+        "a GRU-128 regressor on 40 x 63 frames with 5 validation trials, three epochs": """
+pairs = [(rng.standard_normal((63, 30)).astype(np.float32), rng.standard_normal((63, 12)).astype(np.float32))
          for _ in range(45)]
 model = nn.build_regression_model(out_dim=12, seed=1, hidden=128, in_dim=30, dropout_rate=0.2)
 history = nn.train(model, pairs[:40], nn.TrainConfig(epochs=3, batch_size=100, learning_rate=1e-3, seed=0),

@@ -7,8 +7,8 @@ its own outputs and every layer's backward, and hands the halo rows of the
 TCN1 output gradient to the block before it. TRAIN_BLOCK_BYTES is patched
 small here, so that the slices span several blocks. In float64 the loss and
 all eight parameter gradients must match the layer pass to 1e-12 relative,
-the dropout masks must be the parts of the layer pass's mask, and the dropout
-generator must end in the same state.
+the dropout masks must be the parts of the layer pass's mask, and neither
+pass may move the dropout generator (nn.train advances it once per batch).
 """
 
 import math
@@ -148,15 +148,22 @@ class TestBlockedPassMatchesLayerPass:
 
 class TestBlockForwards:
     def test_masks_and_outputs_are_parts_of_the_layer_pass(self, rng, monkeypatch):
-        """float32, f1 = 7: each block's mask is bitwise its window of the
-        whole slice's mask, including windows that start on the high half of
-        a generator word, and each block's outputs on its own steps are the
-        layer pass's."""
+        """float32, f1 = 7, a two-row slice that starts at row 0, then row 1 of
+        its batch: each block's mask is bitwise its rows and steps of the
+        batch's one mask draw, including windows that start on the high half
+        of a generator word (row 1 starts at element 5 * 37 * 7 = 1295), each
+        block's outputs on its own steps are the layer pass's, and the pass
+        leaves the generator where it was."""
         batch = _slice(rng, 2, 37, np.float32, valid=[37, 30])
-        x = batch[0]
         layered = _model(f1=7, dtype=np.float32)
-        whole_mask = nn_layers._keep_mask(np.random.default_rng(5), (2, 5 * 37, 7), np.float32, 0.2)
-        whole_pred = layered.forward(x, training=True)
+        whole = {}
+        for row in (0, 1):
+            pred = batch[0]
+            for layer in layered.layers:
+                window = {"window": (row, 0, pred.shape[1])} if isinstance(layer, nn.Dropout) else {}
+                pred = layer.forward(pred, training=True, **window)
+            mask = nn_layers._keep_mask(np.random.default_rng(5), (row + 2, 5 * 37, 7), np.float32, 0.2)
+            whole[row] = mask[row:], pred
         model = _model(f1=7, dtype=np.float32)
         _set_steps(monkeypatch, model, 2, 9)
         steps, halo = model.block_steps(2, 37, np.float32), model.halo()
@@ -176,28 +183,39 @@ class TestBlockForwards:
 
         monkeypatch.setattr(nn.Dropout, "forward", drawn)
         monkeypatch.setattr(nn.UpsampleRepeat, "forward", upsampled)
-        model.train_pass(*batch)
+        state = model.layers[2].rng.bit_generator.state
         starts = list(reversed(range(0, 37, steps)))
-        assert len(starts) == 5 and len(masks) == len(preds) == 5
+        assert len(starts) == 5
         odd = 0
-        for s, (window, mask), pred in zip(starts, masks, preds):
-            lo, e = max(0, s - halo), min(s + steps, 37)
-            assert window == (5 * lo, 5 * 37)
-            assert np.array_equal(mask, whole_mask[:, 5 * lo : 5 * e])
-            odd += any((r * 5 * 37 + 5 * lo) * 7 % 2 for r in range(2))
-            np.testing.assert_allclose(pred[:, 15 * (s - lo):], whole_pred[:, 15 * s : 15 * e], rtol=1e-6, atol=1e-7)
+        for row, (whole_mask, whole_pred) in whole.items():
+            masks.clear()
+            preds.clear()
+            model.train_pass(*batch, row)
+            assert model.layers[2].rng.bit_generator.state == state
+            assert len(masks) == len(preds) == 5
+            for s, (window, mask), pred in zip(starts, masks, preds):
+                lo, e = max(0, s - halo), min(s + steps, 37)
+                assert window == (row, 5 * lo, 5 * 37)
+                assert np.array_equal(mask, whole_mask[:, 5 * lo : 5 * e])
+                odd += any(((row + r) * 5 * 37 + 5 * lo) * 7 % 2 for r in range(2))
+                np.testing.assert_allclose(pred[:, 15 * (s - lo):], whole_pred[:, 15 * s : 15 * e],
+                                           rtol=1e-6, atol=1e-7)
         assert odd
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keep_mask_window(self, dtype):
-        """Windows of a (3, 11, 7) draw: the rows of the whole mask's window,
-        with the generator left where it was."""
-        whole = nn_layers._keep_mask(np.random.default_rng(2), (3, 11, 7), dtype, 0.3)
+        """Windows of a (3, 11, 7) draw: rows row.., steps start.. of the whole
+        mask, with the generator left where it was. Row 1 begins at element
+        11 * 7 = 77, an odd float32 element, so on the high half of a word."""
         generator = np.random.default_rng(2)
         state = generator.bit_generator.state
-        for start, n in ((0, 11), (1, 4), (4, 7), (10, 1)):
-            part = nn_layers._keep_mask(generator, (3, n, 7), dtype, 0.3, window=(start, 11))
-            assert np.array_equal(part, whole[:, start : start + n])
+        whole = nn_layers._keep_mask(generator, (3, 11, 7), dtype, 0.3)
+        assert generator.bit_generator.state == state
+        assert np.array_equal(whole, np.random.default_rng(2).random((3, 11, 7), dtype) >= dtype(0.3))
+        for row, rows, start, n in ((0, 3, 0, 11), (0, 3, 1, 4), (0, 3, 4, 7), (0, 3, 10, 1),
+                                    (1, 2, 0, 11), (1, 1, 3, 5), (2, 1, 10, 1)):
+            part = nn_layers._keep_mask(generator, (rows, n, 7), dtype, 0.3, window=(row, start, 11))
+            assert np.array_equal(part, whole[row : row + rows, start : start + n])
             assert generator.bit_generator.state == state
 
 
